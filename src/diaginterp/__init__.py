@@ -36,7 +36,6 @@ from .imagespace import (
     cardinality_full,
     enumerate_space,
     envelope_size_bound,
-    sample_disagreement,
     space_cardinality,
     space_matrix,
     spec_from_json,
@@ -126,7 +125,6 @@ __all__ = [
     "rule_update",
     "run_complete_interpretation",
     "run_interpretation",
-    "sample_disagreement",
     "space_cardinality",
     "space_matrix",
     "spec_from_json",

@@ -42,7 +42,7 @@ EXIT_GUARD = 3
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:

@@ -1,17 +1,25 @@
 """The interpretation engine: query a disagreement, update the known model,
 re-measure the disagreement entropy, repeat.
 
-A run starts from the known model and the initial disagreement entropy over
-the evaluation space; that initial entropy stays fixed as the denominator of
-every per-step interpretability value. Runs terminate when the entropy hits
-zero, no queryable disagreement remains, the trajectory stalls, or the query
-budget runs out. Reports capture the whole trajectory and are deterministic
+A run materializes the evaluation space once as a matrix and labels it with
+the black box once. After every update it relabels the space with the known
+model, once, and compares the two label matrices. The levels it compares are
+every level in diagnostic mode and the diagnosis level in epsilon mode. The
+resulting disagreement rows give both the step's entropy breakdown and the
+query region: the images that disagree at any compared level.
+
+The initial disagreement entropy stays fixed as the denominator of every
+per-step interpretability value. Runs terminate when the entropy hits zero,
+no queryable disagreement remains, the trajectory stalls, or the query budget
+runs out. Reports capture the whole trajectory and are deterministic
 functions of the configuration, seed included.
 
-Two entry points:
+Two entry points share that setup, the step record and the report; each has
+its own query selection and termination rules:
 
-* run_interpretation -- the budgeted, seeded loop (diagnostic or single-level
-  epsilon mode, rule-edit or retraining updater);
+* run_interpretation -- the budgeted, seeded loop: a uniform draw from the
+  query region (diagnostic or single-level epsilon mode, rule-edit or
+  retraining updater);
 * run_complete_interpretation -- exhaustive, unbudgeted querying of a full
   space in enumeration order with the rule updater, stopping at zero entropy
   or at a fixed point where a whole pass leaves the entropy unchanged.
@@ -19,6 +27,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +36,9 @@ from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
     BinaryImage,
     ImageSpaceSpec,
+    SpaceCardinality,
     cardinality_full,
-    space_cardinality,
     space_matrix,
-    enumerate_space,
     spec_from_json,
     spec_to_json,
 )
@@ -38,7 +46,6 @@ from .metrics import (
     Confidence,
     EntropyBreakdown,
     confidence_epsilon,
-    disagreement_breakdown,
     interpretability,
     objective,
 )
@@ -53,7 +60,6 @@ from .models import (
     model_grid,
     model_to_json,
     num_levels,
-    predict,
     rule_update,
 )
 
@@ -88,8 +94,12 @@ class EngineConfig:
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         if self.max_queries < 0:
             raise InvalidConfigError("max_queries cannot be negative")
-        if self.lam < 0:
-            raise InvalidConfigError("lambda cannot be negative")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise InvalidConfigError(f"lambda must be a finite nonnegative real, got {self.lam}")
+        if not math.isfinite(self.retrain_learning_rate):
+            raise InvalidConfigError(
+                f"retrain learning rate must be finite, got {self.retrain_learning_rate}"
+            )
         if self.stall_patience < 1:
             raise InvalidConfigError("stall patience must be at least 1")
         grid = (self.space.width, self.space.height)
@@ -175,106 +185,132 @@ def trajectory_rows(report: Report) -> list[str]:
     return rows
 
 
-def _measure(config: EngineConfig, model_a: Model) -> EntropyBreakdown:
-    return disagreement_breakdown(
-        model_a, config.model_b, config.space, top_only=config.mode == "epsilon"
-    )
+class _Run:
+    """What both entry points share: the space matrix and the black box's
+    labels (computed once), the known model with its current labels, the
+    disagreement they leave, and the step records so far."""
+
+    def __init__(self, config: EngineConfig) -> None:
+        self.config = config
+        self.matrix = space_matrix(config.space)
+        self.b_levels = level_label_matrix(config.model_b, self.matrix)
+        self.steps: list[StepRecord] = []
+        self._set_model(config.model_a)
+        self.initial = self.breakdown
+
+    def _set_model(self, model: Model) -> None:
+        self.model = model
+        self.a_levels = level_label_matrix(model, self.matrix)
+        rows = _disagreement_rows(self.config.mode, self.a_levels, self.b_levels)
+        self.breakdown = EntropyBreakdown.from_counts(rows.sum(axis=1), self.matrix.shape[0])
+        # The query region, ascending in enumeration order.
+        self.region = np.flatnonzero(rows.any(axis=0))
+
+    def image(self, idx: int) -> BinaryImage:
+        space = self.config.space
+        return BinaryImage(space.width, space.height, tuple(self.matrix[idx].tolist()))
+
+    def rule_step(self, idx: int) -> StepRecord:
+        """Update the rule model toward the black box on image ``idx``."""
+        target = self.b_levels[:, idx].tolist()
+        if len(target) != self.a_levels.shape[0]:
+            # Epsilon mode across level counts: only the diagnosis level is forced.
+            target = self.a_levels[:-1, idx].tolist() + target[-1:]
+        image = self.image(idx)
+        model = rule_update(self.model, image, target, self.matrix, self.b_levels)
+        return self.record(image, model)
+
+    def record(self, image: BinaryImage, model: Model) -> StepRecord:
+        """Adopt the updated model, re-measure, and append the step."""
+        self._set_model(model)
+        h0 = self.initial.total
+        i_t = interpretability(h0, self.breakdown.total)
+        prev = self.steps[-1].i_t if self.steps else 0.0
+        step = StepRecord(len(self.steps) + 1, image, self.breakdown, float(i_t), float(i_t - prev))
+        self.steps.append(step)
+        return step
+
+    def report(self, termination: str, pass_counts: list[int] | None = None) -> Report:
+        config = self.config
+        h0 = self.initial.total
+        if self.steps:
+            final = self.steps[-1].i_t
+            raw_final = (h0 - self.steps[-1].entropy_after.total) / h0
+        else:
+            final = raw_final = 1.0 if h0 == 0.0 else 0.0
+        epsilon = None
+        if config.mode == "epsilon":
+            epsilon = confidence_epsilon(
+                SpaceCardinality.from_int(self.matrix.shape[0]),
+                cardinality_full(config.space.width, config.space.height),
+            )
+        return Report(
+            initial_entropy=self.initial,
+            steps=tuple(self.steps),
+            final_interpretability=float(final),
+            objective_j=objective([s.i_t for s in self.steps], config.lam, len(self.steps)),
+            termination=termination,
+            raw_unclamped_final=float(raw_final),
+            seed=config.rng_seed,
+            config=config,
+            epsilon=epsilon,
+            pass_disagreements=None if pass_counts is None else tuple(pass_counts),
+            final_model=self.model,
+        )
 
 
-def _epsilon_for(config: EngineConfig) -> Confidence | None:
-    if config.mode != "epsilon":
-        return None
-    return confidence_epsilon(
-        space_cardinality(config.space),
-        cardinality_full(config.space.width, config.space.height),
-    )
-
-
-def _update_target(config: EngineConfig, model_a: Model, image: BinaryImage) -> list[int]:
-    """Per-level targets for an update: the black box's levels in diagnostic
-    mode; in epsilon mode only the diagnosis level is forced."""
-    target = list(predict(config.model_b, image))
-    if config.mode == "epsilon" and num_levels(model_a) != len(target):
-        current = list(predict(model_a, image))
-        current[-1] = target[-1]
-        target = current
-    return target
+def _disagreement_rows(mode: str, a_levels: np.ndarray, b_levels: np.ndarray) -> np.ndarray:
+    """Where the two label matrices disagree, one boolean row per compared
+    level: every level in diagnostic mode, the diagnosis level in epsilon
+    mode."""
+    if mode == "epsilon":
+        return a_levels[-1:] != b_levels[-1:]
+    return a_levels != b_levels
 
 
 def run_interpretation(config: EngineConfig) -> Report:
-    """Budgeted random-query interpretation (the seeded loop)."""
-    images = enumerate_space(config.space)
-    matrix = space_matrix(config.space)
-    b_top = level_label_matrix(config.model_b, matrix)[-1]
+    """Budgeted random-query interpretation (the seeded loop).
 
-    initial = _measure(config, config.model_a)
-    h0 = initial.total
-    steps: list[StepRecord] = []
-    raw_final = 1.0 if h0 == 0.0 else 0.0
-    termination = TERM_NO_DISAGREEMENT
+    Each query is a uniform draw from the query region.
+    """
+    run = _Run(config)
+    if run.initial.total == 0.0:
+        return run.report(TERM_NO_DISAGREEMENT)
 
-    model_a = config.model_a
-    if h0 > 0.0:
-        rng = np.random.default_rng(config.rng_seed)
-        queries: list[tuple[BinaryImage, int]] = []
-        prev_i = 0.0
-        zero_delta_run = 0
-        termination = TERM_BUDGET
-        for t in range(1, config.max_queries + 1):
-            a_top = level_label_matrix(model_a, matrix)[-1]
-            disagree = np.flatnonzero(a_top != b_top)
-            if disagree.size == 0:
-                termination = TERM_NO_DISAGREEMENT
-                break
-            idx = int(disagree[int(rng.integers(0, disagree.size))])
-            image = images[idx]
-            if config.updater == RULE_UPDATER:
-                target = _update_target(config, model_a, image)
-                model_a = rule_update(model_a, image, target, config.space, config.model_b)
-            else:
-                queries.append((image, int(b_top[idx])))
-                retrain_seed = int(rng.integers(0, 2**31))
-                model_a = linear_update(
-                    config.model_a,
-                    config.base_dataset,
-                    queries,
-                    config.retrain_epochs,
-                    config.retrain_learning_rate,
-                    retrain_seed,
-                )
-            after = _measure(config, model_a)
-            raw_final = (h0 - after.total) / h0
-            i_t = interpretability(h0, after.total)
-            delta = i_t - prev_i
-            steps.append(StepRecord(t, image, after, float(i_t), float(delta)))
-            prev_i = i_t
-            if after.total == 0.0:
-                termination = TERM_ENTROPY_ZERO
-                break
-            zero_delta_run = zero_delta_run + 1 if delta == 0.0 else 0
-            if zero_delta_run >= config.stall_patience:
-                termination = TERM_STALLED
-                break
-
-    final = steps[-1].i_t if steps else (1.0 if h0 == 0.0 else 0.0)
-    return Report(
-        initial_entropy=initial,
-        steps=tuple(steps),
-        final_interpretability=float(final),
-        objective_j=objective([s.i_t for s in steps], config.lam, len(steps)),
-        termination=termination,
-        raw_unclamped_final=float(raw_final),
-        seed=config.rng_seed,
-        config=config,
-        epsilon=_epsilon_for(config),
-        final_model=model_a,
-    )
+    rng = np.random.default_rng(config.rng_seed)
+    queries: list[tuple[BinaryImage, int]] = []
+    zero_delta_run = 0
+    for _ in range(config.max_queries):
+        if run.region.size == 0:
+            return run.report(TERM_NO_DISAGREEMENT)
+        idx = int(run.region[int(rng.integers(0, run.region.size))])
+        if config.updater == RULE_UPDATER:
+            step = run.rule_step(idx)
+        else:
+            image = run.image(idx)
+            queries.append((image, int(run.b_levels[-1, idx])))
+            retrain_seed = int(rng.integers(0, 2**31))
+            model = linear_update(
+                config.model_a,
+                config.base_dataset,
+                queries,
+                config.retrain_epochs,
+                config.retrain_learning_rate,
+                retrain_seed,
+            )
+            step = run.record(image, model)
+        if step.entropy_after.total == 0.0:
+            return run.report(TERM_ENTROPY_ZERO)
+        zero_delta_run = zero_delta_run + 1 if step.delta_i_t == 0.0 else 0
+        if zero_delta_run >= config.stall_patience:
+            return run.report(TERM_STALLED)
+    return run.report(TERM_BUDGET)
 
 
 def run_complete_interpretation(config: EngineConfig) -> Report:
     """Exhaustive interpretation of a full space in enumeration order.
 
-    The query budget is ignored: every per-level disagreement is visited,
+    The query budget is ignored: every image in the query region is visited,
     pass after pass, until none remain or a full pass leaves the total
     entropy unchanged (a fixed point of the updater).
     """
@@ -287,77 +323,31 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
             "complete interpretation updates every level and needs matched level counts"
         )
 
-    images = enumerate_space(config.space)
-    matrix = space_matrix(config.space)
-    b_levels = level_label_matrix(config.model_b, matrix)
-
-    initial = _measure(config, config.model_a)
-    h0 = initial.total
-    steps: list[StepRecord] = []
+    run = _Run(config)
     pass_counts: list[int] = []
-    raw_final = 1.0 if h0 == 0.0 else 0.0
-    termination = TERM_NO_DISAGREEMENT
-    model_a = config.model_a
+    if run.initial.total == 0.0:
+        return run.report(TERM_NO_DISAGREEMENT, pass_counts)
 
-    if h0 > 0.0:
-        prev_i = 0.0
-        t = 0
-        entropy_before_pass = h0
-        for _ in range(1000):
-            a_levels = level_label_matrix(model_a, matrix)
-            disagree_mask = (a_levels != b_levels).any(axis=0)
-            pass_counts.append(int(np.count_nonzero(disagree_mask)))
-            position = 0
-            updated_in_pass = False
-            after = None
-            while True:
-                remaining = np.flatnonzero(disagree_mask[position:])
-                if remaining.size == 0:
-                    break
-                idx = position + int(remaining[0])
-                image = images[idx]
-                target = [int(v) for v in b_levels[:, idx]]
-                model_a = rule_update(model_a, image, target, config.space, config.model_b)
-                updated_in_pass = True
-                t += 1
-                after = _measure(config, model_a)
-                raw_final = (h0 - after.total) / h0
-                i_t = interpretability(h0, after.total)
-                steps.append(StepRecord(t, image, after, float(i_t), float(i_t - prev_i)))
-                prev_i = i_t
-                if after.total == 0.0:
-                    break
-                position = idx + 1
-                a_levels = level_label_matrix(model_a, matrix)
-                disagree_mask = (a_levels != b_levels).any(axis=0)
-            if after is not None and after.total == 0.0:
-                termination = TERM_ENTROPY_ZERO
+    entropy_before_pass = run.initial.total
+    for _ in range(1000):
+        pass_counts.append(int(run.region.size))
+        if run.region.size == 0:
+            return run.report(TERM_ENTROPY_ZERO, pass_counts)
+        position = 0
+        while True:
+            # the next region image at or after ``position``
+            k = int(np.searchsorted(run.region, position))
+            if k == run.region.size:
                 break
-            if not updated_in_pass:
-                termination = TERM_ENTROPY_ZERO
-                break
-            entropy_now = steps[-1].entropy_after.total
-            if entropy_now == entropy_before_pass:
-                termination = TERM_STALLED
-                break
-            entropy_before_pass = entropy_now
-        else:
-            raise InvalidConfigError("complete interpretation failed to settle within 1000 passes")
-
-    final = steps[-1].i_t if steps else (1.0 if h0 == 0.0 else 0.0)
-    return Report(
-        initial_entropy=initial,
-        steps=tuple(steps),
-        final_interpretability=float(final),
-        objective_j=objective([s.i_t for s in steps], config.lam, len(steps)),
-        termination=termination,
-        raw_unclamped_final=float(raw_final),
-        seed=config.rng_seed,
-        config=config,
-        epsilon=_epsilon_for(config),
-        pass_disagreements=tuple(pass_counts),
-        final_model=model_a,
-    )
+            idx = int(run.region[k])
+            if run.rule_step(idx).entropy_after.total == 0.0:
+                return run.report(TERM_ENTROPY_ZERO, pass_counts)
+            position = idx + 1
+        entropy_now = run.steps[-1].entropy_after.total
+        if entropy_now == entropy_before_pass:
+            return run.report(TERM_STALLED, pass_counts)
+        entropy_before_pass = entropy_now
+    raise InvalidConfigError("complete interpretation failed to settle within 1000 passes")
 
 
 def config_to_json(config: EngineConfig) -> dict:

@@ -213,19 +213,19 @@ def two_squares_bases() -> tuple[list[BinaryImage], list[int]]:
     return images, labels
 
 
-def two_squares_class_pools() -> tuple[list[BinaryImage], list[BinaryImage]]:
-    """The envelope split by class: each base and its one-pixel flips inherit
-    the base's label. The two classes never collide (their left halves alone
-    differ by 8 pixels)."""
+def two_squares_class_pools() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The envelope split by class, as bit tuples: each base and its
+    one-pixel flips inherit the base's label. The two classes never collide
+    (their left halves alone differ by 8 pixels)."""
     bases, labels = two_squares_bases()
-    pools: tuple[list[BinaryImage], list[BinaryImage]] = ([], [])
-    seen: tuple[set, set] = (set(), set())
+    pixels = GRID_8 * GRID_8
+    # Row 0 keeps the base; row i + 1 flips pixel i.
+    flips = np.vstack([np.zeros(pixels, dtype=np.uint8), np.eye(pixels, dtype=np.uint8)])
+    pools: tuple[dict, dict] = ({}, {})
     for base, label in zip(bases, labels):
-        for img in [base] + [base.flip(i) for i in range(base.num_pixels)]:
-            if img.bits not in seen[label]:
-                seen[label].add(img.bits)
-                pools[label].append(img)
-    return pools
+        variants = np.array(base.bits, dtype=np.uint8) ^ flips
+        pools[label].update(dict.fromkeys(map(tuple, variants.tolist())))
+    return list(pools[0]), list(pools[1])
 
 
 def _build_eval_squares(seed: int) -> Fixture:
@@ -237,10 +237,9 @@ def _build_eval_squares(seed: int) -> Fixture:
     picked0 = rng.choice(len(pool0), size=TRAIN_PER_CLASS, replace=False)
     picked1 = rng.choice(len(pool1), size=TRAIN_PER_CLASS, replace=False)
     dataset: list[tuple[BinaryImage, int]] = []
-    for i in picked0:
-        dataset.append((pool0[int(i)], 0))
-    for i in picked1:
-        dataset.append((pool1[int(i)], 1))
+    for label, pool, picked in ((0, pool0, picked0), (1, pool1, picked1)):
+        for i in picked:
+            dataset.append((BinaryImage(GRID_8, GRID_8, pool[int(i)]), label))
 
     black_box = train_neural(
         dataset,

@@ -1,8 +1,13 @@
-"""Binary-image spaces: representation, enumeration, disagreement sampling.
+"""Binary-image spaces: specification, enumeration, cardinality.
 
 Every evaluation set in this package is either the full space of
 ``width x height`` binary images or a flip envelope: a set of base images
 together with every image within a fixed Hamming radius of one of them.
+
+In memory a materialized set is a single read-only ``(n_images, n_pixels)``
+uint8 matrix, one row per image (space_matrix). Per-image BinaryImage objects
+are built from its rows only at the API edge (enumerate_space) and for the
+images a run actually queries.
 
 Enumeration order is part of the contract:
 
@@ -22,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidSpecError, SpaceTooLargeError
+from .errors import InvalidSpecError, SpaceTooLargeError
 
 # Full-space enumeration refuses grids with more pixels than this.
 FULL_ENUMERATION_PIXEL_LIMIT = 24
@@ -220,7 +224,10 @@ def enumerate_space(
     Yields each image exactly once. Raises SpaceTooLargeError when the full
     space exceeds 2^24 images or an envelope would exceed ``max_images``.
     """
-    return _materialize(spec, max_images)[0]
+    matrix = space_matrix(spec, max_images)
+    return tuple(
+        BinaryImage(spec.width, spec.height, tuple(row)) for row in matrix.tolist()
+    )
 
 
 def space_matrix(
@@ -230,29 +237,12 @@ def space_matrix(
 
     Row order matches enumerate_space.
     """
-    return _materialize(spec, max_images)[1]
-
-
-_MATERIALIZE_CACHE: dict = {}
-_MATERIALIZE_CACHE_LIMIT = 8
-
-
-def _materialize(spec: ImageSpaceSpec, max_images: int):
-    key = (spec, max_images)
-    hit = _MATERIALIZE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if spec.mode == "full":
-        result = _materialize_full(spec)
-    else:
-        result = _materialize_envelope(spec, max_images)
-    if len(_MATERIALIZE_CACHE) >= _MATERIALIZE_CACHE_LIMIT:
-        _MATERIALIZE_CACHE.pop(next(iter(_MATERIALIZE_CACHE)))
-    _MATERIALIZE_CACHE[key] = result
-    return result
+        return _materialize_full(spec)
+    return _materialize_envelope(spec, max_images)
 
 
-def _materialize_full(spec: ImageSpaceSpec):
+def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
     pixels = spec.num_pixels
     if pixels > FULL_ENUMERATION_PIXEL_LIMIT:
         raise SpaceTooLargeError(
@@ -264,94 +254,51 @@ def _materialize_full(spec: ImageSpaceSpec):
     shifts = np.arange(pixels - 1, -1, -1, dtype=np.uint32)
     matrix = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
     matrix.setflags(write=False)
-    images = tuple(
-        BinaryImage(spec.width, spec.height, tuple(int(b) for b in row)) for row in matrix
-    )
-    return images, matrix
+    return matrix
 
 
-def _materialize_envelope(spec: ImageSpaceSpec, max_images: int):
+def _materialize_envelope(spec: ImageSpaceSpec, max_images: int) -> np.ndarray:
+    pixels = spec.num_pixels
     # One base alone yields exactly 1 + sum_j C(pixels, j) distinct images,
     # so that is a guaranteed lower bound on the envelope's size.
-    single_base = 1 + sum(
-        math.comb(spec.num_pixels, j) for j in range(1, spec.flip_radius + 1)
-    )
+    single_base = 1 + sum(math.comb(pixels, j) for j in range(1, spec.flip_radius + 1))
     if single_base > max_images:
         raise SpaceTooLargeError(
             f"envelope guard: at least {single_base} images per base, "
             f"materialization limit is {max_images}"
         )
-    seen: set[tuple[int, ...]] = set()
-    images: list[BinaryImage] = []
+    # Rows are deduplicated by their raw bytes; dict insertion order keeps the
+    # first occurrence of each, which is the canonical order.
+    row_bytes = np.dtype((np.void, pixels))
+    seen: dict[bytes, None] = {}
 
-    def _add(img: BinaryImage) -> None:
-        if img.bits in seen:
-            return
-        if len(images) >= max_images:
+    def _add(rows: np.ndarray) -> None:
+        seen.update(dict.fromkeys(np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()))
+        if len(seen) > max_images:
             raise SpaceTooLargeError(
                 f"envelope guard: materialization limit {max_images} exceeded"
             )
-        seen.add(img.bits)
-        images.append(img)
 
-    for base in spec.base_images:
-        _add(base)
-    pixel_indices = range(spec.num_pixels)
+    bases = np.array([img.bits for img in spec.base_images], dtype=np.uint8)
+    _add(bases)
     for radius in range(1, spec.flip_radius + 1):
-        for base in spec.base_images:
-            for flips in combinations(pixel_indices, radius):
-                bits = list(base.bits)
-                for i in flips:
-                    bits[i] ^= 1
-                _add(BinaryImage(spec.width, spec.height, tuple(bits)))
+        flips = np.array(list(combinations(range(pixels), radius)), dtype=np.intp)
+        flips = flips.reshape(-1, radius)
+        masks = np.zeros((len(flips), pixels), dtype=np.uint8)
+        masks[np.arange(len(flips))[:, None], flips] = 1
+        for base in bases:
+            _add(base ^ masks)
 
-    matrix = np.array([img.bits for img in images], dtype=np.uint8)
+    matrix = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(len(seen), pixels)
     matrix.setflags(write=False)
-    return tuple(images), matrix
+    return matrix
 
 
 def space_cardinality(spec: ImageSpaceSpec) -> SpaceCardinality:
     """Exact cardinality of the set described by ``spec``."""
     if spec.mode == "full":
         return cardinality_full(spec.width, spec.height)
-    return SpaceCardinality.from_int(len(enumerate_space(spec)))
-
-
-def sample_disagreement(
-    spec: ImageSpaceSpec,
-    model_a,
-    model_b,
-    rng,
-) -> BinaryImage | None:
-    """Uniform draw from the images where the two models' top labels differ.
-
-    Returns None when the disagreement set is empty. ``rng`` may be a seed or
-    a numpy Generator; an identical generator state yields an identical draw.
-    """
-    from .models import model_grid, top_label_vector
-
-    for name, model in (("model_a", model_a), ("model_b", model_b)):
-        grid = model_grid(model)
-        if grid != (spec.width, spec.height):
-            raise InvalidConfigError(
-                f"{name} expects grid {grid[0]}x{grid[1]}, "
-                f"space is {spec.width}x{spec.height}"
-            )
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    images = enumerate_space(spec)
-    matrix = space_matrix(spec)
-    disagree = np.flatnonzero(top_label_vector(model_a, matrix) != top_label_vector(model_b, matrix))
-    if disagree.size == 0:
-        return None
-    pick = int(disagree[int(generator.integers(0, disagree.size))])
-    return images[pick]
-
-
-def disagreement_fraction_exact(count: int, total: int) -> Fraction:
-    """Disagreement rate as an exact rational, the form entropy is fed from."""
-    if total <= 0:
-        raise InvalidSpecError("evaluation set may not be empty")
-    return Fraction(count, total)
+    return SpaceCardinality.from_int(space_matrix(spec).shape[0])
 
 
 def spec_to_json(spec: ImageSpaceSpec) -> dict:

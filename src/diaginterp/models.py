@@ -3,8 +3,8 @@ small from-scratch feedforward net.
 
 All three families expose the same prediction surface: a model maps a binary
 image to one {0,1} label per abstraction level, with the last level acting as
-the diagnosis label used for disagreement sampling. Rule models may have any
-number of levels; the real-valued families are single-level.
+the diagnosis label. Rule models may have any number of levels; the
+real-valued families are single-level.
 
 Every training routine is a deterministic function of its inputs and seed.
 """
@@ -23,7 +23,7 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import BinaryImage, ImageSpaceSpec, space_matrix
+from .imagespace import BinaryImage
 
 PredictionVector = tuple[int, ...]
 
@@ -191,18 +191,22 @@ def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
+def _rule_level_labels(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
+    """One rule level's labels over every row of ``matrix``, as booleans."""
+    pred = np.ones(matrix.shape[0], dtype=bool)
+    if level.ones_required:
+        pred &= (matrix[:, sorted(level.ones_required)] == 1).all(axis=1)
+    if level.zeros_required:
+        pred &= (matrix[:, sorted(level.zeros_required)] == 0).all(axis=1)
+    return pred
+
+
 def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
     """Per-level labels for a whole enumerated space; shape (K, n_images)."""
-    n = matrix.shape[0]
     if isinstance(model, RuleModel):
-        out = np.empty((len(model.levels), n), dtype=np.uint8)
+        out = np.empty((len(model.levels), matrix.shape[0]), dtype=np.uint8)
         for k, level in enumerate(model.levels):
-            pred = np.ones(n, dtype=bool)
-            if level.ones_required:
-                pred &= (matrix[:, sorted(level.ones_required)] == 1).all(axis=1)
-            if level.zeros_required:
-                pred &= (matrix[:, sorted(level.zeros_required)] == 0).all(axis=1)
-            out[k] = pred
+            out[k] = _rule_level_labels(level, matrix)
         return out
     if isinstance(model, LinearModel):
         scores = matrix.astype(np.float64) @ model.weights + model.bias
@@ -241,26 +245,29 @@ def rule_update(
     model: RuleModel,
     image: BinaryImage,
     target: Sequence[int],
-    eval_spec: ImageSpaceSpec,
-    reference_model: Model,
+    matrix: np.ndarray,
+    reference_labels: np.ndarray,
 ) -> RuleModel:
     """Edit the model so its prediction on ``image`` equals ``target`` at
     every level, using the fewest constraint insertions/removals per level.
 
+    ``matrix`` is the evaluation space (space_matrix) and ``reference_labels``
+    the reference model's labels over it (level_label_matrix).
+
     For a level that must flip 0 -> 1 the edit is forced: remove exactly the
     constraints the image violates. For 1 -> 0 any single violated constraint
     suffices; among those candidates the one minimizing post-edit disagreement
-    with ``reference_model`` over ``eval_spec`` wins, with remaining ties
-    broken by lowest pixel index. When a level is fully pinned (every pixel
-    already constrained) a two-edit swap is used instead.
+    with the reference labels wins, with remaining ties broken by lowest pixel
+    index; a reference with a different level count is scored by its
+    diagnosis level. When a level is fully pinned (every pixel already
+    constrained) a two-edit swap is used instead.
     """
     _check_image(model, image)
     if len(target) != len(model.levels):
         raise InvalidInputError(
             f"target has {len(target)} levels, model has {len(model.levels)}"
         )
-    matrix = space_matrix(eval_spec)
-    ref_matrix = None
+    matched = reference_labels.shape[0] == len(model.levels)
 
     new_levels = list(model.levels)
     for k, level in enumerate(model.levels):
@@ -276,9 +283,7 @@ def rule_update(
                 level.zeros_required - violated_zeros,
             )
         else:
-            if ref_matrix is None:
-                ref_matrix = level_label_matrix(reference_model, matrix)
-            ref_row = ref_matrix[k] if ref_matrix.shape[0] == len(model.levels) else ref_matrix[-1]
+            ref_row = reference_labels[k] if matched else reference_labels[-1]
             new_levels[k] = _best_blocking_edit(level, image, matrix, ref_row)
 
     updated = RuleModel(model.width, model.height, tuple(new_levels))
@@ -290,21 +295,12 @@ def rule_update(
     return updated
 
 
-def _level_prediction_vector(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
-    pred = np.ones(matrix.shape[0], dtype=bool)
-    if level.ones_required:
-        pred &= (matrix[:, sorted(level.ones_required)] == 1).all(axis=1)
-    if level.zeros_required:
-        pred &= (matrix[:, sorted(level.zeros_required)] == 0).all(axis=1)
-    return pred
-
-
 def _best_blocking_edit(
     level: RuleLevel, image: BinaryImage, matrix: np.ndarray, ref_row: np.ndarray
 ) -> RuleLevel:
     """Smallest constraint addition that forces label 0 on ``image``."""
     ref = ref_row.astype(bool)
-    base = _level_prediction_vector(level, matrix)
+    base = _rule_level_labels(level, matrix)
     candidates: list[tuple[int, int, RuleLevel]] = []
     for j in range(image.num_pixels):
         if image.bits[j] == 0 and j not in level.zeros_required:
@@ -324,7 +320,7 @@ def _best_blocking_edit(
             else:
                 cand = RuleLevel(level.ones_required | {i}, level.zeros_required - {i})
             if _rule_level_label(cand, image.bits) == 0:
-                pred = _level_prediction_vector(cand, matrix)
+                pred = _rule_level_labels(cand, matrix)
                 candidates.append((int(np.count_nonzero(pred != ref)), i, cand))
     if not candidates:
         raise UnreachableTargetError("no blocking edit exists for this level")

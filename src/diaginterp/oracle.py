@@ -4,7 +4,9 @@ complete-interpretation fixed points.
 Everything here recounts from scratch with straight-line per-image loops and
 its own scalar predictors. It deliberately shares no counting or enumeration
 code with the vectorized paths it is used to validate; entropies are always
-recomputed from integer counts.
+recomputed from integer counts. The one exception is the input of the
+minimal-edit updater that the fixed-point search drives: like the engine, it
+hands rule_update the space matrix and the reference model's label matrix.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import BinaryImage, ImageSpaceSpec
+from .imagespace import BinaryImage, ImageSpaceSpec, space_matrix
 from .models import (
     LinearModel,
     Model,
     NeuralModel,
     RuleModel,
+    level_label_matrix,
     num_levels,
     rule_update,
 )
@@ -184,6 +187,8 @@ def exhaustive_fixed_point(
         raise AbstractionMismatchError(
             "exhaustive interpretation updates every level and needs matched level counts"
         )
+    matrix = space_matrix(spec)
+    reference = level_label_matrix(model_b, matrix)
     current = model_a
     entropy_before = brute_force_breakdown(current, model_b, spec).total_entropy
     for _ in range(1000):
@@ -193,7 +198,7 @@ def exhaustive_fixed_point(
             lb = _scalar_levels(model_b, bits)
             if la != lb:
                 image = BinaryImage(spec.width, spec.height, bits)
-                current = rule_update(current, image, lb, spec, model_b)
+                current = rule_update(current, image, lb, matrix, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
         if not changed or result.total_entropy == entropy_before:

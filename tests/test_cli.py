@@ -69,6 +69,12 @@ class TestInterpret:
         spec_path.write_text(json.dumps(doc))
         assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2_without_report(self, tmp_path, value):
+        assert main(["interpret", "--fixture", "fig1b", "--lambda", value,
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,8 +106,6 @@ class TestRunInterpretation:
     def test_epsilon_mode_attaches_confidence(self):
         fx = build_fixture("fig2-diagonal")
         config = fx.engine_config(rng_seed=0)
-        from dataclasses import replace
-
         report = run_interpretation(replace(config, mode="epsilon"))
         assert report.epsilon is not None
         assert report.epsilon.value == pytest.approx(34 / 65536)
@@ -172,6 +171,13 @@ class TestRunInterpretation:
                 mode="epsilon",
             )
 
+    @pytest.mark.parametrize("field", ["lam", "retrain_learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        with pytest.raises(InvalidConfigError):
+            replace(config, **{field: value})
+
     def test_diagnostic_mode_requires_matched_levels(self):
         model_a = RuleModel(2, 2, (RuleLevel.of(), RuleLevel.of()))
         with pytest.raises(AbstractionMismatchError):
@@ -203,8 +209,9 @@ class TestRunInterpretation:
         assert r1.to_json() == r2.to_json()
 
     def test_lower_level_only_disagreement_cannot_be_queried(self):
-        # level 1 disagrees on half the space but the diagnosis level always
-        # agrees, so there is nothing to sample and no gain to be had
+        # Level 0 disagrees on half the space while the diagnosis level always
+        # agrees. In diagnostic mode the query region spans every level, so
+        # these images are queried (the test name predates that region).
         model_a = RuleModel(2, 2, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[1])))
         model_b = RuleModel(2, 2, (RuleLevel.of(), RuleLevel.of(ones=[1])))
         config = EngineConfig(
@@ -216,9 +223,30 @@ class TestRunInterpretation:
         )
         report = run_interpretation(config)
         assert report.initial_entropy.total == 1.0
-        assert report.termination == "no_disagreement"
-        assert report.steps == ()
-        assert report.final_interpretability == 0.0
+        assert len(report.steps) >= 1
+        assert report.termination == "entropy_zero"
+        assert report.final_interpretability == 1.0
+
+    def test_diagnostic_region_includes_lower_levels(self):
+        # top levels agree everywhere; level 0 disagrees where pixels 0 and 1
+        # differ, so H0 = h(8/16) = 1 bit
+        model_a = RuleModel(2, 2, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[3])))
+        model_b = RuleModel(2, 2, (RuleLevel.of(ones=[1]), RuleLevel.of(ones=[3])))
+        config = EngineConfig(
+            space=ImageSpaceSpec(2, 2, "full"),
+            model_a=model_a,
+            model_b=model_b,
+            updater="rule_minimal_edit",
+            max_queries=16,
+        )
+        budgeted = run_interpretation(config)
+        assert budgeted.initial_entropy.total == 1.0
+        assert budgeted.termination == "entropy_zero"
+        assert budgeted.final_interpretability == 1.0
+        complete = run_complete_interpretation(config)
+        assert complete.termination == "entropy_zero"
+        assert complete.final_interpretability == 1.0
+        assert len(complete.steps) == 2
 
 
 class TestRunCompleteInterpretation:
@@ -276,21 +304,41 @@ class TestRunCompleteInterpretation:
         assert bd.total == 0.0
 
     def test_multi_level_pair_matches_oracle_fixed_point(self):
+        rng = np.random.default_rng(31)
         space = ImageSpaceSpec(3, 3, "full")
-        model_a = RuleModel(3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4])))
-        model_b = RuleModel(3, 3, (RuleLevel.of(ones=[1]), RuleLevel.of(zeros=[8])))
-        config = EngineConfig(
-            space=space,
-            model_a=model_a,
-            model_b=model_b,
-            updater="rule_minimal_edit",
-            max_queries=1,
-        )
-        report = run_complete_interpretation(config)
-        _, fixed = exhaustive_fixed_point(model_a, model_b, space)
-        h0 = brute_force_breakdown(model_a, model_b, space).total_entropy
-        expected = 1.0 if h0 == 0 else (h0 - fixed.total_entropy) / h0
-        assert report.final_interpretability == pytest.approx(max(expected, 0.0), abs=1e-9)
+        for _ in range(20):
+            levels = int(rng.integers(1, 4))
+            model_a = random_rule_model(rng, levels)
+            model_b = random_rule_model(rng, levels)
+            config = EngineConfig(
+                space=space,
+                model_a=model_a,
+                model_b=model_b,
+                updater="rule_minimal_edit",
+                max_queries=16,
+                rng_seed=int(rng.integers(0, 2**31)),
+            )
+            complete = run_complete_interpretation(config)
+            truth = brute_force_breakdown(model_a, model_b, space)
+            assert complete.initial_entropy.disagreement_counts == truth.disagreement_counts
+            _, fixed = exhaustive_fixed_point(model_a, model_b, space)
+            final = complete.steps[-1].entropy_after if complete.steps else complete.initial_entropy
+            assert final.disagreement_counts == fixed.disagreement_counts
+
+            budgeted = run_interpretation(config)
+            final = budgeted.steps[-1].entropy_after if budgeted.steps else budgeted.initial_entropy
+            if budgeted.termination in ("no_disagreement", "entropy_zero"):
+                assert final.total == 0.0
+
+
+def random_rule_model(rng, levels):
+    """A 3x3 rule model whose levels each require 0-2 pixels on and 0-2 off."""
+    made = []
+    for _ in range(levels):
+        pixels = [int(i) for i in rng.permutation(9)]
+        n_ones, n_zeros = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        made.append(RuleLevel.of(ones=pixels[:n_ones], zeros=pixels[n_ones : n_ones + n_zeros]))
+    return RuleModel(3, 3, tuple(made))
 
 
 class TestReportSerialization:

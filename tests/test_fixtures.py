@@ -72,7 +72,7 @@ class TestEvalSquares:
 
     def test_class_pools_do_not_overlap(self):
         pool0, pool1 = two_squares_class_pools()
-        assert {img.bits for img in pool0}.isdisjoint({img.bits for img in pool1})
+        assert set(pool0).isdisjoint(pool1)
 
     def test_build_is_deterministic_per_seed(self):
         fx1 = build_fixture("eval-squares", seed=3)

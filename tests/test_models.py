@@ -6,7 +6,7 @@ from diaginterp.errors import (
     InvalidInputError,
     InvalidSpecError,
 )
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, enumerate_space
+from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, enumerate_space, space_matrix
 from diaginterp.models import (
     LinearModel,
     NeuralModel,
@@ -15,6 +15,7 @@ from diaginterp.models import (
     bce_gradients,
     bce_loss,
     init_neural,
+    level_label_matrix,
     linear_update,
     model_from_json,
     model_to_json,
@@ -32,6 +33,12 @@ ANTI_DIAGONAL = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
 
 def diagonal_rule():
     return RuleModel(4, 4, (RuleLevel.of(ones=[0, 5, 10, 15]),))
+
+
+def update_toward(model, image, target, spec, reference):
+    """rule_update scored against ``reference`` over the space ``spec``."""
+    matrix = space_matrix(spec)
+    return rule_update(model, image, target, matrix, level_label_matrix(reference, matrix))
 
 
 class TestPredict:
@@ -117,13 +124,13 @@ class TestRuleUpdate:
         # edit is removing that constraint
         model = RuleModel(4, 4, (RuleLevel.of(ones=[0, 5]),))
         image = MAIN_DIAGONAL.flip(5)
-        updated = rule_update(model, image, (1,), self.space, self.model_b)
+        updated = update_toward(model, image, (1,), self.space, self.model_b)
         assert updated.levels[0] == RuleLevel.of(ones=[0])
         assert predict(updated, image) == (1,)
 
     def test_blocking_addition_matches_brute_force_argmin(self):
         image = MAIN_DIAGONAL.flip(5)  # A says 1, B says 0
-        updated = rule_update(self.model_a, image, (0,), self.space, self.model_b)
+        updated = update_toward(self.model_a, image, (0,), self.space, self.model_b)
 
         # independent argmin: try every legal single addition, count
         # disagreements with B by looping over the envelope
@@ -156,7 +163,7 @@ class TestRuleUpdate:
             image = images[int(rng.integers(0, len(images)))]
             current = predict(model, image)
             target = (1 - current[0],)
-            updated = rule_update(model, image, target, spec, reference)
+            updated = update_toward(model, image, target, spec, reference)
             assert predict(updated, image) == target
 
     def test_multi_level_update(self):
@@ -168,7 +175,7 @@ class TestRuleUpdate:
         )
         spec = ImageSpaceSpec(3, 3, "full")
         image = BinaryImage.from_pixels(3, 3, [1, 5])
-        updated = rule_update(model, image, (1, 1), spec, reference)
+        updated = update_toward(model, image, (1, 1), spec, reference)
         assert predict(updated, image) == (1, 1)
 
     def test_fully_pinned_level_uses_swap(self):
@@ -178,7 +185,7 @@ class TestRuleUpdate:
         model = RuleModel(1, 2, (RuleLevel.of(ones=[0], zeros=[1]),))
         spec = ImageSpaceSpec(1, 2, "full")
         reference = RuleModel(1, 2, (RuleLevel.of(ones=[1]),))
-        updated = rule_update(model, image, (0,), spec, reference)
+        updated = update_toward(model, image, (0,), spec, reference)
         assert predict(updated, image) == (0,)
 
     def test_four_updates_reach_full_envelope_agreement(self):
@@ -191,7 +198,7 @@ class TestRuleUpdate:
         assert len(disagreements) == 4
         for img in disagreements:
             if predict(current, img) != predict(self.model_b, img):
-                current = rule_update(
+                current = update_toward(
                     current, img, predict(self.model_b, img), self.space, self.model_b
                 )
         for img in enumerate_space(self.space):
