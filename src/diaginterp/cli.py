@@ -30,9 +30,10 @@ from .engine import (
     run_interpretation,
     trajectory_rows,
 )
-from .errors import DiagInterpError, SpaceTooLargeError
+from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
 from .fixtures import build_fixture, fixture_names
 from .imagespace import spec_from_json
+from .metrics import raw_interpretability
 from .models import RuleModel, model_from_json, num_levels
 from .oracle import brute_force_breakdown, exhaustive_fixed_point
 
@@ -77,7 +78,7 @@ def _config_from_args(args) -> EngineConfig:
             raise DiagInterpError(
                 "run spec must contain exactly one of a fixture name or explicit models"
             )
-        seed = args.seed if args.seed is not None else int(doc.get("rng_seed", 0))
+        seed = args.seed if args.seed is not None else doc.get("rng_seed", 0)
         if "fixture" in doc:
             config = build_fixture(doc["fixture"], seed).engine_config(
                 rng_seed=seed,
@@ -115,8 +116,11 @@ def _cmd_oracle(args) -> int:
         model_a, model_b, space = fixture.model_a, fixture.model_b, fixture.space
     elif args.models and args.space:
         models_doc = _load_json(args.models)
-        model_a = model_from_json(models_doc["model_a"])
-        model_b = model_from_json(models_doc["model_b"])
+        try:
+            model_a = model_from_json(models_doc["model_a"])
+            model_b = model_from_json(models_doc["model_b"])
+        except KeyError as missing:
+            raise InvalidConfigError(f"models file missing key {missing}") from None
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")
@@ -131,11 +135,7 @@ def _cmd_oracle(args) -> int:
         doc["fixed_point"] = {
             "initial_entropy": result.total_entropy,
             "fixed_point_entropy": fixed.total_entropy,
-            "interpretability": (
-                1.0
-                if result.total_entropy == 0.0
-                else (result.total_entropy - fixed.total_entropy) / result.total_entropy
-            ),
+            "interpretability": raw_interpretability(result.total_entropy, fixed.total_entropy),
         }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,11 @@ every level in diagnostic mode and the diagnosis level in epsilon mode. The
 resulting disagreement rows give both the step's entropy breakdown and the
 query region: the images that disagree at any compared level.
 
+When the level counts differ (epsilon mode), the black box's labels are
+aligned once per run: the known model's initial labels stand in below the
+diagnosis level, so those targets always equal the current labels and an
+update edits the diagnosis level only.
+
 The initial disagreement entropy stays fixed as the denominator of every
 per-step interpretability value. Runs terminate when the entropy hits zero,
 no queryable disagreement remains, the trajectory stalls, or the query budget
@@ -45,9 +50,12 @@ from .imagespace import (
 from .metrics import (
     Confidence,
     EntropyBreakdown,
+    check_comparable,
     confidence_epsilon,
+    disagreement_rows,
     interpretability,
     objective,
+    raw_interpretability,
 )
 from .models import (
     Dataset,
@@ -57,7 +65,6 @@ from .models import (
     level_label_matrix,
     linear_update,
     model_from_json,
-    model_grid,
     model_to_json,
     num_levels,
     rule_update,
@@ -92,6 +99,10 @@ class EngineConfig:
             raise InvalidConfigError(f"unknown updater {self.updater!r}")
         if self.mode not in ("diagnostic", "epsilon"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
+        for name in ("max_queries", "rng_seed", "stall_patience", "retrain_epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_queries < 0:
             raise InvalidConfigError("max_queries cannot be negative")
         if not math.isfinite(self.lam) or self.lam < 0:
@@ -102,18 +113,8 @@ class EngineConfig:
             )
         if self.stall_patience < 1:
             raise InvalidConfigError("stall patience must be at least 1")
-        grid = (self.space.width, self.space.height)
-        for name, model in (("model_a", self.model_a), ("model_b", self.model_b)):
-            if model_grid(model) != grid:
-                raise InvalidConfigError(
-                    f"{name} expects grid {model.width}x{model.height}, "
-                    f"space is {grid[0]}x{grid[1]}"
-                )
-        if self.mode == "diagnostic" and num_levels(self.model_a) != num_levels(self.model_b):
-            raise AbstractionMismatchError(
-                f"diagnostic mode requires matched level counts, got "
-                f"{num_levels(self.model_a)} vs {num_levels(self.model_b)}"
-            )
+        top_only = self.mode == "epsilon"
+        check_comparable(self.model_a, self.model_b, self.space.width, self.space.height, top_only)
         if self.updater == RETRAIN_UPDATER:
             if self.base_dataset is None:
                 raise InvalidConfigError("the retraining updater requires base_dataset")
@@ -197,11 +198,15 @@ class _Run:
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
         self.initial = self.breakdown
+        # Level counts differ only in epsilon mode, which compares the
+        # diagnosis rows alone, so aligning after the first measure is safe.
+        if self.b_levels.shape[0] != self.a_levels.shape[0]:
+            self.b_levels = np.concatenate([self.a_levels[:-1], self.b_levels[-1:]])
 
     def _set_model(self, model: Model) -> None:
         self.model = model
         self.a_levels = level_label_matrix(model, self.matrix)
-        rows = _disagreement_rows(self.config.mode, self.a_levels, self.b_levels)
+        rows = disagreement_rows(self.a_levels, self.b_levels, self.config.mode == "epsilon")
         self.breakdown = EntropyBreakdown.from_counts(rows.sum(axis=1), self.matrix.shape[0])
         # The query region, ascending in enumeration order.
         self.region = np.flatnonzero(rows.any(axis=0))
@@ -212,10 +217,7 @@ class _Run:
 
     def rule_step(self, idx: int) -> StepRecord:
         """Update the rule model toward the black box on image ``idx``."""
-        target = self.b_levels[:, idx].tolist()
-        if len(target) != self.a_levels.shape[0]:
-            # Epsilon mode across level counts: only the diagnosis level is forced.
-            target = self.a_levels[:-1, idx].tolist() + target[-1:]
+        target = self.b_levels[:, idx]
         image = self.image(idx)
         model = rule_update(self.model, image, target, self.matrix, self.b_levels)
         return self.record(image, model)
@@ -232,12 +234,8 @@ class _Run:
 
     def report(self, termination: str, pass_counts: list[int] | None = None) -> Report:
         config = self.config
-        h0 = self.initial.total
-        if self.steps:
-            final = self.steps[-1].i_t
-            raw_final = (h0 - self.steps[-1].entropy_after.total) / h0
-        else:
-            final = raw_final = 1.0 if h0 == 0.0 else 0.0
+        raw_final = raw_interpretability(self.initial.total, self.breakdown.total)
+        final = self.steps[-1].i_t if self.steps else raw_final
         epsilon = None
         if config.mode == "epsilon":
             epsilon = confidence_epsilon(
@@ -257,15 +255,6 @@ class _Run:
             pass_disagreements=None if pass_counts is None else tuple(pass_counts),
             final_model=self.model,
         )
-
-
-def _disagreement_rows(mode: str, a_levels: np.ndarray, b_levels: np.ndarray) -> np.ndarray:
-    """Where the two label matrices disagree, one boolean row per compared
-    level: every level in diagnostic mode, the diagnosis level in epsilon
-    mode."""
-    if mode == "epsilon":
-        return a_levels[-1:] != b_levels[-1:]
-    return a_levels != b_levels
 
 
 def run_interpretation(config: EngineConfig) -> Report:
@@ -390,12 +379,12 @@ def config_from_json(doc: dict) -> EngineConfig:
         model_a=model_a,
         model_b=model_b,
         updater=updater,
-        max_queries=int(doc.get("max_queries", 10)),
+        max_queries=doc.get("max_queries", 10),
         lam=float(doc.get("lambda", 0.0)),
-        rng_seed=int(doc.get("rng_seed", 0)),
+        rng_seed=doc.get("rng_seed", 0),
         mode=doc.get("mode", "diagnostic"),
         base_dataset=dataset,
-        stall_patience=int(doc.get("stall_patience", 3)),
-        retrain_epochs=int(doc.get("retrain_epochs", 50)),
+        stall_patience=doc.get("stall_patience", 3),
+        retrain_epochs=doc.get("retrain_epochs", 50),
         retrain_learning_rate=float(doc.get("retrain_learning_rate", 1.0)),
     )

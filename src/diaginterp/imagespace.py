@@ -97,9 +97,6 @@ class BinaryImage:
         bits[index] ^= 1
         return BinaryImage(self.width, self.height, tuple(bits))
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class ImageSpaceSpec:
@@ -201,19 +198,19 @@ def cardinality_full(
     """Cardinality of the full space of width x height binary images."""
     if width < 1 or height < 1:
         raise InvalidSpecError(f"dimensions must be positive, got {width}x{height}")
-    pixels = width * height
-    exact = 1 << pixels
-    if _decimal_digits(exact) > digit_budget:
-        return SpaceCardinality(log2_value=float(pixels), exact_value=None)
-    return SpaceCardinality(log2_value=float(pixels), exact_value=exact)
+    return SpaceCardinality.from_int(1 << (width * height), digit_budget)
+
+
+def _ball_size(pixels: int, radius: int) -> int:
+    """Images within Hamming distance ``radius`` of one image."""
+    return 1 + sum(math.comb(pixels, j) for j in range(1, radius + 1))
 
 
 def envelope_size_bound(spec: ImageSpaceSpec) -> int:
     """Upper bound |base| * (1 + sum_j C(pixels, j)) on an envelope's size."""
     if spec.mode != "envelope":
         raise InvalidSpecError("size bound is defined for envelope mode only")
-    per_base = 1 + sum(math.comb(spec.num_pixels, j) for j in range(1, spec.flip_radius + 1))
-    return len(spec.base_images) * per_base
+    return len(spec.base_images) * _ball_size(spec.num_pixels, spec.flip_radius)
 
 
 def enumerate_space(
@@ -259,9 +256,9 @@ def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
 
 def _materialize_envelope(spec: ImageSpaceSpec, max_images: int) -> np.ndarray:
     pixels = spec.num_pixels
-    # One base alone yields exactly 1 + sum_j C(pixels, j) distinct images,
-    # so that is a guaranteed lower bound on the envelope's size.
-    single_base = 1 + sum(math.comb(pixels, j) for j in range(1, spec.flip_radius + 1))
+    # One base alone yields exactly _ball_size distinct images, so that is a
+    # guaranteed lower bound on the envelope's size.
+    single_base = _ball_size(pixels, spec.flip_radius)
     if single_base > max_images:
         raise SpaceTooLargeError(
             f"envelope guard: at least {single_base} images per base, "

@@ -10,6 +10,9 @@ never underflow.
 
 Entropy is measured in bits throughout. Disagreement rates are formed from
 exact integer counts before any float arithmetic happens.
+
+This module owns the comparison policy: which levels two models are compared
+on, every level or (``top_only``) the diagnosis level alone.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AbstractionMismatchError, DomainError, InvalidConfigError
 from .imagespace import ImageSpaceSpec, SpaceCardinality, space_matrix
@@ -75,6 +80,33 @@ class EntropyBreakdown:
         }
 
 
+def check_comparable(
+    model_a: Model, model_b: Model, width: int, height: int, top_only: bool
+) -> None:
+    """Raise unless both models label ``width x height`` images and, unless
+    ``top_only``, have the same number of levels."""
+    for name, model in (("model_a", model_a), ("model_b", model_b)):
+        if model_grid(model) != (width, height):
+            raise InvalidConfigError(
+                f"{name} expects grid {model.width}x{model.height}, "
+                f"space is {width}x{height}"
+            )
+    if not top_only and num_levels(model_a) != num_levels(model_b):
+        raise AbstractionMismatchError(
+            f"models have {num_levels(model_a)} and {num_levels(model_b)} levels; "
+            "per-level comparison requires a one-to-one level match"
+        )
+
+
+def disagreement_rows(labels_a: np.ndarray, labels_b: np.ndarray, top_only: bool) -> np.ndarray:
+    """Where two level_label_matrix results disagree, one boolean row per
+    compared level: the diagnosis level alone when ``top_only``, every level
+    otherwise."""
+    if top_only:
+        return labels_a[-1:] != labels_b[-1:]
+    return labels_a != labels_b
+
+
 def disagreement_breakdown(
     model_a: Model,
     model_b: Model,
@@ -88,42 +120,30 @@ def disagreement_breakdown(
     compares diagnosis labels only, which is how single-level evaluation of
     mismatched families is done.
     """
-    for name, model in (("model_a", model_a), ("model_b", model_b)):
-        if model_grid(model) != (spec.width, spec.height):
-            raise InvalidConfigError(
-                f"{name} expects grid {model.width}x{model.height}, "
-                f"space is {spec.width}x{spec.height}"
-            )
+    check_comparable(model_a, model_b, spec.width, spec.height, top_only)
     matrix = space_matrix(spec)
-    labels_a = level_label_matrix(model_a, matrix)
-    labels_b = level_label_matrix(model_b, matrix)
-    if top_only:
-        labels_a = labels_a[-1:]
-        labels_b = labels_b[-1:]
-    elif num_levels(model_a) != num_levels(model_b):
-        raise AbstractionMismatchError(
-            f"models have {num_levels(model_a)} and {num_levels(model_b)} levels; "
-            "per-level comparison requires a one-to-one level match"
-        )
-    counts = (labels_a != labels_b).sum(axis=1)
-    return EntropyBreakdown.from_counts(counts, matrix.shape[0])
+    rows = disagreement_rows(
+        level_label_matrix(model_a, matrix), level_label_matrix(model_b, matrix), top_only
+    )
+    return EntropyBreakdown.from_counts(rows.sum(axis=1), matrix.shape[0])
 
 
-def interpretability(h_initial: float, h_final: float) -> float:
-    """Fractional entropy reduction (h_initial - h_final) / h_initial.
-
-    Zero initial entropy means the models were informationally identical to
-    begin with, which counts as fully interpreted. A final entropy above the
-    initial one (possible under retraining updates) is clamped to 0 with a
-    warning; callers that care keep the raw ratio separately.
-    """
+def raw_interpretability(h_initial: float, h_final: float) -> float:
+    """Fractional entropy reduction (h_initial - h_final) / h_initial, unclamped;
+    1.0 when h_initial is 0 (the models were informationally identical)."""
     h_initial = float(h_initial)
     h_final = float(h_final)
     if h_initial < 0.0 or h_final < 0.0:
         raise DomainError("entropies cannot be negative")
     if h_initial == 0.0:
         return 1.0
-    raw = (h_initial - h_final) / h_initial
+    return (h_initial - h_final) / h_initial
+
+
+def interpretability(h_initial: float, h_final: float) -> float:
+    """raw_interpretability, clamped to 0 with a warning when the entropy rose
+    (possible under retraining updates); callers that care keep the raw ratio."""
+    raw = raw_interpretability(h_initial, h_final)
     if raw < 0.0:
         warnings.warn(
             f"entropy increased ({h_final} > {h_initial}); interpretability clamped to 0",

@@ -164,14 +164,6 @@ def _check_image(model: Model, image: BinaryImage) -> None:
         )
 
 
-def _rule_level_label(level: RuleLevel, bits: Sequence[int]) -> int:
-    if any(bits[i] == 0 for i in level.ones_required):
-        return 0
-    if any(bits[i] == 1 for i in level.zeros_required):
-        return 0
-    return 1
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Two-branch form avoids overflow in exp for large |z|.
     out = np.empty_like(z)
@@ -217,18 +209,11 @@ def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
     raise InvalidInputError(f"unknown model type {type(model).__name__}")
 
 
-def top_label_vector(model: Model, matrix: np.ndarray) -> np.ndarray:
-    """Last-level labels for a whole enumerated space; shape (n_images,)."""
-    return level_label_matrix(model, matrix)[-1]
-
-
 def predict(model: Model, image: BinaryImage) -> PredictionVector:
     """Labels at every abstraction level for a single image."""
     _check_image(model, image)
-    if isinstance(model, RuleModel):
-        return tuple(_rule_level_label(level, image.bits) for level in model.levels)
     row = np.array([image.bits], dtype=np.uint8)
-    return (int(top_label_vector(model, row)[0]),)
+    return tuple(level_label_matrix(model, row)[:, 0].tolist())
 
 
 def top_label(model: Model, image: BinaryImage) -> int:
@@ -252,28 +237,31 @@ def rule_update(
     every level, using the fewest constraint insertions/removals per level.
 
     ``matrix`` is the evaluation space (space_matrix) and ``reference_labels``
-    the reference model's labels over it (level_label_matrix).
+    the reference's labels over it (level_label_matrix), one row per level of
+    ``model``; the caller aligns a reference with another level count.
 
     For a level that must flip 0 -> 1 the edit is forced: remove exactly the
     constraints the image violates. For 1 -> 0 any single violated constraint
     suffices; among those candidates the one minimizing post-edit disagreement
-    with the reference labels wins, with remaining ties broken by lowest pixel
-    index; a reference with a different level count is scored by its
-    diagnosis level. When a level is fully pinned (every pixel already
-    constrained) a two-edit swap is used instead.
+    with the same level of the reference labels wins, with remaining ties
+    broken by lowest pixel index. When a level is fully pinned (every pixel
+    already constrained) a two-edit swap is used instead.
     """
-    _check_image(model, image)
     if len(target) != len(model.levels):
         raise InvalidInputError(
             f"target has {len(target)} levels, model has {len(model.levels)}"
         )
-    matched = reference_labels.shape[0] == len(model.levels)
+    if reference_labels.shape[0] != len(model.levels):
+        raise InvalidInputError(
+            f"reference labels have {reference_labels.shape[0]} levels, "
+            f"model has {len(model.levels)}"
+        )
 
+    current = predict(model, image)
     new_levels = list(model.levels)
     for k, level in enumerate(model.levels):
-        current = _rule_level_label(level, image.bits)
         want = int(target[k])
-        if current == want:
+        if current[k] == want:
             continue
         if want == 1:
             violated_ones = frozenset(i for i in level.ones_required if image.bits[i] == 0)
@@ -283,8 +271,7 @@ def rule_update(
                 level.zeros_required - violated_zeros,
             )
         else:
-            ref_row = reference_labels[k] if matched else reference_labels[-1]
-            new_levels[k] = _best_blocking_edit(level, image, matrix, ref_row)
+            new_levels[k] = _best_blocking_edit(level, image, matrix, reference_labels[k])
 
     updated = RuleModel(model.width, model.height, tuple(new_levels))
     if predict(updated, image) != tuple(int(t) for t in target):
@@ -313,15 +300,15 @@ def _best_blocking_edit(
             continue
         candidates.append((int(np.count_nonzero(pred != ref)), j, cand))
     if not candidates:
-        # Fully pinned level: swap one constraint to the other set (size-2 edit).
+        # Fully pinned level: swap one constraint to the other set (size-2
+        # edit). The image satisfies every constraint, so each swap blocks it.
         for i in sorted(level.ones_required | level.zeros_required):
             if i in level.ones_required:
                 cand = RuleLevel(level.ones_required - {i}, level.zeros_required | {i})
             else:
                 cand = RuleLevel(level.ones_required | {i}, level.zeros_required - {i})
-            if _rule_level_label(cand, image.bits) == 0:
-                pred = _rule_level_labels(cand, matrix)
-                candidates.append((int(np.count_nonzero(pred != ref)), i, cand))
+            pred = _rule_level_labels(cand, matrix)
+            candidates.append((int(np.count_nonzero(pred != ref)), i, cand))
     if not candidates:
         raise UnreachableTargetError("no blocking edit exists for this level")
     candidates.sort(key=lambda item: (item[0], item[1]))
@@ -504,7 +491,7 @@ def train_neural(
 def training_accuracy(model: Model, dataset: Dataset) -> float:
     X = np.array([img.bits for img, _ in dataset], dtype=np.uint8)
     y = np.array([label for _, label in dataset], dtype=np.uint8)
-    return float(np.mean(top_label_vector(model, X) == y))
+    return float(np.mean(level_label_matrix(model, X)[-1] == y))
 
 
 # ---------------------------------------------------------------------------
@@ -552,24 +539,28 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(doc: dict) -> Model:
-    kind = doc.get("kind")
-    width, height = int(doc["width"]), int(doc["height"])
-    if kind == "rule":
-        levels = tuple(
-            RuleLevel(frozenset(lv["ones_required"]), frozenset(lv["zeros_required"]))
-            for lv in doc["levels"]
-        )
-        return RuleModel(width, height, levels)
-    if kind == "linear":
-        return LinearModel(width, height, np.array(doc["weights"], dtype=np.float64), doc["bias"])
-    if kind == "neural":
-        layers = tuple(
-            NeuralLayer(
-                np.array(lv["weights"], dtype=np.float64),
-                np.array(lv["bias"], dtype=np.float64),
-                lv["activation"],
+    try:
+        kind = doc.get("kind")
+        width, height = int(doc["width"]), int(doc["height"])
+        if kind == "rule":
+            levels = tuple(
+                RuleLevel(frozenset(lv["ones_required"]), frozenset(lv["zeros_required"]))
+                for lv in doc["levels"]
             )
-            for lv in doc["layers"]
-        )
-        return NeuralModel(width, height, layers)
+            return RuleModel(width, height, levels)
+        if kind == "linear":
+            weights = np.array(doc["weights"], dtype=np.float64)
+            return LinearModel(width, height, weights, doc["bias"])
+        if kind == "neural":
+            layers = tuple(
+                NeuralLayer(
+                    np.array(lv["weights"], dtype=np.float64),
+                    np.array(lv["bias"], dtype=np.float64),
+                    lv["activation"],
+                )
+                for lv in doc["layers"]
+            )
+            return NeuralModel(width, height, layers)
+    except KeyError as missing:
+        raise InvalidSpecError(f"model document missing key {missing}") from None
     raise InvalidSpecError(f"unknown model kind {kind!r}")

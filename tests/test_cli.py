@@ -75,6 +75,21 @@ class TestInterpret:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("models, value", [
+        ("explicit", 2.7), ("fixture", 2.7), ("fixture", "3"),
+    ])
+    def test_non_integer_max_queries_exits_2(self, tmp_path, capsys, models, value):
+        if models == "fixture":
+            doc = {"fixture": "fig1b"}
+        else:
+            doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+        doc["max_queries"] = value
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert "max_queries must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -118,6 +133,26 @@ class TestOracle:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["oracle", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("broken, message", [
+        ("model_a", "models file missing key 'model_a'"),
+        ("zeros_required", "model document missing key 'zeros_required'"),
+    ])
+    def test_missing_model_key_exits_2_naming_it(self, tmp_path, capsys, broken, message):
+        fx = build_fixture("fig2-diagonal")
+        models = {"model_a": model_to_json(fx.model_a), "model_b": model_to_json(fx.model_b)}
+        if broken == "model_a":
+            del models["model_a"]
+        else:
+            del models["model_b"]["levels"][0]["zeros_required"]
+        models_path = tmp_path / "models.json"
+        models_path.write_text(json.dumps(models))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(spec_to_json(fx.space)))
+        assert main(["oracle", "--models", str(models_path), "--space", str(space_path),
+                     "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "oracle.json").exists()
 
 
 class TestDemo:

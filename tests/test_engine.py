@@ -178,6 +178,13 @@ class TestRunInterpretation:
         with pytest.raises(InvalidConfigError):
             replace(config, **{field: value})
 
+    @pytest.mark.parametrize("field", ["max_queries", "rng_seed", "stall_patience", "retrain_epochs"])
+    @pytest.mark.parametrize("value", [2.7, "3", True])
+    def test_non_integer_counts_rejected(self, field, value):
+        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        with pytest.raises(InvalidConfigError):
+            replace(config, **{field: value})
+
     def test_diagnostic_mode_requires_matched_levels(self):
         model_a = RuleModel(2, 2, (RuleLevel.of(), RuleLevel.of()))
         with pytest.raises(AbstractionMismatchError):

@@ -188,6 +188,13 @@ class TestRuleUpdate:
         updated = update_toward(model, image, (0,), spec, reference)
         assert predict(updated, image) == (0,)
 
+    def test_reference_with_other_level_count_rejected(self):
+        model = RuleModel(3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4])))
+        reference = RuleModel(3, 3, (RuleLevel.of(ones=[1]),))
+        image = BinaryImage.from_pixels(3, 3, [0, 4])
+        with pytest.raises(InvalidInputError):
+            update_toward(model, image, (1, 0), ImageSpaceSpec(3, 3, "full"), reference)
+
     def test_four_updates_reach_full_envelope_agreement(self):
         current = self.model_a
         disagreements = [
