@@ -25,6 +25,7 @@ from pathlib import Path
 from .engine import (
     EngineConfig,
     Report,
+    check_integer,
     config_from_json,
     run_complete_interpretation,
     run_interpretation,
@@ -80,6 +81,8 @@ def _config_from_args(args) -> EngineConfig:
             )
         seed = args.seed if args.seed is not None else doc.get("rng_seed", 0)
         if "fixture" in doc:
+            # the seed reaches the fixture's generators before EngineConfig
+            check_integer("rng_seed", seed)
             config = build_fixture(doc["fixture"], seed).engine_config(
                 rng_seed=seed,
                 lam=float(doc.get("lambda", 0.0)),

@@ -15,9 +15,9 @@ update edits the diagnosis level only.
 
 The initial disagreement entropy stays fixed as the denominator of every
 per-step interpretability value. Runs terminate when the entropy hits zero,
-no queryable disagreement remains, the trajectory stalls, or the query budget
-runs out. Reports capture the whole trajectory and are deterministic
-functions of the configuration, seed included.
+the trajectory stalls, or the query budget runs out; ``no_disagreement``
+means the models agree on every image. Reports capture the whole trajectory
+and are deterministic functions of the configuration, seed included.
 
 Two entry points share that setup, the step record and the report; each has
 its own query selection and termination rules:
@@ -79,6 +79,12 @@ TERM_STALLED = "stalled"
 TERM_BUDGET = "budget_exhausted"
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a run setting that is not an int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     space: ImageSpaceSpec
@@ -100,9 +106,7 @@ class EngineConfig:
         if self.mode not in ("diagnostic", "epsilon"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         for name in ("max_queries", "rng_seed", "stall_patience", "retrain_epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.max_queries < 0:
             raise InvalidConfigError("max_queries cannot be negative")
         if not math.isfinite(self.lam) or self.lam < 0:
@@ -211,6 +215,11 @@ class _Run:
         # The query region, ascending in enumeration order.
         self.region = np.flatnonzero(rows.any(axis=0))
 
+    def zero_entropy_termination(self) -> str:
+        """How a run at zero initial entropy ends: ``entropy_zero`` when some
+        level disagrees on every image, ``no_disagreement`` when none does."""
+        return TERM_NO_DISAGREEMENT if self.region.size == 0 else TERM_ENTROPY_ZERO
+
     def image(self, idx: int) -> BinaryImage:
         space = self.config.space
         return BinaryImage(space.width, space.height, tuple(self.matrix[idx].tolist()))
@@ -260,18 +269,17 @@ class _Run:
 def run_interpretation(config: EngineConfig) -> Report:
     """Budgeted random-query interpretation (the seeded loop).
 
-    Each query is a uniform draw from the query region.
+    Each query is a uniform draw from the query region, which is never empty
+    while the entropy is positive.
     """
     run = _Run(config)
     if run.initial.total == 0.0:
-        return run.report(TERM_NO_DISAGREEMENT)
+        return run.report(run.zero_entropy_termination())
 
     rng = np.random.default_rng(config.rng_seed)
     queries: list[tuple[BinaryImage, int]] = []
     zero_delta_run = 0
     for _ in range(config.max_queries):
-        if run.region.size == 0:
-            return run.report(TERM_NO_DISAGREEMENT)
         idx = int(run.region[int(rng.integers(0, run.region.size))])
         if config.updater == RULE_UPDATER:
             step = run.rule_step(idx)
@@ -315,13 +323,11 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     run = _Run(config)
     pass_counts: list[int] = []
     if run.initial.total == 0.0:
-        return run.report(TERM_NO_DISAGREEMENT, pass_counts)
+        return run.report(run.zero_entropy_termination(), pass_counts)
 
     entropy_before_pass = run.initial.total
     for _ in range(1000):
         pass_counts.append(int(run.region.size))
-        if run.region.size == 0:
-            return run.report(TERM_ENTROPY_ZERO, pass_counts)
         position = 0
         while True:
             # the next region image at or after ``position``

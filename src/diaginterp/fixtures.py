@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import RETRAIN_UPDATER, RULE_UPDATER, EngineConfig
 from .errors import InvalidConfigError
-from .imagespace import BinaryImage, ImageSpaceSpec
+from .imagespace import BinaryImage, ImageSpaceSpec, unique_rows
 from .models import (
     Dataset,
     LinearModel,
@@ -213,19 +213,20 @@ def two_squares_bases() -> tuple[list[BinaryImage], list[int]]:
     return images, labels
 
 
-def two_squares_class_pools() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The envelope split by class, as bit tuples: each base and its
-    one-pixel flips inherit the base's label. The two classes never collide
-    (their left halves alone differ by 8 pixels)."""
-    bases, labels = two_squares_bases()
+def two_squares_class_pools() -> tuple[np.ndarray, np.ndarray]:
+    """The envelope split by class, one uint8 matrix of image rows per class:
+    each base and its one-pixel flips inherit the base's label, base by base,
+    repeats dropped. The two classes never collide (their left halves alone
+    differ by 8 pixels)."""
+    images, labels = two_squares_bases()
+    bases = np.array([img.bits for img in images], dtype=np.uint8)
     pixels = GRID_8 * GRID_8
     # Row 0 keeps the base; row i + 1 flips pixel i.
     flips = np.vstack([np.zeros(pixels, dtype=np.uint8), np.eye(pixels, dtype=np.uint8)])
-    pools: tuple[dict, dict] = ({}, {})
-    for base, label in zip(bases, labels):
-        variants = np.array(base.bits, dtype=np.uint8) ^ flips
-        pools[label].update(dict.fromkeys(map(tuple, variants.tolist())))
-    return list(pools[0]), list(pools[1])
+    return tuple(
+        unique_rows((bases[np.equal(labels, label)][:, None, :] ^ flips).reshape(-1, pixels))
+        for label in (0, 1)
+    )
 
 
 def _build_eval_squares(seed: int) -> Fixture:
@@ -239,7 +240,7 @@ def _build_eval_squares(seed: int) -> Fixture:
     dataset: list[tuple[BinaryImage, int]] = []
     for label, pool, picked in ((0, pool0, picked0), (1, pool1, picked1)):
         for i in picked:
-            dataset.append((BinaryImage(GRID_8, GRID_8, pool[int(i)]), label))
+            dataset.append((BinaryImage(GRID_8, GRID_8, tuple(pool[i].tolist())), label))
 
     black_box = train_neural(
         dataset,

@@ -9,6 +9,11 @@ uint8 matrix, one row per image (space_matrix). Per-image BinaryImage objects
 are built from its rows only at the API edge (enumerate_space) and for the
 images a run actually queries.
 
+space_matrix refuses, before allocating, a set whose materialization would
+peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows for a full space, or
+envelope_size_bound candidate rows (repeats included) for an envelope, times
+the materializer's working bytes per row.
+
 Enumeration order is part of the contract:
 
 * full mode -- lexicographic on the row-major bit string. Pixel 0 is the most
@@ -27,20 +32,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import InvalidSpecError, SpaceTooLargeError
 
-# Full-space enumeration refuses grids with more pixels than this.
-FULL_ENUMERATION_PIXEL_LIMIT = 24
+# space_matrix refuses a set whose materialization needs more working memory
+# than this. A full 4x6 space needs 448 MiB and is refused; 4x5 needs 24 MiB.
+MATERIALIZE_BYTE_LIMIT = 256 << 20
 
-# Envelope enumeration refuses to materialize more images than this.
-DEFAULT_ENVELOPE_IMAGE_LIMIT = 10_000_000
-
-# exact_value is dropped from a SpaceCardinality past this many decimal digits.
-DEFAULT_EXACT_DIGIT_BUDGET = 10_000
+# exact_value is dropped from a SpaceCardinality past this many decimal
+# digits, Python's default limit for converting an int to a string.
+EXACT_DIGIT_BUDGET = 4_300
 
 
 @dataclass(frozen=True)
@@ -156,139 +160,124 @@ class SpaceCardinality:
         if self.exact_value is not None:
             if self.exact_value < 0:
                 raise InvalidSpecError("cardinality cannot be negative")
-            agreement = abs(_log2_of_int(self.exact_value) - self.log2_value)
-            if agreement > 1e-9:
+            exact_log2 = math.log2(self.exact_value) if self.exact_value else -math.inf
+            if abs(exact_log2 - self.log2_value) > 1e-9:
                 raise InvalidSpecError(
                     f"log2_value {self.log2_value} disagrees with exact value "
-                    f"(log2 = {_log2_of_int(self.exact_value)})"
+                    f"(log2 = {exact_log2})"
                 )
 
     @classmethod
-    def from_int(
-        cls, value: int, digit_budget: int = DEFAULT_EXACT_DIGIT_BUDGET
-    ) -> "SpaceCardinality":
+    def from_int(cls, value: int) -> "SpaceCardinality":
         if value <= 0:
             raise InvalidSpecError(f"cardinality must be positive, got {value}")
-        log2_value = _log2_of_int(value)
-        if _decimal_digits(value) > digit_budget:
-            return cls(log2_value=log2_value, exact_value=None)
-        return cls(log2_value=log2_value, exact_value=value)
+        # at least the decimal digit count, and at most one more
+        digits = int(value.bit_length() * 0.30103) + 1
+        exact = value if digits <= EXACT_DIGIT_BUDGET else None
+        return cls(log2_value=math.log2(value), exact_value=exact)
 
 
-def _log2_of_int(value: int) -> float:
-    """log2 of a nonnegative int, safe for values far beyond float range."""
-    if value == 0:
-        return float("-inf")
-    nbits = value.bit_length()
-    if nbits <= 53:
-        return math.log2(value)
-    shift = nbits - 53
-    return math.log2(value >> shift) + shift
-
-
-def _decimal_digits(value: int) -> int:
-    # bit_length * log10(2) is within 1 of the digit count; exact enough
-    # for a budget check with slack.
-    return int(value.bit_length() * 0.30103) + 1
-
-
-def cardinality_full(
-    width: int, height: int, digit_budget: int = DEFAULT_EXACT_DIGIT_BUDGET
-) -> SpaceCardinality:
+def cardinality_full(width: int, height: int) -> SpaceCardinality:
     """Cardinality of the full space of width x height binary images."""
     if width < 1 or height < 1:
         raise InvalidSpecError(f"dimensions must be positive, got {width}x{height}")
-    return SpaceCardinality.from_int(1 << (width * height), digit_budget)
-
-
-def _ball_size(pixels: int, radius: int) -> int:
-    """Images within Hamming distance ``radius`` of one image."""
-    return 1 + sum(math.comb(pixels, j) for j in range(1, radius + 1))
+    return SpaceCardinality.from_int(1 << (width * height))
 
 
 def envelope_size_bound(spec: ImageSpaceSpec) -> int:
-    """Upper bound |base| * (1 + sum_j C(pixels, j)) on an envelope's size."""
+    """Upper bound |base| * sum_{j <= radius} C(pixels, j) on an envelope's
+    size: its candidate rows, repeats included."""
     if spec.mode != "envelope":
         raise InvalidSpecError("size bound is defined for envelope mode only")
-    return len(spec.base_images) * _ball_size(spec.num_pixels, spec.flip_radius)
+    pixels = spec.num_pixels
+    ball = sum(math.comb(pixels, j) for j in range(min(spec.flip_radius, pixels) + 1))
+    return len(spec.base_images) * ball
 
 
-def enumerate_space(
-    spec: ImageSpaceSpec, max_images: int = DEFAULT_ENVELOPE_IMAGE_LIMIT
-) -> tuple[BinaryImage, ...]:
+def enumerate_space(spec: ImageSpaceSpec) -> tuple[BinaryImage, ...]:
     """Materialize the set described by ``spec`` in its canonical order.
 
-    Yields each image exactly once. Raises SpaceTooLargeError when the full
-    space exceeds 2^24 images or an envelope would exceed ``max_images``.
+    Yields each image exactly once. Raises SpaceTooLargeError when
+    space_matrix's materialization guard trips.
     """
-    matrix = space_matrix(spec, max_images)
     return tuple(
-        BinaryImage(spec.width, spec.height, tuple(row)) for row in matrix.tolist()
+        BinaryImage(spec.width, spec.height, tuple(row)) for row in space_matrix(spec).tolist()
     )
 
 
-def space_matrix(
-    spec: ImageSpaceSpec, max_images: int = DEFAULT_ENVELOPE_IMAGE_LIMIT
-) -> np.ndarray:
+def space_matrix(spec: ImageSpaceSpec) -> np.ndarray:
     """The enumerated space as a read-only (n_images, n_pixels) uint8 matrix.
 
-    Row order matches enumerate_space.
+    Row order matches enumerate_space. Raises SpaceTooLargeError, before
+    allocating anything, when materializing the space would need more than
+    MATERIALIZE_BYTE_LIMIT bytes.
     """
+    needed = _materialize_bytes(spec)
+    if needed > MATERIALIZE_BYTE_LIMIT:
+        raise SpaceTooLargeError(
+            f"materialization guard: the {spec.width}x{spec.height} {spec.mode} space needs "
+            f"2^{math.log2(needed):.1f} bytes, limit is 2^{math.log2(MATERIALIZE_BYTE_LIMIT):.1f}"
+        )
+    matrix = _materialize_full(spec) if spec.mode == "full" else _materialize_envelope(spec)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _materialize_bytes(spec: ImageSpaceSpec) -> int:
+    """Peak working memory of materializing ``spec``, in bytes."""
+    pixels = spec.num_pixels
     if spec.mode == "full":
-        return _materialize_full(spec)
-    return _materialize_envelope(spec, max_images)
+        # per image: its uint32 code and its row
+        return (1 << pixels) * (4 + pixels)
+    # Per candidate: its row, and in np.unique a flat copy, a sorted copy and
+    # the unique value of it, its sort index, its first index and its mask
+    # byte. One flip count's masks, freed before the dedup, take less.
+    return envelope_size_bound(spec) * (4 * pixels + 17)
 
 
 def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
     pixels = spec.num_pixels
-    if pixels > FULL_ENUMERATION_PIXEL_LIMIT:
-        raise SpaceTooLargeError(
-            f"full enumeration guard: {spec.width}x{spec.height} has {pixels} pixels, "
-            f"limit is {FULL_ENUMERATION_PIXEL_LIMIT}"
-        )
-    count = 1 << pixels
-    codes = np.arange(count, dtype=np.uint32)
-    shifts = np.arange(pixels - 1, -1, -1, dtype=np.uint32)
-    matrix = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    matrix.setflags(write=False)
-    return matrix
+    # Image k is code k, shifted so pixel 0 is the top bit of a big-endian
+    # uint32 (the guard keeps pixels far below 32) that unpacks into the row.
+    codes = np.arange(1 << pixels, dtype=">u4")
+    codes <<= 32 - pixels
+    return np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=pixels)
 
 
-def _materialize_envelope(spec: ImageSpaceSpec, max_images: int) -> np.ndarray:
+def _materialize_envelope(spec: ImageSpaceSpec) -> np.ndarray:
     pixels = spec.num_pixels
-    # One base alone yields exactly _ball_size distinct images, so that is a
-    # guaranteed lower bound on the envelope's size.
-    single_base = _ball_size(pixels, spec.flip_radius)
-    if single_base > max_images:
-        raise SpaceTooLargeError(
-            f"envelope guard: at least {single_base} images per base, "
-            f"materialization limit is {max_images}"
-        )
-    # Rows are deduplicated by their raw bytes; dict insertion order keeps the
-    # first occurrence of each, which is the canonical order.
-    row_bytes = np.dtype((np.void, pixels))
-    seen: dict[bytes, None] = {}
+    # Candidates in canonical order: the bases, then for each flip count each
+    # base XOR every flip mask of that count. unique_rows drops the repeats.
+    candidates = np.empty((envelope_size_bound(spec), pixels), dtype=np.uint8)
+    bases = candidates[: len(spec.base_images)]
+    bases[:] = [img.bits for img in spec.base_images]
+    start = len(bases)
+    for radius in range(1, min(spec.flip_radius, pixels) + 1):
+        stop = start + len(bases) * math.comb(pixels, radius)
+        block = candidates[start:stop].reshape(len(bases), -1, pixels)
+        np.bitwise_xor(bases[:, None, :], _flip_masks(pixels, radius), out=block)
+        start = stop
+    return unique_rows(candidates)
 
-    def _add(rows: np.ndarray) -> None:
-        seen.update(dict.fromkeys(np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()))
-        if len(seen) > max_images:
-            raise SpaceTooLargeError(
-                f"envelope guard: materialization limit {max_images} exceeded"
-            )
 
-    bases = np.array([img.bits for img in spec.base_images], dtype=np.uint8)
-    _add(bases)
-    for radius in range(1, spec.flip_radius + 1):
-        flips = np.array(list(combinations(range(pixels), radius)), dtype=np.intp)
-        flips = flips.reshape(-1, radius)
-        masks = np.zeros((len(flips), pixels), dtype=np.uint8)
-        masks[np.arange(len(flips))[:, None], flips] = 1
-        for base in bases:
-            _add(base ^ masks)
+def _flip_masks(pixels: int, radius: int) -> np.ndarray:
+    """One row per ascending tuple of ``radius`` pixels, those pixels set."""
+    count = math.comb(pixels, radius)
+    flat = chain.from_iterable(combinations(range(pixels), radius))
+    flips = np.fromiter(flat, dtype=np.intp, count=count * radius).reshape(count, radius)
+    masks = np.zeros((count, pixels), dtype=np.uint8)
+    np.put_along_axis(masks, flips, 1, axis=1)
+    return masks
 
-    matrix = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(len(seen), pixels)
-    matrix.setflags(write=False)
-    return matrix
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The first occurrence of each distinct row of a 2-D array, in order."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    # return_index sorts stably, so each index is a value's first occurrence.
+    first = np.unique(keys, return_index=True)[1]
+    first.sort()
+    return rows[first]
 
 
 def space_cardinality(spec: ImageSpaceSpec) -> SpaceCardinality:

@@ -90,6 +90,14 @@ class TestInterpret:
         assert "max_queries must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("fixture, value", [("eval-squares", 2.5), ("fig1b", "7")])
+    def test_non_integer_fixture_seed_exits_2(self, tmp_path, capsys, fixture, value):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({"fixture": fixture, "rng_seed": value}))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert "rng_seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -24,7 +24,26 @@ def rule(ones=(), zeros=(), grid=(4, 4)):
     return RuleModel(grid[0], grid[1], (RuleLevel.of(ones=ones, zeros=zeros),))
 
 
+def everywhere_disagreeing_config():
+    """A 1x1 full space on which the two models disagree on both images, so
+    the disagreement rate is 1 and the entropy 0."""
+    return EngineConfig(
+        space=ImageSpaceSpec(1, 1, "full"),
+        model_a=rule(ones=[0], grid=(1, 1)),
+        model_b=rule(zeros=[0], grid=(1, 1)),
+        updater="rule_minimal_edit",
+        max_queries=5,
+    )
+
+
 class TestRunInterpretation:
+    def test_everywhere_disagreement_is_not_no_disagreement(self):
+        report = run_interpretation(everywhere_disagreeing_config())
+        assert report.initial_entropy.disagreement_counts == (2,)
+        assert report.initial_entropy.total == 0.0
+        assert report.steps == ()
+        assert report.termination == "entropy_zero"
+
     def test_identical_models_need_no_queries(self):
         model = rule(ones=[0])
         config = EngineConfig(
@@ -285,6 +304,13 @@ class TestRunCompleteInterpretation:
         report = run_complete_interpretation(config)
         assert report.final_interpretability == 1.0
         assert report.steps == ()
+
+    def test_everywhere_disagreement_is_not_no_disagreement(self):
+        report = run_complete_interpretation(everywhere_disagreeing_config())
+        assert report.initial_entropy.disagreement_counts == (2,)
+        assert report.steps == ()
+        assert report.pass_disagreements == ()
+        assert report.termination == "entropy_zero"
 
     def test_disagreements_non_increasing_across_passes(self):
         for name in ("fig1b", "fig1c"):

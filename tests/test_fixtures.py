@@ -72,7 +72,7 @@ class TestEvalSquares:
 
     def test_class_pools_do_not_overlap(self):
         pool0, pool1 = two_squares_class_pools()
-        assert set(pool0).isdisjoint(pool1)
+        assert set(map(bytes, pool0)).isdisjoint(map(bytes, pool1))
 
     def test_build_is_deterministic_per_seed(self):
         fx1 = build_fixture("eval-squares", seed=3)

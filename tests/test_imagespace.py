@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from diaginterp import imagespace
 from diaginterp.errors import InvalidSpecError, SpaceTooLargeError
+from diaginterp.fixtures import two_squares_bases
 from diaginterp.imagespace import (
     BinaryImage,
     ImageSpaceSpec,
@@ -60,9 +64,13 @@ class TestCardinality:
             cardinality_full(0, 4)
 
     def test_digit_budget_drops_exact_value(self):
-        card = cardinality_full(16, 16, digit_budget=10)
+        # 2^14400 has 4,335 decimal digits, past the 4,300-digit budget
+        card = cardinality_full(120, 120)
         assert card.exact_value is None
-        assert card.log2_value == 256.0
+        assert card.log2_value == 14400.0
+
+    def test_repr_past_digit_budget(self):
+        assert "exact_value=None" in repr(cardinality_full(120, 120))
 
     def test_log2_consistency_enforced(self):
         with pytest.raises(InvalidSpecError):
@@ -156,18 +164,69 @@ class TestEnumeration:
     def test_full_guard(self):
         with pytest.raises(SpaceTooLargeError):
             enumerate_space(full_spec(5, 5))
+        with pytest.raises(SpaceTooLargeError, match="4x6 full"):
+            space_matrix(full_spec(4, 6))
 
-    def test_envelope_guard_names_limit(self):
+    def test_radius_past_pixels_is_the_whole_ball(self):
+        base = BinaryImage.from_string(2, 2, "0110")
+        huge = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=10**9)
+        assert envelope_size_bound(huge) == 16
+        assert sorted(img.to_string() for img in enumerate_space(huge)) == [
+            img.to_string() for img in enumerate_space(full_spec(2, 2))
+        ]
+
+    def test_envelope_guard_names_limit(self, monkeypatch):
         base = BinaryImage.from_string(4, 4, "0" * 16)
         spec = ImageSpaceSpec(4, 4, "envelope", (base,), flip_radius=2)
+        monkeypatch.setattr(imagespace, "MATERIALIZE_BYTE_LIMIT", 1000)
         with pytest.raises(SpaceTooLargeError, match="limit"):
-            enumerate_space(spec, max_images=10)
+            enumerate_space(spec)
 
     def test_envelope_cardinality_exact(self):
         main = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
         anti = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
         spec = ImageSpaceSpec(4, 4, "envelope", (main, anti), flip_radius=1)
         assert space_cardinality(spec).exact_value == 34
+
+
+def random_envelope(width, height, bases, radius, seed):
+    rng = np.random.default_rng(seed)
+    images = tuple(
+        BinaryImage(width, height, tuple(int(b) for b in rng.integers(0, 2, width * height)))
+        for _ in range(bases)
+    )
+    return ImageSpaceSpec(width, height, "envelope", images, flip_radius=radius)
+
+
+def eval_squares_envelope():
+    return ImageSpaceSpec(8, 8, "envelope", tuple(two_squares_bases()[0]), flip_radius=1)
+
+
+GUARDED_SPACES = {
+    "full-2x2": lambda: full_spec(2, 2),
+    "full-4x4": lambda: full_spec(4, 4),
+    "full-3x6": lambda: full_spec(3, 6),
+    "full-4x5": lambda: full_spec(4, 5),
+    "eval-squares": eval_squares_envelope,
+    "4x4-radius-3": lambda: random_envelope(4, 4, 1, 3, seed=1),
+    "5x5-20-bases-radius-3": lambda: random_envelope(5, 5, 20, 3, seed=2),
+}
+
+
+class TestMaterializeGuard:
+    @pytest.mark.parametrize("name", GUARDED_SPACES)
+    def test_estimate_is_the_peak(self, name):
+        # the guard's estimate bounds what materializing really allocates,
+        # and is not a loose overestimate of it either
+        spec = GUARDED_SPACES[name]()
+        estimate = imagespace._materialize_bytes(spec)
+        tracemalloc.start()
+        try:
+            space_matrix(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimate / 2 <= peak <= estimate + (1 << 20)
 
 
 class TestSpecValidation:

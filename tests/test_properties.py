@@ -7,12 +7,23 @@ derandomized and keep no example database, so every run checks the same
 examples.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diaginterp.engine import EngineConfig, run_interpretation
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, enumerate_space
+from diaginterp.engine import EngineConfig, config_from_json, config_to_json, run_interpretation
+from diaginterp.imagespace import (
+    BinaryImage,
+    ImageSpaceSpec,
+    enumerate_space,
+    space_matrix,
+    spec_from_json,
+    spec_to_json,
+    unique_rows,
+)
 from diaginterp.metrics import disagreement_breakdown
 from diaginterp.models import (
     LinearModel,
@@ -20,10 +31,13 @@ from diaginterp.models import (
     NeuralModel,
     RuleLevel,
     RuleModel,
+    level_label_matrix,
+    model_from_json,
+    model_to_json,
     num_levels,
     predict,
 )
-from diaginterp.oracle import _scalar_levels, brute_force_breakdown
+from diaginterp.oracle import _iterate_space, _scalar_levels, brute_force_breakdown
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -149,3 +163,73 @@ def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
                           rng_seed=int(rng.integers(0, 1000)), mode="epsilon")
     report = run_interpretation(config)
     assert report.final_model.levels[:-1] == model_a.levels[:-1]
+
+
+def json_trip(doc):
+    return json.loads(json.dumps(doc, allow_nan=False))
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_space_matrix_matches_oracle_enumeration(seed):
+    # full grids up to 3x3; envelopes whose bases repeat, with any radius
+    # from 0 to one past the pixel count
+    rng = np.random.default_rng(seed)
+    width, height = random_grid(rng)
+    if rng.integers(0, 3) == 0:
+        spec = ImageSpaceSpec(width, height, "full")
+    else:
+        pool = [random_image(rng, width, height) for _ in range(int(rng.integers(1, 4)))]
+        bases = tuple(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 6))))
+        radius = int(rng.integers(0, width * height + 2))
+        spec = ImageSpaceSpec(width, height, "envelope", bases, radius)
+    assert [tuple(row) for row in space_matrix(spec).tolist()] == list(_iterate_space(spec))
+
+
+ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width), min_size=1, max_size=40
+    )
+)
+
+
+@PROPERTY_SETTINGS
+@given(ROWS)
+def test_unique_rows_keeps_exactly_the_first_occurrences(rows):
+    expected = list(dict.fromkeys(map(tuple, rows)))
+    got = unique_rows(np.array(rows, dtype=np.uint8))
+    assert [tuple(row) for row in got.tolist()] == expected
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_spec_and_model_json_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    width, height = random_grid(rng)
+    space = random_space(rng, width, height)
+    assert spec_from_json(json_trip(spec_to_json(space))) == space
+    model = random_model(rng, width, height)
+    doc = model_to_json(model)
+    again = model_from_json(json_trip(doc))
+    assert model_to_json(again) == doc
+    matrix = space_matrix(ImageSpaceSpec(width, height, "full"))
+    assert np.array_equal(level_label_matrix(again, matrix), level_label_matrix(model, matrix))
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]))
+def test_run_config_json_round_trip(seed, mode):
+    config = random_config(np.random.default_rng(seed), mode)
+    doc = config_to_json(config)
+    assert config_to_json(config_from_json(json_trip(doc))) == doc
+
+
+@pytest.mark.filterwarnings("ignore:entropy increased")
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]))
+def test_seeded_run_is_deterministic(seed, mode):
+    rng = np.random.default_rng(seed)
+    config = replace(random_config(rng, mode), max_queries=int(rng.integers(1, 6)))
+    first, second = run_interpretation(config), run_interpretation(config)
+    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+    assert model_to_json(first.final_model) == model_to_json(second.final_model)
