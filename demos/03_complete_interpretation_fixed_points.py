@@ -15,6 +15,7 @@ from diaginterp import (
     exhaustive_fixed_point,
     run_complete_interpretation,
 )
+from diaginterp.metrics import raw_interpretability
 
 for name in ("fig1b", "fig1c"):
     fx = build_fixture(name)
@@ -29,6 +30,6 @@ for name in ("fig1b", "fig1c"):
 
     oracle_h0 = brute_force_breakdown(fx.model_a, fx.model_b, fx.space).total_entropy
     _, fixed = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
-    oracle_i = 1.0 if oracle_h0 == 0 else (oracle_h0 - fixed.total_entropy) / oracle_h0
+    oracle_i = raw_interpretability(oracle_h0, fixed.total_entropy)
     print(f"  oracle (h-h')/h    = {oracle_i:.6f}")
     print()

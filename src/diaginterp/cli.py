@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
+    SETTING_KEYS,
     EngineConfig,
     Report,
     check_integer,
@@ -70,36 +71,28 @@ def _write_report(report: Report, out_dir: Path, stem: str = "report") -> None:
     _write_lines(out_dir / f"{stem.replace('report', 'trajectory')}.csv", trajectory_rows(report))
 
 
+def _overrides(args) -> dict:
+    """The run settings given on the command line, as EngineConfig fields."""
+    given = {"rng_seed": args.seed, "lam": args.lam, "max_queries": args.max_queries}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _config_from_args(args) -> EngineConfig:
     if bool(args.spec) == bool(args.fixture):
         raise DiagInterpError("provide exactly one of --spec PATH or --fixture NAME")
-    if args.spec:
-        doc = _load_json(args.spec)
-        if ("fixture" in doc) == ("model_a" in doc):
-            raise DiagInterpError(
-                "run spec must contain exactly one of a fixture name or explicit models"
-            )
-        seed = args.seed if args.seed is not None else doc.get("rng_seed", 0)
-        if "fixture" in doc:
-            # the seed reaches the fixture's generators before EngineConfig
-            check_integer("rng_seed", seed)
-            config = build_fixture(doc["fixture"], seed).engine_config(
-                rng_seed=seed,
-                lam=float(doc.get("lambda", 0.0)),
-                max_queries=doc.get("max_queries"),
-            )
-        else:
-            config = config_from_json(doc)
-            if args.seed is not None:
-                config = replace(config, rng_seed=args.seed)
-    else:
-        seed = args.seed if args.seed is not None else 0
-        config = build_fixture(args.fixture, seed).engine_config(rng_seed=seed)
-    if args.lam is not None:
-        config = replace(config, lam=args.lam)
-    if args.max_queries is not None:
-        config = replace(config, max_queries=args.max_queries)
-    return config
+    doc = _load_json(args.spec) if args.spec else {"fixture": args.fixture}
+    if ("fixture" in doc) == ("model_a" in doc):
+        raise DiagInterpError(
+            "run spec must contain exactly one of a fixture name or explicit models"
+        )
+    if "model_a" in doc:
+        return replace(config_from_json(doc), **_overrides(args))
+    keys = [key for key in ("max_queries", "lambda", "rng_seed") if key in doc]
+    settings = {SETTING_KEYS[key]: doc[key] for key in keys} | _overrides(args)
+    # the seed reaches the fixture's generators before EngineConfig checks it
+    seed = settings.get("rng_seed", EngineConfig.rng_seed)
+    check_integer("rng_seed", seed)
+    return build_fixture(doc["fixture"], seed).engine_config(**settings)
 
 
 def _cmd_interpret(args) -> int:
@@ -115,7 +108,7 @@ def _cmd_interpret(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.fixture:
-        fixture = build_fixture(args.fixture, args.seed if args.seed is not None else 0)
+        fixture = build_fixture(args.fixture, args.seed)
         model_a, model_b, space = fixture.model_a, fixture.model_b, fixture.space
     elif args.models and args.space:
         models_doc = _load_json(args.models)
@@ -151,12 +144,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _demo_static(fixture, args, out_dir: Path) -> list[str]:
-    seed = args.seed if args.seed is not None else 0
-    config = fixture.engine_config(
-        rng_seed=seed,
-        lam=args.lam if args.lam is not None else 0.0,
-        max_queries=args.max_queries,
-    )
+    config = fixture.engine_config(**_overrides(args))
     report = (
         run_complete_interpretation(config) if fixture.complete else run_interpretation(config)
     )
@@ -175,17 +163,14 @@ def _demo_static(fixture, args, out_dir: Path) -> list[str]:
 
 
 def _demo_eval_squares(args, out_dir: Path) -> list[str]:
-    base_seed = args.seed if args.seed is not None else 0
-    n_runs = args.seeds if args.seeds is not None else 10
-    max_queries = args.max_queries if args.max_queries is not None else 10
-    lam = args.lam if args.lam is not None else 0.0
+    if args.seeds < 1:
+        raise InvalidConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    settings = _overrides(args)
     reports = []
     lines = ["fixture eval-squares: per-seed interpretation of the trained net"]
-    for offset in range(n_runs):
-        seed = base_seed + offset
+    for seed in range(args.seed, args.seed + args.seeds):
         fixture = build_fixture("eval-squares", seed)
-        config = fixture.engine_config(rng_seed=seed, lam=lam, max_queries=max_queries)
-        report = run_interpretation(config)
+        report = run_interpretation(fixture.engine_config(**settings | {"rng_seed": seed}))
         reports.append(report)
         _write_report(report, out_dir, stem=f"report_seed{seed}")
         lines.append(
@@ -194,7 +179,10 @@ def _demo_eval_squares(args, out_dir: Path) -> list[str]:
             f"({report.termination})"
         )
     reached = sum(1 for r in reports if r.final_interpretability >= 0.99)
-    lines.append(f"{reached}/{n_runs} seeds reached I >= 0.99 within {max_queries} queries")
+    lines.append(
+        f"{reached}/{args.seeds} seeds reached I >= 0.99 "
+        f"within {reports[0].config.max_queries} queries"
+    )
     lines.append(
         f"confidence epsilon = {reports[0].epsilon.display} "
         f"(log2 = {reports[0].epsilon.log2_epsilon:.3f})"
@@ -226,7 +214,7 @@ def _cmd_demo(args) -> int:
     if args.fixture == "eval-squares":
         lines = _demo_eval_squares(args, out_dir)
     else:
-        fixture = build_fixture(args.fixture, args.seed if args.seed is not None else 0)
+        fixture = build_fixture(args.fixture, args.seed)
         lines = _demo_static(fixture, args, out_dir)
     _write_lines(out_dir / "summary.txt", lines)
     for line in lines:
@@ -255,14 +243,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--models", help="JSON file with model_a and model_b")
     p_orc.add_argument("--space", help="JSON image-space spec path")
     p_orc.add_argument("--fixture", help="named fixture instead of files")
-    p_orc.add_argument("--seed", type=int, default=None, help="fixture build seed")
+    p_orc.add_argument("--seed", type=int, default=0, help="fixture build seed")
     p_orc.add_argument("--out", default=".", help="output directory")
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_demo = sub.add_parser("demo", help="run a named fixture end to end")
     p_demo.add_argument("--fixture", required=True, help="fixture name")
-    p_demo.add_argument("--seed", type=int, default=None, help="base seed")
-    p_demo.add_argument("--seeds", type=int, default=None, help="number of seeded runs")
+    p_demo.add_argument("--seed", type=int, default=0, help="base seed")
+    p_demo.add_argument("--seeds", type=int, default=10, help="number of seeded runs")
     p_demo.add_argument("--lambda", dest="lam", type=float, default=None, help="query penalty weight")
     p_demo.add_argument("--max-queries", type=int, default=None, help="query budget")
     p_demo.add_argument("--out", default=".", help="output directory")

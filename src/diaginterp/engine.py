@@ -33,6 +33,7 @@ its own query selection and termination rules:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,11 +88,14 @@ def check_integer(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """One run's settings. The field defaults are the only run-setting
+    defaults; ``lam`` and ``retrain_learning_rate`` are stored as floats. The
+    updater is not a setting: the known model's family fixes it."""
+
     space: ImageSpaceSpec
     model_a: Model
     model_b: Model
-    updater: str
-    max_queries: int
+    max_queries: int = 10
     lam: float = 0.0
     rng_seed: int = 0
     mode: str = "diagnostic"
@@ -100,32 +104,40 @@ class EngineConfig:
     retrain_epochs: int = 50
     retrain_learning_rate: float = 1.0
 
+    @property
+    def updater(self) -> str:
+        """How model_a takes in an answered query: rules are edited, a linear model retrained."""
+        return RULE_UPDATER if isinstance(self.model_a, RuleModel) else RETRAIN_UPDATER
+
     def __post_init__(self) -> None:
-        if self.updater not in (RULE_UPDATER, RETRAIN_UPDATER):
-            raise InvalidConfigError(f"unknown updater {self.updater!r}")
         if self.mode not in ("diagnostic", "epsilon"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         for name in ("max_queries", "rng_seed", "stall_patience", "retrain_epochs"):
             check_integer(name, getattr(self, name))
+        for name, key in (("lam", "lambda"), ("retrain_learning_rate", "retrain_learning_rate")):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise InvalidConfigError(f"{key} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.max_queries < 0:
             raise InvalidConfigError("max_queries cannot be negative")
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise InvalidConfigError(f"lambda must be a finite nonnegative real, got {self.lam}")
-        if not math.isfinite(self.retrain_learning_rate):
-            raise InvalidConfigError(
-                f"retrain learning rate must be finite, got {self.retrain_learning_rate}"
-            )
+        if self.lam < 0:
+            raise InvalidConfigError(f"lambda cannot be negative, got {self.lam}")
         if self.stall_patience < 1:
             raise InvalidConfigError("stall patience must be at least 1")
+        for _, label in self.base_dataset or ():
+            if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
+                raise InvalidConfigError(f"base_dataset labels must be 0 or 1, got {label!r}")
         top_only = self.mode == "epsilon"
         check_comparable(self.model_a, self.model_b, self.space.width, self.space.height, top_only)
-        if self.updater == RETRAIN_UPDATER:
+        if isinstance(self.model_a, LinearModel):
             if self.base_dataset is None:
-                raise InvalidConfigError("the retraining updater requires base_dataset")
-            if not isinstance(self.model_a, LinearModel):
-                raise InvalidConfigError("the retraining updater drives a linear model")
-        if self.updater == RULE_UPDATER and not isinstance(self.model_a, RuleModel):
-            raise InvalidConfigError("the rule updater drives a rule model")
+                raise InvalidConfigError("retraining a linear known model requires base_dataset")
+        elif not isinstance(self.model_a, RuleModel):
+            raise InvalidConfigError(
+                f"the known model must be a rule or linear model, not {type(self.model_a).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -314,7 +326,7 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     if config.space.mode != "full":
         raise InvalidConfigError("complete interpretation runs over a full space")
     if config.updater != RULE_UPDATER:
-        raise InvalidConfigError("complete interpretation uses the rule updater")
+        raise InvalidConfigError("complete interpretation edits a rule model")
     if num_levels(config.model_a) != num_levels(config.model_b):
         raise AbstractionMismatchError(
             "complete interpretation updates every level and needs matched level counts"
@@ -345,27 +357,37 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     raise InvalidConfigError("complete interpretation failed to settle within 1000 passes")
 
 
+# The run-spec key of each EngineConfig setting, in echo order.
+SETTING_KEYS = {
+    "max_queries": "max_queries",
+    "lambda": "lam",
+    "rng_seed": "rng_seed",
+    "mode": "mode",
+    "stall_patience": "stall_patience",
+    "retrain_epochs": "retrain_epochs",
+    "retrain_learning_rate": "retrain_learning_rate",
+}
+
+
 def config_to_json(config: EngineConfig) -> dict:
     doc = {
         "space": spec_to_json(config.space),
         "model_a": model_to_json(config.model_a),
         "model_b": model_to_json(config.model_b),
         "updater": config.updater,
-        "max_queries": config.max_queries,
-        "lambda": config.lam,
-        "rng_seed": config.rng_seed,
-        "mode": config.mode,
-        "stall_patience": config.stall_patience,
-        "retrain_epochs": config.retrain_epochs,
-        "retrain_learning_rate": config.retrain_learning_rate,
-        "base_dataset": None
-        if config.base_dataset is None
-        else [[img.to_string(), int(label)] for img, label in config.base_dataset],
     }
+    doc.update({key: getattr(config, name) for key, name in SETTING_KEYS.items()})
+    doc["base_dataset"] = (
+        None
+        if config.base_dataset is None
+        else [[img.to_string(), int(label)] for img, label in config.base_dataset]
+    )
     return doc
 
 
 def config_from_json(doc: dict) -> EngineConfig:
+    """Parse a run spec. Settings it leaves out take EngineConfig's defaults;
+    its required ``updater`` must name the known model's update."""
     try:
         space = spec_from_json(doc["space"])
         model_a = model_from_json(doc["model_a"])
@@ -373,24 +395,13 @@ def config_from_json(doc: dict) -> EngineConfig:
         updater = doc["updater"]
     except KeyError as missing:
         raise InvalidConfigError(f"run spec missing key {missing}") from None
-    base = doc.get("base_dataset")
-    dataset = None
-    if base is not None:
-        dataset = [
-            (BinaryImage.from_string(space.width, space.height, text), int(label))
-            for text, label in base
+    settings = {name: doc[key] for key, name in SETTING_KEYS.items() if key in doc}
+    if doc.get("base_dataset") is not None:
+        settings["base_dataset"] = [
+            (BinaryImage.from_string(space.width, space.height, text), label)
+            for text, label in doc["base_dataset"]
         ]
-    return EngineConfig(
-        space=space,
-        model_a=model_a,
-        model_b=model_b,
-        updater=updater,
-        max_queries=doc.get("max_queries", 10),
-        lam=float(doc.get("lambda", 0.0)),
-        rng_seed=doc.get("rng_seed", 0),
-        mode=doc.get("mode", "diagnostic"),
-        base_dataset=dataset,
-        stall_patience=doc.get("stall_patience", 3),
-        retrain_epochs=doc.get("retrain_epochs", 50),
-        retrain_learning_rate=float(doc.get("retrain_learning_rate", 1.0)),
-    )
+    config = EngineConfig(space=space, model_a=model_a, model_b=model_b, **settings)
+    if updater != config.updater:
+        raise InvalidConfigError(f"updater {updater!r} does not drive a {type(model_a).__name__}")
+    return config

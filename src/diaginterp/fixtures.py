@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RETRAIN_UPDATER, RULE_UPDATER, EngineConfig
+from .engine import EngineConfig
 from .errors import InvalidConfigError
 from .imagespace import BinaryImage, ImageSpaceSpec, unique_rows
 from .models import (
@@ -61,7 +61,6 @@ class Fixture:
     space: ImageSpaceSpec
     model_a: Model
     model_b: Model
-    updater: str
     mode: str
     max_queries: int
     complete: bool = False
@@ -69,23 +68,19 @@ class Fixture:
     black_box_train_accuracy: float | None = None
     known_model_train_accuracy: float | None = None
 
-    def engine_config(
-        self,
-        rng_seed: int,
-        lam: float = 0.0,
-        max_queries: int | None = None,
-    ) -> EngineConfig:
-        return EngineConfig(
-            space=self.space,
-            model_a=self.model_a,
-            model_b=self.model_b,
-            updater=self.updater,
-            max_queries=self.max_queries if max_queries is None else max_queries,
-            lam=lam,
-            rng_seed=rng_seed,
-            mode=self.mode,
-            base_dataset=self.base_dataset,
-        )
+    def engine_config(self, **settings) -> EngineConfig:
+        """The fixture's run: its space, models, mode, query budget and base
+        dataset. ``settings`` names EngineConfig fields to set as well (the
+        query budget among them); the rest keep EngineConfig's defaults."""
+        fixed = {
+            "space": self.space,
+            "model_a": self.model_a,
+            "model_b": self.model_b,
+            "mode": self.mode,
+            "max_queries": self.max_queries,
+            "base_dataset": self.base_dataset,
+        }
+        return EngineConfig(**{**fixed, **settings})
 
 
 def fixture_names() -> list[str]:
@@ -116,7 +111,6 @@ def _build_fig1b() -> Fixture:
         space=space,
         model_a=model_a,
         model_b=model_b,
-        updater=RULE_UPDATER,
         mode="diagnostic",
         max_queries=64,
         complete=True,
@@ -136,7 +130,6 @@ def _build_fig1c() -> Fixture:
         space=space,
         model_a=model_a,
         model_b=model_b,
-        updater=RULE_UPDATER,
         mode="diagnostic",
         max_queries=64,
         complete=True,
@@ -160,7 +153,6 @@ def _build_fig2_diagonal() -> Fixture:
         space=space,
         model_a=model_a,
         model_b=model_b,
-        updater=RULE_UPDATER,
         mode="diagnostic",
         max_queries=8,
     )
@@ -261,7 +253,6 @@ def _build_eval_squares(seed: int) -> Fixture:
         space=space,
         model_a=known,
         model_b=black_box,
-        updater=RETRAIN_UPDATER,
         mode="epsilon",
         max_queries=10,
         base_dataset=tuple(dataset),

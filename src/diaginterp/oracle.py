@@ -120,7 +120,8 @@ def _iterate_space(spec: ImageSpaceSpec):
         got = _emit(base.bits)
         if got is not None:
             yield got
-    for radius in range(1, spec.flip_radius + 1):
+    # flipping more pixels than the grid has yields nothing new
+    for radius in range(1, min(spec.flip_radius, pixels) + 1):
         for base in spec.base_images:
             for flips in combinations(range(pixels), radius):
                 bits = list(base.bits)
@@ -190,7 +191,11 @@ def exhaustive_fixed_point(
     matrix = space_matrix(spec)
     reference = level_label_matrix(model_b, matrix)
     current = model_a
-    entropy_before = brute_force_breakdown(current, model_b, spec).total_entropy
+    result = brute_force_breakdown(current, model_b, spec)
+    if result.total_entropy == 0.0:
+        # nothing left to interpret: the start is the fixed point
+        return current, result
+    entropy_before = result.total_entropy
     for _ in range(1000):
         changed = False
         for bits in _iterate_space(spec):

@@ -156,7 +156,6 @@ def test_criterion_6_extremal_cases():
             space=ImageSpaceSpec(4, 4, "full"),
             model_a=model,
             model_b=RuleModel(4, 4, (RuleLevel.of(ones=[0]),)),
-            updater="rule_minimal_edit",
             max_queries=5,
         )
     )

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from diaginterp import cli
 from diaginterp.cli import main
 from diaginterp.engine import config_to_json
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import spec_to_json, ImageSpaceSpec
-from diaginterp.models import model_to_json
+from diaginterp.models import LinearModel, model_to_json
 
 
 def read_json(path):
@@ -96,6 +99,51 @@ class TestInterpret:
         spec_path.write_text(json.dumps({"fixture": fixture, "rng_seed": value}))
         assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert "rng_seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "0.5"), ("lambda", True), ("retrain_learning_rate", "2"),
+    ])
+    def test_non_number_real_setting_exits_2(self, tmp_path, capsys, key, value):
+        doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+        doc[key] = value
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be a finite real number" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integer_lambda_echoes_as_float(self, tmp_path):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({"fixture": "fig2-diagonal", "lambda": 1}))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").read_text().count('"lambda": 1.0,') == 1
+
+    @pytest.mark.parametrize("label", [1.7, True, "0", 2])
+    def test_dataset_label_not_0_or_1_exits_2(self, tmp_path, capsys, label):
+        model_a = LinearModel(4, 4, np.zeros(16), 0.0)
+        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        doc = config_to_json(replace(config, model_a=model_a, base_dataset=()))
+        doc["base_dataset"] = [["0" * 16, label]]
+        doc["max_queries"] = 0
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert "base_dataset labels must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("updater", ["retrain_with_queries", "rule_edit", None])
+    def test_updater_must_name_the_known_models_update(self, tmp_path, capsys, updater):
+        doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+        assert doc["updater"] == "rule_minimal_edit"
+        if updater is None:
+            del doc["updater"]
+        else:
+            doc["updater"] = updater
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert "updater" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -205,6 +253,16 @@ class TestDemo:
         summary = (tmp_path / "summary.txt").read_text()
         assert "seeds reached I >= 0.99" in summary
         assert "epsilon" in summary
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_1_exit_2(self, tmp_path, capsys, monkeypatch, seeds):
+        def no_fixture(*args):
+            raise AssertionError("a fixture was built")
+
+        monkeypatch.setattr(cli, "build_fixture", no_fixture)
+        assert main(["demo", "--fixture", "eval-squares", "--seeds", seeds,
+                     "--out", str(tmp_path)]) == 2
+        assert "--seeds must be at least 1" in capsys.readouterr().err
 
     def test_demo_and_oracle_agree_on_initial_entropy(self, tmp_path):
         demo_dir, oracle_dir = tmp_path / "demo", tmp_path / "oracle"

@@ -16,7 +16,15 @@ from diaginterp.errors import AbstractionMismatchError, InvalidConfigError
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import BinaryImage, ImageSpaceSpec
 from diaginterp.metrics import disagreement_breakdown
-from diaginterp.models import LinearModel, RuleLevel, RuleModel, predict, top_label
+from diaginterp.models import (
+    LinearModel,
+    NeuralLayer,
+    NeuralModel,
+    RuleLevel,
+    RuleModel,
+    predict,
+    top_label,
+)
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 
 
@@ -31,7 +39,6 @@ def everywhere_disagreeing_config():
         space=ImageSpaceSpec(1, 1, "full"),
         model_a=rule(ones=[0], grid=(1, 1)),
         model_b=rule(zeros=[0], grid=(1, 1)),
-        updater="rule_minimal_edit",
         max_queries=5,
     )
 
@@ -50,7 +57,6 @@ class TestRunInterpretation:
             space=ImageSpaceSpec(4, 4, "full"),
             model_a=model,
             model_b=rule(ones=[0]),
-            updater="rule_minimal_edit",
             max_queries=5,
         )
         report = run_interpretation(config)
@@ -137,7 +143,6 @@ class TestRunInterpretation:
             space=space,
             model_a=model_a,
             model_b=model_b,
-            updater="rule_minimal_edit",
             max_queries=10,
             rng_seed=4,
         )
@@ -159,7 +164,6 @@ class TestRunInterpretation:
             space=ImageSpaceSpec(2, 2, "full"),
             model_a=model_a,
             model_b=model_b,
-            updater="rule_minimal_edit",
             max_queries=10,
             rng_seed=0,
             mode="epsilon",
@@ -185,10 +189,18 @@ class TestRunInterpretation:
                 space=ImageSpaceSpec(2, 2, "full"),
                 model_a=model_a,
                 model_b=rule(ones=[0], grid=(2, 2)),
-                updater="retrain_with_queries",
                 max_queries=5,
                 mode="epsilon",
             )
+
+    def test_known_model_family_fixes_updater(self):
+        config = everywhere_disagreeing_config()
+        assert config.updater == "rule_minimal_edit"
+        linear = LinearModel(1, 1, np.zeros(1), 0.0)
+        assert replace(config, model_a=linear, base_dataset=()).updater == "retrain_with_queries"
+        net = NeuralModel(1, 1, (NeuralLayer(np.ones((1, 1)), np.zeros(1), "sigmoid"),))
+        with pytest.raises(InvalidConfigError, match="rule or linear"):
+            replace(config, model_a=net)
 
     @pytest.mark.parametrize("field", ["lam", "retrain_learning_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -211,7 +223,6 @@ class TestRunInterpretation:
                 space=ImageSpaceSpec(2, 2, "full"),
                 model_a=model_a,
                 model_b=rule(ones=[0], grid=(2, 2)),
-                updater="rule_minimal_edit",
                 max_queries=5,
             )
 
@@ -244,7 +255,6 @@ class TestRunInterpretation:
             space=ImageSpaceSpec(2, 2, "full"),
             model_a=model_a,
             model_b=model_b,
-            updater="rule_minimal_edit",
             max_queries=5,
         )
         report = run_interpretation(config)
@@ -262,7 +272,6 @@ class TestRunInterpretation:
             space=ImageSpaceSpec(2, 2, "full"),
             model_a=model_a,
             model_b=model_b,
-            updater="rule_minimal_edit",
             max_queries=16,
         )
         budgeted = run_interpretation(config)
@@ -298,7 +307,6 @@ class TestRunCompleteInterpretation:
             space=ImageSpaceSpec(4, 4, "full"),
             model_a=model,
             model_b=rule(ones=[3]),
-            updater="rule_minimal_edit",
             max_queries=1,
         )
         report = run_complete_interpretation(config)
@@ -347,7 +355,6 @@ class TestRunCompleteInterpretation:
                 space=space,
                 model_a=model_a,
                 model_b=model_b,
-                updater="rule_minimal_edit",
                 max_queries=16,
                 rng_seed=int(rng.integers(0, 2**31)),
             )

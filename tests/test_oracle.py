@@ -65,6 +65,15 @@ class TestBruteForceBreakdown:
         with pytest.raises(SpaceTooLargeError):
             brute_force_breakdown(model, model, ImageSpaceSpec(5, 5, "full"))
 
+    def test_radius_past_pixels_is_the_whole_ball(self):
+        base = BinaryImage.from_string(2, 2, "1000")
+        spec = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=10**9)
+        model_a = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
+        model_b = RuleModel(2, 2, (RuleLevel.of(ones=[1]),))
+        truth = brute_force_breakdown(model_a, model_b, spec)
+        assert truth.sample_size == 16
+        assert truth.disagreement_counts == disagreement_breakdown(model_a, model_b, spec).disagreement_counts
+
     def test_disagreement_images_listed_in_order(self):
         fx = build_fixture("fig2-diagonal")
         result = brute_force_breakdown(fx.model_a, fx.model_b, fx.space)
@@ -91,6 +100,14 @@ class TestExhaustiveFixedPoint:
         fixed, result = exhaustive_fixed_point(model, model, ImageSpaceSpec(3, 3, "full"))
         assert fixed == model
         assert result.total_entropy == 0.0
+
+    def test_zero_initial_entropy_returns_start(self):
+        # the two images of a 1x1 space both disagree: H0 = 0, nothing to edit
+        model_a = RuleModel(1, 1, (RuleLevel.of(ones=[0]),))
+        model_b = RuleModel(1, 1, (RuleLevel.of(zeros=[0]),))
+        fixed, result = exhaustive_fixed_point(model_a, model_b, ImageSpaceSpec(1, 1, "full"))
+        assert fixed == model_a
+        assert result.disagreement_counts == (2,)
 
     def test_idempotent(self):
         fx = build_fixture("fig1c")

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diaginterp.engine import EngineConfig, config_from_json, config_to_json, run_interpretation
+from diaginterp.engine import (
+    EngineConfig,
+    config_from_json,
+    config_to_json,
+    run_complete_interpretation,
+    run_interpretation,
+)
 from diaginterp.imagespace import (
     BinaryImage,
     ImageSpaceSpec,
@@ -37,7 +43,12 @@ from diaginterp.models import (
     num_levels,
     predict,
 )
-from diaginterp.oracle import _iterate_space, _scalar_levels, brute_force_breakdown
+from diaginterp.oracle import (
+    _iterate_space,
+    _scalar_levels,
+    brute_force_breakdown,
+    exhaustive_fixed_point,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -92,21 +103,20 @@ def random_space(rng, width, height):
 
 
 def random_config(rng, mode):
-    """A run whose known model is a rule model (rule updater) or a linear
-    model (retraining updater); diagnostic runs get matched level counts."""
+    """A run whose known model is a rule model (edited) or a linear model
+    (retrained on a base dataset); diagnostic runs get matched level counts."""
     width, height = random_grid(rng)
     space = random_space(rng, width, height)
     if rng.integers(0, 4) == 0:
         model_a = random_linear(rng, width, height)
         base = [(random_image(rng, width, height), 0), (random_image(rng, width, height), 1)]
-        updater = {"updater": "retrain_with_queries", "base_dataset": base}
     else:
         model_a = random_rule(rng, width, height, int(rng.integers(1, 4)))
-        updater = {"updater": "rule_minimal_edit"}
+        base = None
     levels = num_levels(model_a) if mode == "diagnostic" else None
     model_b = random_model(rng, width, height, levels)
     return EngineConfig(space=space, model_a=model_a, model_b=model_b, max_queries=0,
-                        rng_seed=int(rng.integers(0, 1000)), mode=mode, **updater)
+                        rng_seed=int(rng.integers(0, 1000)), mode=mode, base_dataset=base)
 
 
 @PROPERTY_SETTINGS
@@ -159,10 +169,28 @@ def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
         model_b = random_model(rng, width, height, 1)
     model_a = random_rule(rng, width, height, levels_a)
     config = EngineConfig(space=random_space(rng, width, height), model_a=model_a,
-                          model_b=model_b, updater="rule_minimal_edit", max_queries=8,
+                          model_b=model_b, max_queries=8,
                           rng_seed=int(rng.integers(0, 1000)), mode="epsilon")
     report = run_interpretation(config)
     assert report.final_model.levels[:-1] == model_a.levels[:-1]
+
+
+@pytest.mark.filterwarnings("ignore:entropy increased")
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_complete_run_matches_exhaustive_fixed_point(seed):
+    # a rule model of 1-3 levels against a rule, linear or neural model with
+    # as many levels, over a full grid
+    rng = np.random.default_rng(seed)
+    width, height = random_grid(rng)
+    model_b = random_model(rng, width, height)
+    model_a = random_rule(rng, width, height, num_levels(model_b))
+    space = ImageSpaceSpec(width, height, "full")
+    report = run_complete_interpretation(EngineConfig(space=space, model_a=model_a, model_b=model_b))
+    fixed, result = exhaustive_fixed_point(model_a, model_b, space)
+    final = report.steps[-1].entropy_after if report.steps else report.initial_entropy
+    assert report.final_model == fixed
+    assert final.disagreement_counts == result.disagreement_counts
 
 
 def json_trip(doc):
