@@ -205,12 +205,13 @@ def two_squares_bases() -> tuple[list[BinaryImage], list[int]]:
     return images, labels
 
 
-def two_squares_class_pools() -> tuple[np.ndarray, np.ndarray]:
-    """The envelope split by class, one uint8 matrix of image rows per class:
-    each base and its one-pixel flips inherit the base's label, base by base,
-    repeats dropped. The two classes never collide (their left halves alone
-    differ by 8 pixels)."""
-    images, labels = two_squares_bases()
+def two_squares_class_pools(
+    images: list[BinaryImage], labels: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope of the two_squares_bases ``images`` split by class, one
+    uint8 matrix of image rows per class: each base and its one-pixel flips
+    inherit the base's label, base by base, repeats dropped. The two classes
+    never collide (their left halves alone differ by 8 pixels)."""
     bases = np.array([img.bits for img in images], dtype=np.uint8)
     pixels = GRID_8 * GRID_8
     # Row 0 keeps the base; row i + 1 flips pixel i.
@@ -222,11 +223,11 @@ def two_squares_class_pools() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_eval_squares(seed: int) -> Fixture:
-    bases, _ = two_squares_bases()
+    bases, labels = two_squares_bases()
     space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", tuple(bases), flip_radius=1)
 
     rng = np.random.default_rng([seed, 0])
-    pool0, pool1 = two_squares_class_pools()
+    pool0, pool1 = two_squares_class_pools(bases, labels)
     picked0 = rng.choice(len(pool0), size=TRAIN_PER_CLASS, replace=False)
     picked1 = rng.choice(len(pool1), size=TRAIN_PER_CLASS, replace=False)
     dataset: list[tuple[BinaryImage, int]] = []

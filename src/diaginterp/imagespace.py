@@ -46,6 +46,9 @@ MATERIALIZE_BYTE_LIMIT = 256 << 20
 # digits, Python's default limit for converting an int to a string.
 EXACT_DIGIT_BUDGET = 4_300
 
+# Maps each bit, as a byte, to its '0'/'1' character.
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class BinaryImage:
@@ -91,7 +94,7 @@ class BinaryImage:
         return cls(width, height, tuple(bits))
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_BIT_CHARS).decode("ascii")
 
     def flip(self, index: int) -> "BinaryImage":
         """Return a copy with one pixel inverted."""

@@ -6,6 +6,10 @@ image to one {0,1} label per abstraction level, with the last level acting as
 the diagnosis label. Rule models may have any number of levels; the
 real-valued families are single-level.
 
+A net has one forward pass, ``_forward``: labelling, the gradients and the
+training epochs all run it. The perceptron keeps integer mistake counts, so
+its scores are exact.
+
 Every training routine is a deterministic function of its inputs and seed.
 """
 
@@ -174,13 +178,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(layers, X: np.ndarray) -> list[np.ndarray]:
+    """The net's forward pass over a (n, fan_in) batch: every layer's
+    activation, the batch itself first. ``layers`` are (weights, bias,
+    activation) triples. A relu layer overwrites its pre-activation, so the
+    pass holds one (n, fan_out) array fewer."""
+    activations = [X]
+    for weights, bias, activation in layers:
+        z = activations[-1] @ weights
+        z += bias
+        activations.append(np.maximum(z, 0.0, out=z) if activation == "relu" else _sigmoid(z))
+    return activations
+
+
+def _layer_arrays(model: NeuralModel) -> list:
+    return [(layer.weights, layer.bias, layer.activation) for layer in model.layers]
+
+
 def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
     """Output probabilities for a (n, pixels) batch."""
-    a = np.asarray(inputs, dtype=np.float64)
-    for layer in model.layers:
-        z = a @ layer.weights + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else _sigmoid(z)
-    return a[:, 0]
+    return _forward(_layer_arrays(model), np.asarray(inputs, dtype=np.float64))[-1][:, 0]
 
 
 def _rule_level_labels(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
@@ -337,32 +354,48 @@ def _dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]
 def train_linear(
     dataset: Dataset, epochs: int, learning_rate: float, rng_seed
 ) -> LinearModel:
-    """Mistake-driven perceptron training.
+    """Mistake-driven perceptron training, in exact integer arithmetic.
 
-    Weights start at zero; each epoch shuffles the dataset under the seed and
-    applies additive updates on misclassified examples. Stops early once an
-    epoch is mistake-free (the pass order no longer matters at that point).
+    Weights start at zero; each epoch visits the dataset in a seeded shuffle
+    and, at each misclassified example, adds its row to the weights and 1 to
+    the bias (label 1) or subtracts them (label 0). Stops early once an epoch
+    is mistake-free (the pass order no longer matters at that point).
+
+    Rows are 0/1 and every step is +-1, so the weights and the bias are
+    integer counts, kept as float64. A score is then a sum of integers, exact
+    under any summation order while its partial sums stay below 2^53 in
+    magnitude, and one matrix-vector product over the rest of an epoch's
+    order finds the next mistake. Which examples are mistakes therefore does
+    not depend on ``learning_rate``: it only scales the returned weights and
+    bias.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
     X, y, width, height = _dataset_arrays(dataset)
+    # A column of ones carries the bias: the last count is the bias count.
+    X = np.hstack([X, np.ones((len(X), 1))])
     rng = np.random.default_rng(rng_seed)
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
+    counts = np.zeros(X.shape[1], dtype=np.float64)
     for _ in range(epochs):
-        mistakes = 0
-        for idx in rng.permutation(len(dataset)):
-            pred = 1.0 if X[idx] @ w + b > 0.0 else 0.0
-            if pred != y[idx]:
-                step = learning_rate * (y[idx] - pred)
-                w += step * X[idx]
-                b += step
-                mistakes += 1
-        if mistakes == 0:
+        order = rng.permutation(len(dataset))
+        rows, want = X[order], y[order] == 1.0
+        pos = 0
+        while pos < len(order):
+            wrong = (rows[pos:] @ counts > 0.0) != want[pos:]
+            first = int(wrong.argmax())
+            if not wrong[first]:
+                break
+            pos += first
+            if want[pos]:
+                counts += rows[pos]
+            else:
+                counts -= rows[pos]
+            pos += 1
+        if pos == 0:  # a mistake-free epoch
             break
-    return LinearModel(width, height, w, b)
+    return LinearModel(width, height, learning_rate * counts[:-1], learning_rate * counts[-1])
 
 
 def linear_update(
@@ -420,18 +453,6 @@ def init_neural(
     return NeuralModel(width, height, tuple(layers))
 
 
-def _forward_trace(model: NeuralModel, X: np.ndarray):
-    activations = [X]
-    pre = []
-    a = X
-    for layer in model.layers:
-        z = a @ layer.weights + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else _sigmoid(z)
-        pre.append(z)
-        activations.append(a)
-    return pre, activations
-
-
 def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy of the net's output probabilities."""
     p = np.clip(neural_forward(model, X), 1e-12, 1.0 - 1e-12)
@@ -440,22 +461,27 @@ def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
 
 def bce_gradients(model: NeuralModel, X: np.ndarray, y: np.ndarray):
     """Backpropagated gradients of bce_loss; one (dW, db) pair per layer."""
+    return _bce_gradients(_layer_arrays(model), X, y)
+
+
+def _bce_gradients(layers, X: np.ndarray, y: np.ndarray):
     n = X.shape[0]
-    pre, activations = _forward_trace(model, X)
+    activations = _forward(layers, X)
     # Sigmoid + cross-entropy collapse to (p - y)/n at the output.
     delta = (activations[-1][:, 0] - y)[:, None] / n
     grads = []
-    for k in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[k]
+    for k in range(len(layers) - 1, -1, -1):
         grads.append((activations[k].T @ delta, delta.sum(axis=0)))
         if k > 0:
-            delta = delta @ layer.weights.T
-            prev = model.layers[k - 1]
-            if prev.activation == "relu":
-                delta = delta * (pre[k - 1] > 0.0)
+            delta = delta @ layers[k][0].T
+            # Both derivatives read off the activation: a relu unit's
+            # activation is positive iff its pre-activation is, and a sigmoid
+            # unit's activation is s in s * (1 - s).
+            a = activations[k]
+            if layers[k - 1][2] == "relu":
+                delta = delta * (a > 0.0)
             else:
-                s = _sigmoid(pre[k - 1])
-                delta = delta * s * (1.0 - s)
+                delta = delta * a * (1.0 - a)
     grads.reverse()
     return grads
 
@@ -468,24 +494,19 @@ def train_neural(
     rng_seed,
     hidden_activation: str = "relu",
 ) -> NeuralModel:
-    """Full-batch gradient descent on binary cross-entropy."""
+    """Full-batch gradient descent on binary cross-entropy. The epochs step
+    raw (weights, bias) arrays; the layers are validated once, at the end."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     X, y, width, height = _dataset_arrays(dataset)
-    model = init_neural(architecture, width, height, rng_seed, hidden_activation)
-    layers = list(model.layers)
+    layers = _layer_arrays(init_neural(architecture, width, height, rng_seed, hidden_activation))
     for _ in range(epochs):
-        current = NeuralModel(width, height, tuple(layers))
-        grads = bce_gradients(current, X, y)
+        grads = _bce_gradients(layers, X, y)
         layers = [
-            NeuralLayer(
-                layer.weights - learning_rate * dw,
-                layer.bias - learning_rate * db,
-                layer.activation,
-            )
-            for layer, (dw, db) in zip(layers, grads)
+            (weights - learning_rate * dw, bias - learning_rate * db, activation)
+            for (weights, bias, activation), (dw, db) in zip(layers, grads)
         ]
-    return NeuralModel(width, height, tuple(layers))
+    return NeuralModel(width, height, tuple(NeuralLayer(*layer) for layer in layers))
 
 
 def training_accuracy(model: Model, dataset: Dataset) -> float:

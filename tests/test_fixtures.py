@@ -71,7 +71,7 @@ class TestEvalSquares:
             assert (left > right) == bool(label)
 
     def test_class_pools_do_not_overlap(self):
-        pool0, pool1 = two_squares_class_pools()
+        pool0, pool1 = two_squares_class_pools(*two_squares_bases())
         assert set(map(bytes, pool0)).isdisjoint(map(bytes, pool1))
 
     def test_build_is_deterministic_per_seed(self):
