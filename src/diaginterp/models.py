@@ -351,6 +351,11 @@ def _dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]
     return X, y, width, height
 
 
+# Rows in the first block of a scan for an epoch's next mistake; each clean
+# block doubles the next one, and a mistake starts over at this size.
+_SCAN_BLOCK = 16
+
+
 def train_linear(
     dataset: Dataset, epochs: int, learning_rate: float, rng_seed
 ) -> LinearModel:
@@ -364,10 +369,14 @@ def train_linear(
     Rows are 0/1 and every step is +-1, so the weights and the bias are
     integer counts, kept as float64. A score is then a sum of integers, exact
     under any summation order while its partial sums stay below 2^53 in
-    magnitude, and one matrix-vector product over the rest of an epoch's
-    order finds the next mistake. Which examples are mistakes therefore does
-    not depend on ``learning_rate``: it only scales the returned weights and
-    bias.
+    magnitude. Which examples are mistakes therefore does not depend on
+    ``learning_rate``: it only scales the returned weights and bias.
+
+    Each row is signed by its label, so every update adds a signed row. The
+    next mistake is found by scoring the rest of the epoch's order in blocks
+    of _SCAN_BLOCK rows after a mistake and twice as many after each clean
+    block, so an epoch of n examples with m mistakes scores at most
+    2n + (m + 1) * _SCAN_BLOCK rows.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
@@ -375,25 +384,25 @@ def train_linear(
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
     X, y, width, height = _dataset_arrays(dataset)
     # A column of ones carries the bias: the last count is the bias count.
-    X = np.hstack([X, np.ones((len(X), 1))])
+    signed = np.hstack([X, np.ones((len(X), 1))]) * (2.0 * y - 1.0)[:, None]
+    # A label-1 example is a mistake at a signed score <= 0, a label-0 one at
+    # a signed score < 0, which for an integer score is <= -0.5.
+    limit = np.where(y == 1.0, 0.0, -0.5)
     rng = np.random.default_rng(rng_seed)
-    counts = np.zeros(X.shape[1], dtype=np.float64)
+    counts = np.zeros(signed.shape[1], dtype=np.float64)
     for _ in range(epochs):
         order = rng.permutation(len(dataset))
-        rows, want = X[order], y[order] == 1.0
-        pos = 0
+        rows, wrong_at = signed[order], limit[order]
+        pos, block, mistakes = 0, _SCAN_BLOCK, 0
         while pos < len(order):
-            wrong = (rows[pos:] @ counts > 0.0) != want[pos:]
+            wrong = rows[pos : pos + block] @ counts <= wrong_at[pos : pos + block]
             first = int(wrong.argmax())
             if not wrong[first]:
-                break
-            pos += first
-            if want[pos]:
-                counts += rows[pos]
-            else:
-                counts -= rows[pos]
-            pos += 1
-        if pos == 0:  # a mistake-free epoch
+                pos, block = pos + block, 2 * block
+                continue
+            counts += rows[pos + first]
+            pos, block, mistakes = pos + first + 1, _SCAN_BLOCK, mistakes + 1
+        if mistakes == 0:
             break
     return LinearModel(width, height, learning_rate * counts[:-1], learning_rate * counts[-1])
 

@@ -140,6 +140,23 @@ def test_train_linear_equals_the_per_example_loop(seed, rate, epochs):
     assert exact_bits(model.bias, b)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+def test_train_linear_equals_the_per_example_loop_on_larger_sets(noise):
+    # 800 examples: long clean stretches grow the scan's blocks well past
+    # their first size, and 30% flipped labels make most visits mistakes.
+    rng = np.random.default_rng(11)
+    rows = (rng.random((800, 64)) < 0.3).astype(np.uint8)
+    scores = rows @ rng.normal(size=64)
+    labels = (scores > np.median(scores)) ^ (rng.random(800) < noise)
+    dataset = [
+        (BinaryImage(8, 8, tuple(row.tolist())), int(label)) for row, label in zip(rows, labels)
+    ]
+    model = train_linear(dataset, 12, 1.0, rng_seed=5)
+    w, b = reference_train_linear(dataset, 12, 1.0, rng_seed=5)
+    assert exact_bits(model.weights, w)
+    assert exact_bits(model.bias, b)
+
+
 @PROPERTY_SETTINGS
 @given(SEEDS, st.integers(min_value=1, max_value=50))
 def test_rate_only_scales_the_weights(seed, epochs):
