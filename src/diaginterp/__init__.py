@@ -32,11 +32,8 @@ from .fixtures import Fixture, build_fixture, fixture_names
 from .imagespace import (
     BinaryImage,
     ImageSpaceSpec,
-    SpaceCardinality,
-    cardinality_full,
     enumerate_space,
     envelope_size_bound,
-    space_cardinality,
     space_matrix,
     spec_from_json,
     spec_to_json,
@@ -66,7 +63,6 @@ from .models import (
     num_levels,
     predict,
     rule_update,
-    top_label,
     train_linear,
     train_neural,
     training_accuracy,
@@ -95,7 +91,6 @@ __all__ = [
     "Report",
     "RuleLevel",
     "RuleModel",
-    "SpaceCardinality",
     "SpaceTooLargeError",
     "StepRecord",
     "UnreachableTargetError",
@@ -104,7 +99,6 @@ __all__ = [
     "binary_entropy",
     "brute_force_breakdown",
     "build_fixture",
-    "cardinality_full",
     "confidence_epsilon",
     "config_from_json",
     "config_to_json",
@@ -125,11 +119,9 @@ __all__ = [
     "rule_update",
     "run_complete_interpretation",
     "run_interpretation",
-    "space_cardinality",
     "space_matrix",
     "spec_from_json",
     "spec_to_json",
-    "top_label",
     "train_linear",
     "train_neural",
     "training_accuracy",

@@ -42,8 +42,6 @@ from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
     BinaryImage,
     ImageSpaceSpec,
-    SpaceCardinality,
-    cardinality_full,
     space_matrix,
     spec_from_json,
     spec_to_json,
@@ -166,7 +164,6 @@ class Report:
     objective_j: float
     termination: str
     raw_unclamped_final: float
-    seed: int
     config: EngineConfig
     epsilon: Confidence | None = None
     pass_disagreements: tuple[int, ...] | None = None
@@ -174,7 +171,7 @@ class Report:
 
     def to_json(self) -> dict:
         doc = {
-            "seed": self.seed,
+            "seed": self.config.rng_seed,
             "mode": self.config.mode,
             "termination": self.termination,
             "initial_entropy": self.initial_entropy.to_json(),
@@ -259,10 +256,7 @@ class _Run:
         final = self.steps[-1].i_t if self.steps else raw_final
         epsilon = None
         if config.mode == "epsilon":
-            epsilon = confidence_epsilon(
-                SpaceCardinality.from_int(self.matrix.shape[0]),
-                cardinality_full(config.space.width, config.space.height),
-            )
+            epsilon = confidence_epsilon(self.matrix.shape[0], config.space.num_pixels)
         return Report(
             initial_entropy=self.initial,
             steps=tuple(self.steps),
@@ -270,7 +264,6 @@ class _Run:
             objective_j=objective([s.i_t for s in self.steps], config.lam, len(self.steps)),
             termination=termination,
             raw_unclamped_final=float(raw_final),
-            seed=config.rng_seed,
             config=config,
             epsilon=epsilon,
             pass_disagreements=None if pass_counts is None else tuple(pass_counts),

@@ -163,68 +163,56 @@ def _build_fig2_diagonal() -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _square_placements(size: int) -> list[tuple[int, int]]:
-    half_width = GRID_8 // 2
-    return [
-        (row, col)
-        for row in range(GRID_8 - size + 1)
-        for col in range(half_width - size + 1)
-    ]
+def _squares(size: int) -> np.ndarray:
+    """Every filled ``size`` x ``size`` square in an 8x4 half, one (8, 4) uint8
+    grid per top-left corner, corners in row-major order."""
+    rows, cols = GRID_8 - size + 1, GRID_8 // 2 - size + 1
+    squares = np.zeros((rows, cols, GRID_8, GRID_8 // 2), dtype=np.uint8)
+    for row in range(rows):
+        for col in range(cols):
+            squares[row, col, row : row + size, col : col + size] = 1
+    return squares.reshape(-1, GRID_8, GRID_8 // 2)
 
 
-def _two_squares_image(
-    left_size: int, left_pos: tuple[int, int], right_size: int, right_pos: tuple[int, int]
-) -> BinaryImage:
-    half_width = GRID_8 // 2
-    bits = [0] * (GRID_8 * GRID_8)
-    for dr in range(left_size):
-        for dc in range(left_size):
-            bits[(left_pos[0] + dr) * GRID_8 + left_pos[1] + dc] = 1
-    for dr in range(right_size):
-        for dc in range(right_size):
-            bits[(right_pos[0] + dr) * GRID_8 + half_width + right_pos[1] + dc] = 1
-    return BinaryImage(GRID_8, GRID_8, tuple(bits))
-
-
-def two_squares_bases() -> tuple[list[BinaryImage], list[int]]:
-    """Every two-squares image with distinct square sizes, plus its label
-    (1 iff the left square is strictly larger)."""
-    images: list[BinaryImage] = []
-    labels: list[int] = []
+def two_squares_bases() -> tuple[np.ndarray, np.ndarray]:
+    """Every two-squares image with distinct square sizes, one uint8 row per
+    image, plus its uint8 label (1 iff the left square is strictly larger).
+    Ordered by left size, right size, left corner, right corner."""
+    half = GRID_8 // 2
+    images, labels = [], []
     for left_size in SQUARE_SIZES:
         for right_size in SQUARE_SIZES:
             if left_size == right_size:
                 continue
-            label = 1 if left_size > right_size else 0
-            for left_pos in _square_placements(left_size):
-                for right_pos in _square_placements(right_size):
-                    images.append(
-                        _two_squares_image(left_size, left_pos, right_size, right_pos)
-                    )
-                    labels.append(label)
-    return images, labels
+            lefts, rights = _squares(left_size), _squares(right_size)
+            block = np.empty((len(lefts), len(rights), GRID_8, GRID_8), dtype=np.uint8)
+            block[..., :half] = lefts[:, None]
+            block[..., half:] = rights[None, :]
+            images.append(block.reshape(-1, GRID_8 * GRID_8))
+            labels.append(np.full(len(images[-1]), left_size > right_size, dtype=np.uint8))
+    return np.concatenate(images), np.concatenate(labels)
 
 
 def two_squares_class_pools(
-    images: list[BinaryImage], labels: list[int]
+    images: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The envelope of the two_squares_bases ``images`` split by class, one
     uint8 matrix of image rows per class: each base and its one-pixel flips
     inherit the base's label, base by base, repeats dropped. The two classes
     never collide (their left halves alone differ by 8 pixels)."""
-    bases = np.array([img.bits for img in images], dtype=np.uint8)
     pixels = GRID_8 * GRID_8
     # Row 0 keeps the base; row i + 1 flips pixel i.
     flips = np.vstack([np.zeros(pixels, dtype=np.uint8), np.eye(pixels, dtype=np.uint8)])
     return tuple(
-        unique_rows((bases[np.equal(labels, label)][:, None, :] ^ flips).reshape(-1, pixels))
+        unique_rows((images[labels == label][:, None, :] ^ flips).reshape(-1, pixels))
         for label in (0, 1)
     )
 
 
 def _build_eval_squares(seed: int) -> Fixture:
     bases, labels = two_squares_bases()
-    space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", tuple(bases), flip_radius=1)
+    base_images = tuple(BinaryImage(GRID_8, GRID_8, tuple(row)) for row in bases.tolist())
+    space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", base_images, flip_radius=1)
 
     rng = np.random.default_rng([seed, 0])
     pool0, pool1 = two_squares_class_pools(bases, labels)

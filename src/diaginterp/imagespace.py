@@ -1,4 +1,4 @@
-"""Binary-image spaces: specification, enumeration, cardinality.
+"""Binary-image spaces: specification and enumeration.
 
 Every evaluation set in this package is either the full space of
 ``width x height`` binary images or a flip envelope: a set of base images
@@ -7,7 +7,8 @@ together with every image within a fixed Hamming radius of one of them.
 In memory a materialized set is a single read-only ``(n_images, n_pixels)``
 uint8 matrix, one row per image (space_matrix). Per-image BinaryImage objects
 are built from its rows only at the API edge (enumerate_space) and for the
-images a run actually queries.
+images a run actually queries. A set's size is a plain int, the matrix's row
+count; a full space's 2^pixels is never built as a number.
 
 space_matrix refuses, before allocating, a set whose materialization would
 peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows for a full space, or
@@ -42,10 +43,6 @@ from .errors import InvalidSpecError, SpaceTooLargeError
 # than this. A full 4x6 space needs 448 MiB and is refused; 4x5 needs 24 MiB.
 MATERIALIZE_BYTE_LIMIT = 256 << 20
 
-# exact_value is dropped from a SpaceCardinality past this many decimal
-# digits, Python's default limit for converting an int to a string.
-EXACT_DIGIT_BUDGET = 4_300
-
 # Maps each bit, as a byte, to its '0'/'1' character.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -71,7 +68,11 @@ class BinaryImage:
             raise InvalidSpecError(
                 f"expected {self.width * self.height} bits, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            bits_ok = set(self.bits) <= {0, 1}
+        except TypeError:  # an unhashable value is no bit either
+            bits_ok = False
+        if not bits_ok:
             raise InvalidSpecError("image bits must all be 0 or 1")
 
     @property
@@ -81,7 +82,7 @@ class BinaryImage:
     @classmethod
     def from_string(cls, width: int, height: int, text: str) -> "BinaryImage":
         """Build an image from a row-major '0'/'1' string."""
-        if any(c not in "01" for c in text):
+        if not set(text) <= {"0", "1"}:
             raise InvalidSpecError(f"bitstring may only contain 0/1, got {text!r}")
         return cls(width, height, tuple(int(c) for c in text))
 
@@ -95,14 +96,6 @@ class BinaryImage:
 
     def to_string(self) -> str:
         return bytes(self.bits).translate(_BIT_CHARS).decode("ascii")
-
-    def flip(self, index: int) -> "BinaryImage":
-        """Return a copy with one pixel inverted."""
-        if not 0 <= index < self.num_pixels:
-            raise InvalidSpecError(f"pixel index {index} out of range")
-        bits = list(self.bits)
-        bits[index] ^= 1
-        return BinaryImage(self.width, self.height, tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -145,46 +138,6 @@ class ImageSpaceSpec:
     @property
     def num_pixels(self) -> int:
         return self.width * self.height
-
-
-@dataclass(frozen=True)
-class SpaceCardinality:
-    """Set size carried in log2 form, with the exact integer when it is small
-    enough to keep around.
-
-    The log2 form is what downstream confidence ratios are computed from, so
-    spaces like 2^256 never have to pass through a float division.
-    """
-
-    log2_value: float
-    exact_value: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.exact_value is not None:
-            if self.exact_value < 0:
-                raise InvalidSpecError("cardinality cannot be negative")
-            exact_log2 = math.log2(self.exact_value) if self.exact_value else -math.inf
-            if abs(exact_log2 - self.log2_value) > 1e-9:
-                raise InvalidSpecError(
-                    f"log2_value {self.log2_value} disagrees with exact value "
-                    f"(log2 = {exact_log2})"
-                )
-
-    @classmethod
-    def from_int(cls, value: int) -> "SpaceCardinality":
-        if value <= 0:
-            raise InvalidSpecError(f"cardinality must be positive, got {value}")
-        # at least the decimal digit count, and at most one more
-        digits = int(value.bit_length() * 0.30103) + 1
-        exact = value if digits <= EXACT_DIGIT_BUDGET else None
-        return cls(log2_value=math.log2(value), exact_value=exact)
-
-
-def cardinality_full(width: int, height: int) -> SpaceCardinality:
-    """Cardinality of the full space of width x height binary images."""
-    if width < 1 or height < 1:
-        raise InvalidSpecError(f"dimensions must be positive, got {width}x{height}")
-    return SpaceCardinality.from_int(1 << (width * height))
 
 
 def envelope_size_bound(spec: ImageSpaceSpec) -> int:
@@ -281,13 +234,6 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     first = np.unique(keys, return_index=True)[1]
     first.sort()
     return rows[first]
-
-
-def space_cardinality(spec: ImageSpaceSpec) -> SpaceCardinality:
-    """Exact cardinality of the set described by ``spec``."""
-    if spec.mode == "full":
-        return cardinality_full(spec.width, spec.height)
-    return SpaceCardinality.from_int(space_matrix(spec).shape[0])
 
 
 def spec_to_json(spec: ImageSpaceSpec) -> dict:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbstractionMismatchError, DomainError, InvalidConfigError
-from .imagespace import ImageSpaceSpec, SpaceCardinality, space_matrix
-from .models import Model, level_label_matrix, model_grid, num_levels
+from .imagespace import ImageSpaceSpec, space_matrix
+from .models import Model, level_label_matrix, num_levels
 
 
 def binary_entropy(f: float) -> float:
@@ -86,7 +86,7 @@ def check_comparable(
     """Raise unless both models label ``width x height`` images and, unless
     ``top_only``, have the same number of levels."""
     for name, model in (("model_a", model_a), ("model_b", model_b)):
-        if model_grid(model) != (width, height):
+        if (model.width, model.height) != (width, height):
             raise InvalidConfigError(
                 f"{name} expects grid {model.width}x{model.height}, "
                 f"space is {width}x{height}"
@@ -161,12 +161,6 @@ class Confidence:
     log2_epsilon: float
     display: str
 
-    @property
-    def value(self) -> float:
-        """The ratio as a float; underflows to 0.0 below ~1e-308 (the log2
-        field and display never do)."""
-        return 2.0 ** self.log2_epsilon
-
 
 def _scientific_from_log2(log2_value: float) -> str:
     log10_value = log2_value * math.log10(2.0)
@@ -178,18 +172,14 @@ def _scientific_from_log2(log2_value: float) -> str:
     return f"{mantissa:.3f}e{exponent:+03d}"
 
 
-def confidence_epsilon(
-    sample_card: SpaceCardinality, full_card: SpaceCardinality
-) -> Confidence:
-    """Confidence ratio |S| / |full space|, computed in log2 form."""
-    if sample_card.exact_value == 0:
-        raise DomainError("sample cardinality must be positive")
-    if sample_card.log2_value > full_card.log2_value + 1e-12:
+def confidence_epsilon(sample_size: int, pixels: int) -> Confidence:
+    """Confidence ratio |S| / 2^pixels of a sample of ``sample_size`` images
+    from the space of ``pixels``-pixel images, computed in log2 form."""
+    if not 1 <= sample_size <= 2**pixels:
         raise DomainError(
-            f"sample cardinality (log2 {sample_card.log2_value}) exceeds the "
-            f"full space (log2 {full_card.log2_value})"
+            f"sample size {sample_size} outside [1, 2^{pixels}], the {pixels}-pixel space"
         )
-    log2_eps = min(sample_card.log2_value - full_card.log2_value, 0.0)
+    log2_eps = min(math.log2(sample_size) - pixels, 0.0)
     return Confidence(log2_epsilon=log2_eps, display=_scientific_from_log2(log2_eps))
 
 

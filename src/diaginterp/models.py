@@ -149,10 +149,6 @@ class NeuralModel:
 Model = RuleModel | LinearModel | NeuralModel
 
 
-def model_grid(model: Model) -> tuple[int, int]:
-    return (model.width, model.height)
-
-
 def num_levels(model: Model) -> int:
     """Number of abstraction levels K."""
     if isinstance(model, RuleModel):
@@ -231,11 +227,6 @@ def predict(model: Model, image: BinaryImage) -> PredictionVector:
     _check_image(model, image)
     row = np.array([image.bits], dtype=np.uint8)
     return tuple(level_label_matrix(model, row)[:, 0].tolist())
-
-
-def top_label(model: Model, image: BinaryImage) -> int:
-    """The diagnosis label: the last entry of predict()."""
-    return predict(model, image)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +510,7 @@ def train_neural(
 
 
 def training_accuracy(model: Model, dataset: Dataset) -> float:
-    X = np.array([img.bits for img, _ in dataset], dtype=np.uint8)
-    y = np.array([label for _, label in dataset], dtype=np.uint8)
+    X, y, _, _ = _dataset_arrays(dataset)
     return float(np.mean(level_label_matrix(model, X)[-1] == y))
 
 

@@ -11,7 +11,7 @@ import pytest
 from diaginterp.cli import main
 from diaginterp.engine import run_complete_interpretation, run_interpretation
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import SpaceCardinality, cardinality_full, ImageSpaceSpec, BinaryImage
+from diaginterp.imagespace import ImageSpaceSpec, BinaryImage
 from diaginterp.metrics import binary_entropy, confidence_epsilon, disagreement_breakdown
 from diaginterp.models import RuleLevel, RuleModel, bce_gradients, bce_loss, init_neural
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -63,8 +63,8 @@ def test_criterion_2_complete_interpretation_over_full_4x4():
 
 
 def test_criterion_3_confidence_arithmetic():
-    eps = confidence_epsilon(SpaceCardinality.from_int(4068), cardinality_full(16, 16))
-    assert abs(eps.value - 3.51e-74) / 3.51e-74 < 0.01
+    eps = confidence_epsilon(4068, 16 * 16)
+    assert abs(2.0**eps.log2_epsilon - 3.51e-74) / 3.51e-74 < 0.01
     _passed(3, f"4068 / 2^256 = {eps.display} (within 1% of 3.51e-74)")
 
 

@@ -23,7 +23,6 @@ from diaginterp.models import (
     RuleLevel,
     RuleModel,
     predict,
-    top_label,
 )
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 
@@ -133,7 +132,7 @@ class TestRunInterpretation:
         config = fx.engine_config(rng_seed=0)
         report = run_interpretation(replace(config, mode="epsilon"))
         assert report.epsilon is not None
-        assert report.epsilon.value == pytest.approx(34 / 65536)
+        assert 2.0**report.epsilon.log2_epsilon == pytest.approx(34 / 65536)
 
     def test_epsilon_mode_over_full_space_matches_diagnostic(self):
         space = ImageSpaceSpec(3, 3, "full")
@@ -148,7 +147,7 @@ class TestRunInterpretation:
         )
         diag = run_interpretation(EngineConfig(mode="diagnostic", **kwargs))
         eps = run_interpretation(EngineConfig(mode="epsilon", **kwargs))
-        assert eps.epsilon.value == 1.0
+        assert eps.epsilon.log2_epsilon == 0.0
         assert eps.final_interpretability == diag.final_interpretability
         assert [s.to_json() for s in eps.steps] == [s.to_json() for s in diag.steps]
         assert eps.termination == diag.termination
@@ -173,8 +172,8 @@ class TestRunInterpretation:
         assert report.final_interpretability == 1.0
         # the lower level was never the target of an update
         assert report.final_model.levels[0] == model_a.levels[0]
-        assert top_label(report.final_model, BinaryImage.from_string(2, 2, "0100")) == 1
-        assert top_label(report.final_model, BinaryImage.from_string(2, 2, "1011")) == 0
+        assert predict(report.final_model, BinaryImage.from_string(2, 2, "0100"))[-1] == 1
+        assert predict(report.final_model, BinaryImage.from_string(2, 2, "1011"))[-1] == 0
 
     def test_objective_recomputable_from_trajectory(self):
         fx = build_fixture("fig2-diagonal")
@@ -229,12 +228,12 @@ class TestRunInterpretation:
     def test_retraining_loop_on_squares(self):
         import math
 
-        from diaginterp.imagespace import space_cardinality
+        from diaginterp.imagespace import space_matrix
 
         fx = build_fixture("eval-squares", seed=0)
         report = run_interpretation(fx.engine_config(rng_seed=0))
         assert report.final_interpretability >= 0.99
-        envelope_size = space_cardinality(fx.space).exact_value
+        envelope_size = space_matrix(fx.space).shape[0]
         assert report.epsilon.log2_epsilon == pytest.approx(
             math.log2(envelope_size) - 64, abs=1e-9
         )

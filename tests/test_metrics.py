@@ -5,11 +5,7 @@ import pytest
 
 from diaginterp.errors import AbstractionMismatchError, DomainError
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import (
-    ImageSpaceSpec,
-    SpaceCardinality,
-    cardinality_full,
-)
+from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.metrics import (
     binary_entropy,
     confidence_epsilon,
@@ -138,38 +134,37 @@ class TestInterpretability:
 
 class TestConfidenceEpsilon:
     def test_reference_ratio(self):
-        eps = confidence_epsilon(
-            SpaceCardinality.from_int(4068), cardinality_full(16, 16)
-        )
-        assert abs(eps.value - 3.51e-74) / 3.51e-74 < 0.01
+        eps = confidence_epsilon(4068, 16 * 16)
+        assert abs(2.0**eps.log2_epsilon - 3.51e-74) / 3.51e-74 < 0.01
         assert eps.display == "3.513e-74"
         assert eps.log2_epsilon == pytest.approx(math.log2(4068) - 256, abs=1e-9)
 
     def test_full_coverage_is_one(self):
-        card = cardinality_full(4, 4)
-        eps = confidence_epsilon(card, card)
-        assert eps.value == 1.0
-        assert eps.log2_epsilon == 0.0
+        for pixels in (16, 64):
+            eps = confidence_epsilon(2**pixels, pixels)
+            assert eps.log2_epsilon == 0.0
+            assert eps.display == "1.000e+00"
 
     def test_34_of_2_16(self):
-        eps = confidence_epsilon(SpaceCardinality.from_int(34), cardinality_full(4, 4))
-        assert eps.value == pytest.approx(5.188e-4, rel=1e-3)
+        eps = confidence_epsilon(34, 16)
+        assert 2.0**eps.log2_epsilon == pytest.approx(5.188e-4, rel=1e-3)
 
     def test_oversized_sample_rejected(self):
-        with pytest.raises(DomainError):
-            confidence_epsilon(cardinality_full(4, 4), SpaceCardinality.from_int(34))
+        # 2^64 + 1 has the float log2 of 2^64; only an exact comparison rejects it
+        for sample_size, pixels in ((0, 16), (-1, 16), (2**16 + 1, 16), (2**64 + 1, 64)):
+            with pytest.raises(DomainError):
+                confidence_epsilon(sample_size, pixels)
 
     def test_monotone_in_sample_size(self):
-        full = cardinality_full(4, 4)
         values = [
-            confidence_epsilon(SpaceCardinality.from_int(n), full).log2_epsilon
+            confidence_epsilon(n, 16).log2_epsilon
             for n in (1, 10, 100, 1000, 65536)
         ]
         assert values == sorted(values)
 
     def test_huge_spaces_stay_finite_in_log_form(self):
-        eps = confidence_epsilon(SpaceCardinality.from_int(34), cardinality_full(64, 64))
-        assert eps.value == 0.0  # float underflow is expected here
+        eps = confidence_epsilon(34, 64 * 64)
+        assert 2.0**eps.log2_epsilon == 0.0  # the ratio itself underflows
         assert math.isfinite(eps.log2_epsilon)
         assert eps.display.endswith("e-1232")
 

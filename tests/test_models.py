@@ -22,9 +22,9 @@ from diaginterp.models import (
     num_levels,
     predict,
     rule_update,
-    top_label,
     train_linear,
     train_neural,
+    training_accuracy,
 )
 
 MAIN_DIAGONAL = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
@@ -73,17 +73,6 @@ class TestPredict:
 
 
 class TestTopLabel:
-    def test_equals_last_level_of_predict(self):
-        model = RuleModel(
-            3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4], zeros=[8]))
-        )
-        for img in enumerate_space(ImageSpaceSpec(3, 3, "full")):
-            assert top_label(model, img) == predict(model, img)[-1]
-
-    def test_k1_model(self):
-        model = diagonal_rule()
-        assert top_label(model, MAIN_DIAGONAL) == predict(model, MAIN_DIAGONAL)[0]
-
     def test_two_level_model_against_direct_recount(self):
         # independent recount of the last level over the full 3x3 space
         model = RuleModel(
@@ -91,7 +80,7 @@ class TestTopLabel:
         )
         for img in enumerate_space(ImageSpaceSpec(3, 3, "full")):
             expected = 1 if (img.bits[4] == 1 and img.bits[8] == 0) else 0
-            assert top_label(model, img) == expected
+            assert predict(model, img)[-1] == expected
 
 
 class TestRuleModelProperties:
@@ -123,13 +112,13 @@ class TestRuleUpdate:
         # A requires pixel 5; the queried image lacks it; the only minimal
         # edit is removing that constraint
         model = RuleModel(4, 4, (RuleLevel.of(ones=[0, 5]),))
-        image = MAIN_DIAGONAL.flip(5)
+        image = BinaryImage.from_pixels(4, 4, [0, 10, 15])  # the diagonal less pixel 5
         updated = update_toward(model, image, (1,), self.space, self.model_b)
         assert updated.levels[0] == RuleLevel.of(ones=[0])
         assert predict(updated, image) == (1,)
 
     def test_blocking_addition_matches_brute_force_argmin(self):
-        image = MAIN_DIAGONAL.flip(5)  # A says 1, B says 0
+        image = BinaryImage.from_pixels(4, 4, [0, 10, 15])  # A says 1, B says 0
         updated = update_toward(self.model_a, image, (0,), self.space, self.model_b)
 
         # independent argmin: try every legal single addition, count
@@ -222,7 +211,7 @@ class TestTrainLinear:
     def test_single_example_learned(self):
         dataset = [(BinaryImage.from_string(2, 2, "1010"), 1)]
         model = train_linear(dataset, epochs=5, learning_rate=1.0, rng_seed=0)
-        assert top_label(model, dataset[0][0]) == 1
+        assert predict(model, dataset[0][0])[-1] == 1
 
     def test_separable_data_reaches_full_accuracy(self):
         from diaginterp.fixtures import build_fixture
@@ -253,7 +242,7 @@ class TestTrainLinear:
         for factor in (0.5, 2.0, 10.0):
             scaled = LinearModel(2, 2, model.weights * factor, model.bias * factor)
             for img in space:
-                assert top_label(scaled, img) == top_label(model, img)
+                assert predict(scaled, img) == predict(model, img)
 
 
 class TestLinearUpdate:
@@ -368,6 +357,25 @@ def _perturbed(model: NeuralModel, layer_index: int, weight_index, delta: float)
             weights[weight_index] += delta
         layers.append(type(layer)(weights, layer.bias.copy(), layer.activation))
     return NeuralModel(model.width, model.height, tuple(layers))
+
+
+class TestTrainingAccuracy:
+    def test_share_of_matching_diagnosis_labels(self):
+        model = RuleModel(2, 1, (RuleLevel.of(ones=[0]),))
+        dataset = [
+            (BinaryImage.from_string(2, 1, "10"), 1),
+            (BinaryImage.from_string(2, 1, "11"), 1),
+            (BinaryImage.from_string(2, 1, "01"), 1),
+            (BinaryImage.from_string(2, 1, "00"), 0),
+        ]
+        assert training_accuracy(model, dataset) == 0.75
+
+    def test_rejects_what_training_rejects(self):
+        model = RuleModel(2, 1, (RuleLevel.of(ones=[0]),))
+        image = BinaryImage.from_string(2, 1, "10")
+        for dataset in ([], [(image, 2)], [(image, 1), (BinaryImage.from_string(1, 2, "10"), 0)]):
+            with pytest.raises(InvalidConfigError):
+                training_accuracy(model, dataset)
 
 
 class TestSerialization:
