@@ -8,7 +8,8 @@ disagreement rate f; the remaining uncertainty about the second model's
 answers is the binary entropy h(f).
 """
 
-from diaginterp import binary_entropy, build_fixture, disagreement_breakdown
+from diaginterp.fixtures import build_fixture
+from diaginterp.metrics import binary_entropy, disagreement_breakdown
 
 # h(f) is 0 when the models always (or never) agree and peaks at f = 1/2.
 for f in (0.0, 0.05, 4 / 34, 0.25, 0.5, 0.75, 1.0):

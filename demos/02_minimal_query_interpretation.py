@@ -11,7 +11,8 @@ The diagonal toy pair needs at most four queries to emulate its target
 exactly.
 """
 
-from diaginterp import build_fixture, run_interpretation
+from diaginterp.engine import run_interpretation
+from diaginterp.fixtures import build_fixture
 
 fx = build_fixture("fig2-diagonal")
 report = run_interpretation(fx.engine_config(rng_seed=7))

@@ -9,13 +9,10 @@ point whose residual entropy caps the achievable interpretability strictly
 below 1. The brute-force oracle confirms both numbers independently.
 """
 
-from diaginterp import (
-    brute_force_breakdown,
-    build_fixture,
-    exhaustive_fixed_point,
-    run_complete_interpretation,
-)
+from diaginterp.engine import run_complete_interpretation
+from diaginterp.fixtures import build_fixture
 from diaginterp.metrics import raw_interpretability
+from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 
 for name in ("fig1b", "fig1c"):
     fx = build_fixture(name)

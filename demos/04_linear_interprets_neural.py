@@ -10,7 +10,8 @@ carries a confidence factor: the evaluated envelope is a vanishing sliver of
 all 2^64 possible images.
 """
 
-from diaginterp import build_fixture, run_interpretation
+from diaginterp.engine import run_interpretation
+from diaginterp.fixtures import build_fixture
 
 fx = build_fixture("eval-squares", seed=0)
 print(f"evaluation envelope: {len(fx.space.base_images)} base images "

@@ -15,9 +15,10 @@ update edits the diagnosis level only.
 
 The initial disagreement entropy stays fixed as the denominator of every
 per-step interpretability value. Runs terminate when the entropy hits zero,
-the trajectory stalls, or the query budget runs out; ``no_disagreement``
-means the models agree on every image. Reports capture the whole trajectory
-and are deterministic functions of the configuration, seed included.
+the trajectory stalls or cycles, or the query budget runs out;
+``no_disagreement`` means the models agree on every image. Reports capture
+the whole trajectory and are deterministic functions of the configuration,
+seed included.
 
 Two entry points share that setup, the step record and the report; each has
 its own query selection and termination rules:
@@ -26,8 +27,9 @@ its own query selection and termination rules:
   query region (diagnostic or single-level epsilon mode, rule-edit or
   retraining updater);
 * run_complete_interpretation -- exhaustive, unbudgeted querying of a full
-  space in enumeration order with the rule updater, stopping at zero entropy
-  or at a fixed point where a whole pass leaves the entropy unchanged.
+  space in enumeration order with the rule updater, stopping at zero entropy,
+  at a fixed point where a whole pass leaves the entropy unchanged, or at a
+  cycle, when a pass ends on a model an earlier pass started or ended with.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ RETRAIN_UPDATER = "retrain_with_queries"
 TERM_ENTROPY_ZERO = "entropy_zero"
 TERM_NO_DISAGREEMENT = "no_disagreement"
 TERM_STALLED = "stalled"
+TERM_CYCLE = "cycle"
 TERM_BUDGET = "budget_exhausted"
 
 
@@ -313,8 +316,11 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     """Exhaustive interpretation of a full space in enumeration order.
 
     The query budget is ignored: every image in the query region is visited,
-    pass after pass, until none remain or a full pass leaves the total
-    entropy unchanged (a fixed point of the updater).
+    pass after pass, until none remain (``entropy_zero``), a full pass leaves
+    the total entropy unchanged (``stalled``, a fixed point of the updater),
+    or a pass ends on a model that started or ended an earlier pass
+    (``cycle``). The updater is deterministic and a grid has finitely many
+    rule models, so one of the three always happens.
     """
     if config.space.mode != "full":
         raise InvalidConfigError("complete interpretation runs over a full space")
@@ -331,7 +337,9 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
         return run.report(run.zero_entropy_termination(), pass_counts)
 
     entropy_before_pass = run.initial.total
-    for _ in range(1000):
+    # The model at the start and at the end of each pass so far.
+    seen = {run.model}
+    while True:
         pass_counts.append(int(run.region.size))
         position = 0
         while True:
@@ -346,8 +354,10 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
         entropy_now = run.steps[-1].entropy_after.total
         if entropy_now == entropy_before_pass:
             return run.report(TERM_STALLED, pass_counts)
+        if run.model in seen:
+            return run.report(TERM_CYCLE, pass_counts)
+        seen.add(run.model)
         entropy_before_pass = entropy_now
-    raise InvalidConfigError("complete interpretation failed to settle within 1000 passes")
 
 
 # The run-spec key of each EngineConfig setting, in echo order.

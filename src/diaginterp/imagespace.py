@@ -68,9 +68,11 @@ class BinaryImage:
             raise InvalidSpecError(
                 f"expected {self.width * self.height} bits, got {len(self.bits)}"
             )
+        # to_string's own conversion, so every image that builds can be
+        # written out; it refuses non-integers such as 1.0 and ints past a byte.
         try:
-            bits_ok = set(self.bits) <= {0, 1}
-        except TypeError:  # an unhashable value is no bit either
+            bits_ok = max(bytes(self.bits)) <= 1
+        except (TypeError, ValueError):
             bits_ok = False
         if not bits_ok:
             raise InvalidSpecError("image bits must all be 0 or 1")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,33 +99,20 @@ class LinearModel:
         weights.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class NeuralLayer:
+class NeuralLayer(NamedTuple):
+    """One dense layer, unchecked; NeuralModel validates its layers."""
+
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray  # (fan_out,)
     activation: str  # "relu" | "sigmoid"
-
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=np.float64)
-        bias = np.array(self.bias, dtype=np.float64)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
-        if weights.ndim != 2 or bias.shape != (weights.shape[1],):
-            raise InvalidSpecError(
-                f"layer shapes do not chain: weights {weights.shape}, bias {bias.shape}"
-            )
-        if self.activation not in ("relu", "sigmoid"):
-            raise InvalidSpecError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise InvalidSpecError("neural parameters must be finite")
-        weights.setflags(write=False)
-        bias.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class NeuralModel:
     """Feedforward net ending in a single sigmoid unit; label 1 iff the
-    output probability exceeds 0.5 (exactly 0.5 maps to 0)."""
+    output probability exceeds 0.5 (exactly 0.5 maps to 0).
+
+    Its layers are stored as read-only float64 copies of the given arrays."""
 
     width: int
     height: int
@@ -134,13 +121,28 @@ class NeuralModel:
     def __post_init__(self) -> None:
         if not self.layers:
             raise InvalidSpecError("a neural model needs at least one layer")
+        layers = []
         fan_in = self.width * self.height
-        for layer in self.layers:
-            if layer.weights.shape[0] != fan_in:
+        for weights, bias, activation in self.layers:
+            weights = np.array(weights, dtype=np.float64)
+            bias = np.array(bias, dtype=np.float64)
+            if weights.ndim != 2 or bias.shape != (weights.shape[1],):
                 raise InvalidSpecError(
-                    f"layer expects fan-in {layer.weights.shape[0]}, previous gives {fan_in}"
+                    f"layer shapes do not chain: weights {weights.shape}, bias {bias.shape}"
                 )
-            fan_in = layer.weights.shape[1]
+            if weights.shape[0] != fan_in:
+                raise InvalidSpecError(
+                    f"layer expects fan-in {weights.shape[0]}, previous gives {fan_in}"
+                )
+            if activation not in ("relu", "sigmoid"):
+                raise InvalidSpecError(f"unknown activation {activation!r}")
+            if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+                raise InvalidSpecError("neural parameters must be finite")
+            weights.setflags(write=False)
+            bias.setflags(write=False)
+            layers.append(NeuralLayer(weights, bias, activation))
+            fan_in = weights.shape[1]
+        object.__setattr__(self, "layers", tuple(layers))
         last = self.layers[-1]
         if last.weights.shape[1] != 1 or last.activation != "sigmoid":
             raise InvalidSpecError("final layer must be a single sigmoid unit")
@@ -174,11 +176,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(layers, X: np.ndarray) -> list[np.ndarray]:
+def _forward(layers: Sequence[NeuralLayer], X: np.ndarray) -> list[np.ndarray]:
     """The net's forward pass over a (n, fan_in) batch: every layer's
-    activation, the batch itself first. ``layers`` are (weights, bias,
-    activation) triples. A relu layer overwrites its pre-activation, so the
-    pass holds one (n, fan_out) array fewer."""
+    activation, the batch itself first. A relu layer overwrites its
+    pre-activation, so the pass holds one (n, fan_out) array fewer."""
     activations = [X]
     for weights, bias, activation in layers:
         z = activations[-1] @ weights
@@ -187,13 +188,9 @@ def _forward(layers, X: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def _layer_arrays(model: NeuralModel) -> list:
-    return [(layer.weights, layer.bias, layer.activation) for layer in model.layers]
-
-
 def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
     """Output probabilities for a (n, pixels) batch."""
-    return _forward(_layer_arrays(model), np.asarray(inputs, dtype=np.float64))[-1][:, 0]
+    return _forward(model.layers, np.asarray(inputs, dtype=np.float64))[-1][:, 0]
 
 
 def _rule_level_labels(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
@@ -461,10 +458,10 @@ def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
 
 def bce_gradients(model: NeuralModel, X: np.ndarray, y: np.ndarray):
     """Backpropagated gradients of bce_loss; one (dW, db) pair per layer."""
-    return _bce_gradients(_layer_arrays(model), X, y)
+    return _bce_gradients(model.layers, X, y)
 
 
-def _bce_gradients(layers, X: np.ndarray, y: np.ndarray):
+def _bce_gradients(layers: Sequence[NeuralLayer], X: np.ndarray, y: np.ndarray):
     n = X.shape[0]
     activations = _forward(layers, X)
     # Sigmoid + cross-entropy collapse to (p - y)/n at the output.
@@ -473,12 +470,12 @@ def _bce_gradients(layers, X: np.ndarray, y: np.ndarray):
     for k in range(len(layers) - 1, -1, -1):
         grads.append((activations[k].T @ delta, delta.sum(axis=0)))
         if k > 0:
-            delta = delta @ layers[k][0].T
+            delta = delta @ layers[k].weights.T
             # Both derivatives read off the activation: a relu unit's
             # activation is positive iff its pre-activation is, and a sigmoid
             # unit's activation is s in s * (1 - s).
             a = activations[k]
-            if layers[k - 1][2] == "relu":
+            if layers[k - 1].activation == "relu":
                 delta = delta * (a > 0.0)
             else:
                 delta = delta * a * (1.0 - a)
@@ -495,18 +492,18 @@ def train_neural(
     hidden_activation: str = "relu",
 ) -> NeuralModel:
     """Full-batch gradient descent on binary cross-entropy. The epochs step
-    raw (weights, bias) arrays; the layers are validated once, at the end."""
+    unchecked NeuralLayers; the net is validated once, at the end."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     X, y, width, height = _dataset_arrays(dataset)
-    layers = _layer_arrays(init_neural(architecture, width, height, rng_seed, hidden_activation))
+    layers = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
     for _ in range(epochs):
         grads = _bce_gradients(layers, X, y)
         layers = [
-            (weights - learning_rate * dw, bias - learning_rate * db, activation)
+            NeuralLayer(weights - learning_rate * dw, bias - learning_rate * db, activation)
             for (weights, bias, activation), (dw, db) in zip(layers, grads)
         ]
-    return NeuralModel(width, height, tuple(NeuralLayer(*layer) for layer in layers))
+    return NeuralModel(width, height, tuple(layers))
 
 
 def training_accuracy(model: Model, dataset: Dataset) -> float:
@@ -573,12 +570,7 @@ def model_from_json(doc: dict) -> Model:
             return LinearModel(width, height, weights, doc["bias"])
         if kind == "neural":
             layers = tuple(
-                NeuralLayer(
-                    np.array(lv["weights"], dtype=np.float64),
-                    np.array(lv["bias"], dtype=np.float64),
-                    lv["activation"],
-                )
-                for lv in doc["layers"]
+                NeuralLayer(lv["weights"], lv["bias"], lv["activation"]) for lv in doc["layers"]
             )
             return NeuralModel(width, height, layers)
     except KeyError as missing:

@@ -175,7 +175,8 @@ def exhaustive_fixed_point(
     model_a: RuleModel, model_b: Model, spec: ImageSpaceSpec
 ) -> tuple[RuleModel, OracleResult]:
     """Drive the minimal-edit updater over enumeration-ordered disagreements
-    until a full pass leaves the total entropy unchanged; return the resulting
+    until a full pass leaves the total entropy unchanged or ends on a model
+    that started or ended an earlier pass (a cycle); return the resulting
     model and its brute-force breakdown.
 
     This is the reference answer for the engine's complete-interpretation run.
@@ -196,7 +197,9 @@ def exhaustive_fixed_point(
         # nothing left to interpret: the start is the fixed point
         return current, result
     entropy_before = result.total_entropy
-    for _ in range(1000):
+    # The model at the start and at the end of each pass so far.
+    seen = {current}
+    while True:
         changed = False
         for bits in _iterate_space(spec):
             la = _scalar_levels(current, bits)
@@ -206,7 +209,7 @@ def exhaustive_fixed_point(
                 current = rule_update(current, image, lb, matrix, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
-        if not changed or result.total_entropy == entropy_before:
+        if not changed or result.total_entropy == entropy_before or current in seen:
             return current, result
+        seen.add(current)
         entropy_before = result.total_entropy
-    raise InvalidConfigError("exhaustive interpretation failed to settle within 1000 passes")

@@ -2,6 +2,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
@@ -25,3 +27,15 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     if _hypothesis_home is not None:
         _hypothesis_home.cleanup()
+
+
+@pytest.fixture(scope="session")
+def fig1c_fixed_point():
+    """fig1c's fixture and the oracle's fixed point from its start model, as
+    (fixture, fixed model, OracleResult). The fixed point takes seconds, so
+    it is computed once per test run."""
+    from diaginterp.fixtures import build_fixture
+    from diaginterp.oracle import exhaustive_fixed_point
+
+    fx = build_fixture("fig1c")
+    return (fx, *exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space))

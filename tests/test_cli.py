@@ -9,7 +9,7 @@ from diaginterp.cli import main
 from diaginterp.engine import config_to_json
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import spec_to_json, ImageSpaceSpec
-from diaginterp.models import LinearModel, model_to_json
+from diaginterp.models import LinearModel, init_neural, model_to_json
 
 
 def read_json(path):
@@ -208,6 +208,18 @@ class TestOracle:
         assert main(["oracle", "--models", str(models_path), "--space", str(space_path),
                      "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "oracle.json").exists()
+
+    def test_malformed_neural_model_exits_2(self, tmp_path, capsys):
+        net = model_to_json(init_neural([4, 3, 1], 2, 2, rng_seed=0))
+        net["layers"][0]["activation"] = "tanh"
+        models_path = tmp_path / "models.json"
+        models_path.write_text(json.dumps({"model_a": net, "model_b": net}))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(spec_to_json(ImageSpaceSpec(2, 2, "full"))))
+        assert main(["oracle", "--models", str(models_path), "--space", str(space_path),
+                     "--out", str(tmp_path)]) == 2
+        assert "error: unknown activation 'tanh'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.json").exists()
 
 

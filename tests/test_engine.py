@@ -22,6 +22,7 @@ from diaginterp.models import (
     NeuralModel,
     RuleLevel,
     RuleModel,
+    model_from_json,
     predict,
 )
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -291,14 +292,41 @@ class TestRunCompleteInterpretation:
         assert report.final_interpretability == 1.0
         assert report.steps[-1].entropy_after.total == 0.0
 
-    def test_inexpressible_pair_matches_oracle_fixed_point(self):
-        fx = build_fixture("fig1c")
+    def test_inexpressible_pair_matches_oracle_fixed_point(self, fig1c_fixed_point):
+        fx, _, fixed = fig1c_fixed_point
         report = run_complete_interpretation(fx.engine_config(rng_seed=0))
         h0 = brute_force_breakdown(fx.model_a, fx.model_b, fx.space).total_entropy
-        _, fixed = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
         expected = (h0 - fixed.total_entropy) / h0
+        # its last pass also ends on the model the pass before ended on, so
+        # the stall test must come before the cycle test
+        assert report.termination == "stalled"
         assert 0.0 < report.final_interpretability < 1.0
         assert report.final_interpretability == pytest.approx(expected, abs=1e-9)
+
+    def test_two_model_cycle_ends_the_run(self):
+        # A conjunction chasing a ReLU net on a 3x2 grid: the pass ends
+        # alternate between two models (12 and 8 disagreements), with no two
+        # consecutive passes at equal entropy, so the run is never stalled.
+        net = model_from_json({"kind": "neural", "width": 3, "height": 2, "layers": [
+            {"weights": [[0.7510446959543601, -0.6842229767191204],
+                         [0.4987703032705417, -2.457403263706133],
+                         [-0.8952416100336763, 1.173820117444949],
+                         [-1.2737878476970828, 1.0068279312203865],
+                         [0.21998962123574756, 1.3902406625057002],
+                         [0.8790618796169933, -2.4941210393852193]],
+             "bias": [0.6170948537951628, 0.3144494087693049], "activation": "relu"},
+            {"weights": [[-0.6015300711866511], [-0.7615846398802838]],
+             "bias": [0.28424159107064145], "activation": "sigmoid"},
+        ]})
+        start = rule(ones=[1, 4, 5], grid=(3, 2))
+        space = ImageSpaceSpec(3, 2, "full")
+        report = run_complete_interpretation(EngineConfig(space=space, model_a=start, model_b=net))
+        assert report.termination == "cycle"
+        assert report.pass_disagreements == (16, 12, 8)
+        assert report.steps[-1].entropy_after.disagreement_counts == (12,)
+        fixed, result = exhaustive_fixed_point(start, net, space)
+        assert fixed == report.final_model == rule(ones=[3], zeros=[0], grid=(3, 2))
+        assert result.disagreement_counts == (12,)
 
     def test_identical_models_trivial(self):
         model = rule(ones=[3])

@@ -46,9 +46,14 @@ class TestBinaryImage:
         assert BinaryImage.from_string(2, 2, img.to_string()) == img
 
     def test_rejects_non_bits(self):
-        for bits in ((0, 2), (0, 0.5), (0, None), (0, [1]), (0, {1: 1})):
+        for bits in ((0, 2), (0, -1), (0, 256), (0, 0.5), (1.0, 0), (np.float64(1.0), 0),
+                     (0, None), (0, [1]), (0, {1: 1})):
             with pytest.raises(InvalidSpecError):
                 BinaryImage(1, 2, bits)
+
+    def test_integer_bits_write_out(self):
+        for bits in ((1, 0), (True, False), (np.int64(1), np.uint8(0))):
+            assert BinaryImage(1, 2, bits).to_string() == "10"
 
     def test_from_string_rejects_non_bits(self):
         for text in ("02", "0 ", "1a"):

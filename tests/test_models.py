@@ -378,6 +378,36 @@ class TestTrainingAccuracy:
                 training_accuracy(model, dataset)
 
 
+def malformed_neural_doc(defect):
+    """A 2x2 net's JSON document, 4 -> 3 relu -> 1 sigmoid, with one defect."""
+    doc = model_to_json(init_neural([4, 3, 1], 2, 2, rng_seed=0))
+    hidden, output = doc["layers"]
+    if defect == "non_finite_weight":
+        hidden["weights"][1][2] = float("nan")
+    elif defect == "non_finite_bias":
+        output["bias"][0] = float("inf")
+    elif defect == "weights_not_2d":
+        output["weights"] = [row[0] for row in output["weights"]]
+    elif defect == "fan_in_does_not_chain":
+        output["weights"].append([0.5])
+    elif defect == "bias_shape":
+        hidden["bias"].append(0.0)
+    elif defect == "unknown_activation":
+        hidden["activation"] = "tanh"
+    elif defect == "final_layer_relu":
+        output["activation"] = "relu"
+    elif defect == "final_layer_two_units":
+        output["weights"] = [row * 2 for row in output["weights"]]
+        output["bias"] = output["bias"] * 2
+    return doc
+
+
+NEURAL_DEFECTS = [
+    "non_finite_weight", "non_finite_bias", "weights_not_2d", "fan_in_does_not_chain",
+    "bias_shape", "unknown_activation", "final_layer_relu", "final_layer_two_units",
+]
+
+
 class TestSerialization:
     def test_rule_round_trip_lossless(self):
         model = RuleModel(
@@ -400,6 +430,11 @@ class TestSerialization:
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
             assert l1.activation == l2.activation
+
+    @pytest.mark.parametrize("defect", NEURAL_DEFECTS)
+    def test_malformed_neural_document_rejected(self, defect):
+        with pytest.raises(InvalidSpecError):
+            model_from_json(malformed_neural_doc(defect))
 
     def test_num_levels(self):
         assert num_levels(diagonal_rule()) == 1

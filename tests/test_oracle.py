@@ -89,10 +89,9 @@ class TestExhaustiveFixedPoint:
         assert result.total_entropy == 0.0
         assert brute_force_breakdown(model, fx.model_b, fx.space).disagreement_counts == (0,)
 
-    def test_inexpressible_target_settles_between(self):
-        fx = build_fixture("fig1c")
+    def test_inexpressible_target_settles_between(self, fig1c_fixed_point):
+        fx, _, result = fig1c_fixed_point
         initial = brute_force_breakdown(fx.model_a, fx.model_b, fx.space)
-        _, result = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
         assert 0.0 < result.total_entropy < initial.total_entropy
 
     def test_identical_start_returns_unchanged_model(self):
@@ -109,9 +108,8 @@ class TestExhaustiveFixedPoint:
         assert fixed == model_a
         assert result.disagreement_counts == (2,)
 
-    def test_idempotent(self):
-        fx = build_fixture("fig1c")
-        fixed, first = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
+    def test_idempotent(self, fig1c_fixed_point):
+        fx, fixed, first = fig1c_fixed_point
         again, second = exhaustive_fixed_point(fixed, fx.model_b, fx.space)
         assert second.total_entropy == first.total_entropy
         assert brute_force_breakdown(again, fx.model_b, fx.space).total_entropy == pytest.approx(

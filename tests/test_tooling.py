@@ -33,9 +33,3 @@ def test_traced_layer_functions_exist():
     ]
     assert missing == []
 
-
-def test_all_names_resolve_once():
-    # a stale name breaks ``from diaginterp import *`` but not ``import diaginterp``
-    package = importlib.import_module("diaginterp")
-    assert [name for name in package.__all__ if not hasattr(package, name)] == []
-    assert len(set(package.__all__)) == len(package.__all__)
