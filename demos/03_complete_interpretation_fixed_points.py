@@ -12,7 +12,7 @@ below 1. The brute-force oracle confirms both numbers independently.
 from diaginterp.engine import run_complete_interpretation
 from diaginterp.fixtures import build_fixture
 from diaginterp.metrics import raw_interpretability
-from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
+from diaginterp.oracle import exhaustive_fixed_point
 
 for name in ("fig1b", "fig1c"):
     fx = build_fixture(name)
@@ -25,8 +25,7 @@ for name in ("fig1b", "fig1c"):
     print(f"  interpretability   = {report.final_interpretability:.6f} "
           f"({report.termination}, {len(report.steps)} updates)")
 
-    oracle_h0 = brute_force_breakdown(fx.model_a, fx.model_b, fx.space).total_entropy
-    _, fixed = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
-    oracle_i = raw_interpretability(oracle_h0, fixed.total_entropy)
+    _, fixed, initial = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
+    oracle_i = raw_interpretability(initial.total_entropy, fixed.total_entropy)
     print(f"  oracle (h-h')/h    = {oracle_i:.6f}")
     print()

@@ -120,14 +120,18 @@ def _cmd_oracle(args) -> int:
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")
-    result = brute_force_breakdown(model_a, model_b, space)
-    doc = result.to_json()
-    if (
+    has_fixed_point = (
         isinstance(model_a, RuleModel)
         and space.mode == "full"
         and num_levels(model_a) == num_levels(model_b)
-    ):
-        _, fixed = exhaustive_fixed_point(model_a, model_b, space)
+    )
+    if has_fixed_point:
+        # the search's starting breakdown is the pair's breakdown
+        _, fixed, result = exhaustive_fixed_point(model_a, model_b, space)
+    else:
+        result = brute_force_breakdown(model_a, model_b, space)
+    doc = result.to_json()
+    if has_fixed_point:
         doc["fixed_point"] = {
             "initial_entropy": result.total_entropy,
             "fixed_point_entropy": fixed.total_entropy,

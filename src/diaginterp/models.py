@@ -72,6 +72,15 @@ class RuleModel:
                     raise InvalidSpecError(f"pixel index {i} outside {pixels}-pixel grid")
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """A float64 copy of ``values``, which must be a number or a rectangular
+    nest of numbers."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidSpecError(f"{what} must be a rectangular array of numbers") from None
+
+
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linear threshold unit over raw pixels: label 1 iff w.x + b > 0.
@@ -87,9 +96,12 @@ class LinearModel:
 
     def __post_init__(self) -> None:
         # copy, so freezing never touches a caller-owned array
-        weights = np.array(self.weights, dtype=np.float64)
+        weights = _float_array(self.weights, "linear weights")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", float(self.bias))
+        try:
+            object.__setattr__(self, "bias", float(self.bias))
+        except (TypeError, ValueError):
+            raise InvalidSpecError("linear bias must be a number") from None
         if weights.shape != (self.width * self.height,):
             raise InvalidSpecError(
                 f"expected {self.width * self.height} weights, got shape {weights.shape}"
@@ -124,8 +136,8 @@ class NeuralModel:
         layers = []
         fan_in = self.width * self.height
         for weights, bias, activation in self.layers:
-            weights = np.array(weights, dtype=np.float64)
-            bias = np.array(bias, dtype=np.float64)
+            weights = _float_array(weights, "layer weights")
+            bias = _float_array(bias, "layer bias")
             if weights.ndim != 2 or bias.shape != (weights.shape[1],):
                 raise InvalidSpecError(
                     f"layer shapes do not chain: weights {weights.shape}, bias {bias.shape}"
@@ -566,8 +578,7 @@ def model_from_json(doc: dict) -> Model:
             )
             return RuleModel(width, height, levels)
         if kind == "linear":
-            weights = np.array(doc["weights"], dtype=np.float64)
-            return LinearModel(width, height, weights, doc["bias"])
+            return LinearModel(width, height, doc["weights"], doc["bias"])
         if kind == "neural":
             layers = tuple(
                 NeuralLayer(lv["weights"], lv["bias"], lv["activation"]) for lv in doc["layers"]

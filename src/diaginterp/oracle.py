@@ -1,19 +1,26 @@
 """Brute-force ground truth for disagreement counts, entropies, and
 complete-interpretation fixed points.
 
-Everything here recounts from scratch with straight-line per-image loops and
-its own scalar predictors. It deliberately shares no counting or enumeration
-code with the vectorized paths it is used to validate; entropies are always
-recomputed from integer counts. The one exception is the input of the
-minimal-edit updater that the fixed-point search drives: like the engine, it
-hands rule_update the space matrix and the reference model's label matrix.
+Everything here recounts from scratch with straight-line scalar loops and
+its own per-model labellers. It deliberately shares no counting or
+enumeration code with the vectorized paths it is used to validate; entropies
+are always recomputed from integer counts. The one exception is the input of
+the minimal-edit updater that the fixed-point search drives: like the engine,
+it hands rule_update the space matrix and the reference model's label matrix.
+
+An image here is a Python int, its code: its base-2 digits, padded to the
+pixel count, are the row-major bits, so pixel 0 is the most significant bit
+and a full space in canonical order is ``range(2**pixels)``. Each public call
+enumerates the space once, through _iterate_space, and labels the black box
+once; BinaryImages are built only for the disagreement images a result keeps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, count, islice
 
 import numpy as np
 
@@ -33,6 +40,9 @@ ORACLE_SPACE_LIMIT = 1 << 20
 
 # Disagreement images kept in a result, at most.
 DEFAULT_IMAGE_KEEP = 4096
+
+# Maps each '0'/'1' character of a code's binary digits to its bit.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -62,21 +72,79 @@ def _entropy_bits(count: int, total: int) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _scalar_levels(model: Model, bits: tuple[int, ...]) -> list[int]:
-    """Per-level labels of one image, computed without the vectorized path."""
+def _pixel_bits(pixels: int) -> list[int]:
+    """Each pixel's bit in an image code, pixel 0 first."""
+    return [1 << (pixels - 1 - j) for j in range(pixels)]
+
+
+def _image(spec: ImageSpaceSpec, code: int) -> BinaryImage:
+    digits = format(code, f"0{spec.num_pixels}b").encode("ascii")
+    return BinaryImage(spec.width, spec.height, tuple(digits.translate(_DIGIT_BITS)))
+
+
+def _rule_level(ones: int, zeros: int, codes):
+    """One rule level's labels of ``codes``, lazily, from its bit masks."""
+    return (code & ones == ones and not code & zeros for code in codes)
+
+
+def _rule_levels(model: RuleModel, pixels: int, codes: list[int]) -> list:
+    """One lazy label iterator per level of a rule model."""
+    bit = _pixel_bits(pixels)
+    return [
+        _rule_level(
+            sum(bit[i] for i in level.ones_required),
+            sum(bit[i] for i in level.zeros_required),
+            codes,
+        )
+        for level in model.levels
+    ]
+
+
+def _scalar_levels(model: Model, spec: ImageSpaceSpec, codes: list[int]) -> list[list[bool]]:
+    """Per-level labels of every image in ``codes``, one list per level,
+    computed without the vectorized path. ``codes`` is the space's
+    enumeration as _iterate_space yields it."""
+    if not isinstance(model, (RuleModel, LinearModel, NeuralModel)):
+        raise InvalidConfigError(f"unknown model type {type(model).__name__}")
+    if (model.width, model.height) != (spec.width, spec.height):
+        raise InvalidConfigError(
+            f"oracle: a {model.width}x{model.height} model cannot label "
+            f"the {spec.width}x{spec.height} space"
+        )
+    pixels = spec.num_pixels
     if isinstance(model, RuleModel):
-        labels = []
-        for level in model.levels:
-            ok = all(bits[i] == 1 for i in level.ones_required) and all(
-                bits[i] == 0 for i in level.zeros_required
-            )
-            labels.append(1 if ok else 0)
-        return labels
+        return [list(labels) for labels in _rule_levels(model, pixels, codes)]
     if isinstance(model, LinearModel):
-        score = sum(w * b for w, b in zip(model.weights, bits)) + model.bias
-        return [1 if score > 0.0 else 0]
-    if isinstance(model, NeuralModel):
-        a = np.array(bits, dtype=np.float64)
+        # Each score adds the weights of the set pixels in pixel order, and
+        # then the bias; the w * 0 terms of a full dot product cannot change
+        # the sign test. The additions are spelled out, never sum(), so the
+        # float order is fixed.
+        weights = model.weights.tolist()
+        if spec.mode == "full":
+            # codes is range(2**pixels). From the empty prefix's 0.0, each
+            # pixel in turn doubles the sums: every prefix with the pixel
+            # clear, then set. So a code's sum is the sum of the code without
+            # its last set pixel, plus that pixel's weight: the in-order
+            # additions, at O(1) per image.
+            scores = [0.0]
+            for w in weights:
+                scores = [score for prefix in scores for score in (prefix, prefix + w)]
+        else:
+            pairs = list(zip(_pixel_bits(pixels), weights))
+            scores = []
+            for code in codes:
+                score = 0.0
+                for bit, w in pairs:
+                    if code & bit:
+                        score += w
+                scores.append(score)
+        bias = model.bias
+        return [[score + bias > 0.0 for score in scores]]
+    # a NeuralModel: one forward pass per image
+    shifts = range(pixels - 1, -1, -1)
+    labels = []
+    for code in codes:
+        a = np.array([(code >> shift) & 1 for shift in shifts], dtype=np.float64)
         for layer in model.layers:
             z = a @ layer.weights + layer.bias
             if layer.activation == "relu":
@@ -84,52 +152,74 @@ def _scalar_levels(model: Model, bits: tuple[int, ...]) -> list[int]:
             else:
                 a = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                              np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        return [1 if a[0] > 0.5 else 0]
-    raise InvalidConfigError(f"unknown model type {type(model).__name__}")
+        labels.append(bool(a[0] > 0.5))
+    return [labels]
 
 
 def _iterate_space(spec: ImageSpaceSpec):
-    """Yield the space's bit tuples in canonical order; own dedup, own loop."""
+    """Yield the space's image codes in canonical order; own dedup, own loop."""
     pixels = spec.num_pixels
     if spec.mode == "full":
-        count = 1 << pixels
-        if count > ORACLE_SPACE_LIMIT:
+        size = 1 << pixels
+        if size > ORACLE_SPACE_LIMIT:
             raise SpaceTooLargeError(
-                f"oracle guard: full {spec.width}x{spec.height} space has {count} images, "
+                f"oracle guard: full {spec.width}x{spec.height} space has {size} images, "
                 f"limit is {ORACLE_SPACE_LIMIT}"
             )
-        for code in range(count):
-            yield tuple((code >> (pixels - 1 - j)) & 1 for j in range(pixels))
+        yield from range(size)
         return
-    seen: set[tuple[int, ...]] = set()
-    emitted = 0
-
-    def _emit(bits: tuple[int, ...]):
-        nonlocal emitted
-        if bits in seen:
-            return None
-        emitted += 1
-        if emitted > ORACLE_SPACE_LIMIT:
+    bases = [int(base.to_string(), 2) for base in spec.base_images]
+    bit = _pixel_bits(pixels)
+    # flipping more pixels than the grid has yields nothing new
+    flipped = (
+        base ^ sum(flips)
+        for radius in range(1, min(spec.flip_radius, pixels) + 1)
+        for base in bases
+        for flips in combinations(bit, radius)
+    )
+    seen: set[int] = set()
+    for code in chain(bases, flipped):
+        if code in seen:
+            continue
+        if len(seen) == ORACLE_SPACE_LIMIT:
             raise SpaceTooLargeError(
                 f"oracle guard: envelope exceeds {ORACLE_SPACE_LIMIT} images"
             )
-        seen.add(bits)
-        return bits
+        seen.add(code)
+        yield code
 
-    for base in spec.base_images:
-        got = _emit(base.bits)
-        if got is not None:
-            yield got
-    # flipping more pixels than the grid has yields nothing new
-    for radius in range(1, min(spec.flip_radius, pixels) + 1):
-        for base in spec.base_images:
-            for flips in combinations(range(pixels), radius):
-                bits = list(base.bits)
-                for i in flips:
-                    bits[i] ^= 1
-                got = _emit(tuple(bits))
-                if got is not None:
-                    yield got
+
+def _misses(labels_a: list, labels_b: list):
+    """Per image, lazily: whether the two labellings differ at any level."""
+    flags = [map(operator.ne, la, lb) for la, lb in zip(labels_a, labels_b)]
+    return flags[0] if len(flags) == 1 else map(any, zip(*flags))
+
+
+def _breakdown(
+    spec: ImageSpaceSpec,
+    codes: list[int],
+    labels_a: list[list[bool]],
+    labels_b: list[list[bool]],
+    keep_images: int,
+) -> OracleResult:
+    """Count per-level disagreements between two labellings of ``codes``."""
+    if len(labels_a) != len(labels_b):
+        # mixed-level pairs are compared on diagnosis labels only
+        labels_a, labels_b = labels_a[-1:], labels_b[-1:]
+    counts = tuple(sum(map(operator.ne, la, lb)) for la, lb in zip(labels_a, labels_b))
+    total = len(codes)
+    kept = None
+    if keep_images:
+        hits = compress(codes, _misses(labels_a, labels_b))
+        kept = tuple(_image(spec, code) for code in islice(hits, keep_images))
+    per_level = tuple(_entropy_bits(c, total) for c in counts)
+    return OracleResult(
+        disagreement_counts=counts,
+        sample_size=total,
+        per_level_entropy=per_level,
+        total_entropy=float(sum(per_level)),
+        disagreement_images=kept,
+    )
 
 
 def brute_force_breakdown(
@@ -144,40 +234,24 @@ def brute_force_breakdown(
     ``keep_images`` disagreement images are retained (first in enumeration
     order); pass 0 to keep none.
     """
-    matched = num_levels(model_a) == num_levels(model_b)
-    counts = [0] * (num_levels(model_a) if matched else 1)
-    total = 0
-    kept: list[BinaryImage] = []
-    for bits in _iterate_space(spec):
-        total += 1
-        la = _scalar_levels(model_a, bits)
-        lb = _scalar_levels(model_b, bits)
-        if not matched:
-            la, lb = la[-1:], lb[-1:]
-        hit = False
-        for lvl in range(len(counts)):
-            if la[lvl] != lb[lvl]:
-                counts[lvl] += 1
-                hit = True
-        if hit and len(kept) < keep_images:
-            kept.append(BinaryImage(spec.width, spec.height, bits))
-    per_level = tuple(_entropy_bits(c, total) for c in counts)
-    return OracleResult(
-        disagreement_counts=tuple(counts),
-        sample_size=total,
-        per_level_entropy=per_level,
-        total_entropy=float(sum(per_level)),
-        disagreement_images=tuple(kept) if keep_images else None,
+    codes = list(_iterate_space(spec))
+    return _breakdown(
+        spec, codes, _scalar_levels(model_a, spec, codes), _scalar_levels(model_b, spec, codes),
+        keep_images,
     )
 
 
 def exhaustive_fixed_point(
     model_a: RuleModel, model_b: Model, spec: ImageSpaceSpec
-) -> tuple[RuleModel, OracleResult]:
+) -> tuple[RuleModel, OracleResult, OracleResult]:
     """Drive the minimal-edit updater over enumeration-ordered disagreements
     until a full pass leaves the total entropy unchanged or ends on a model
-    that started or ended an earlier pass (a cycle); return the resulting
-    model and its brute-force breakdown.
+    that started or ended an earlier pass (a cycle).
+
+    Returns the resulting model, its breakdown (no images kept) and the
+    starting pair's breakdown, which is brute_force_breakdown(model_a,
+    model_b, spec) with its default images kept. The space is enumerated and
+    the black box labelled once, for the whole search.
 
     This is the reference answer for the engine's complete-interpretation run.
     """
@@ -189,27 +263,40 @@ def exhaustive_fixed_point(
         raise AbstractionMismatchError(
             "exhaustive interpretation updates every level and needs matched level counts"
         )
+    codes = list(_iterate_space(spec))
+    labels_b = _scalar_levels(model_b, spec, codes)
     matrix = space_matrix(spec)
     reference = level_label_matrix(model_b, matrix)
     current = model_a
-    result = brute_force_breakdown(current, model_b, spec)
-    if result.total_entropy == 0.0:
+    initial = _breakdown(
+        spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP
+    )
+    if initial.total_entropy == 0.0:
         # nothing left to interpret: the start is the fixed point
-        return current, result
-    entropy_before = result.total_entropy
+        return current, initial, initial
+    result = initial
     # The model at the start and at the end of each pass so far.
     seen = {current}
     while True:
         changed = False
-        for bits in _iterate_space(spec):
-            la = _scalar_levels(current, bits)
-            lb = _scalar_levels(model_b, bits)
-            if la != lb:
-                image = BinaryImage(spec.width, spec.height, bits)
-                current = rule_update(current, image, lb, matrix, reference)
-                changed = True
-        result = brute_force_breakdown(current, model_b, spec)
-        if not changed or result.total_entropy == entropy_before or current in seen:
-            return current, result
-        seen.add(current)
+        miss = -1
+        while True:
+            # The next image, in enumeration order, that the current model
+            # mislabels. The labels are lazy, so the scan stops there.
+            start = miss + 1
+            mine = _rule_levels(current, spec.num_pixels, codes[start:])
+            rest = [islice(labels, start, None) for labels in labels_b]
+            miss = next(compress(count(start), _misses(mine, rest)), None)
+            if miss is None:
+                break
+            target = [labels[miss] for labels in labels_b]
+            current = rule_update(current, _image(spec, codes[miss]), target, matrix, reference)
+            changed = True
+        if not changed:
+            # a pass with no update ends on the model the last one ended on
+            return current, result, initial
         entropy_before = result.total_entropy
+        result = _breakdown(spec, codes, _scalar_levels(current, spec, codes), labels_b, 0)
+        if result.total_entropy == entropy_before or current in seen:
+            return current, result, initial
+        seen.add(current)

@@ -32,8 +32,8 @@ def pytest_unconfigure(config):
 @pytest.fixture(scope="session")
 def fig1c_fixed_point():
     """fig1c's fixture and the oracle's fixed point from its start model, as
-    (fixture, fixed model, OracleResult). The fixed point takes seconds, so
-    it is computed once per test run."""
+    (fixture, fixed model, its OracleResult, the start's OracleResult),
+    computed once per test run."""
     from diaginterp.fixtures import build_fixture
     from diaginterp.oracle import exhaustive_fixed_point
 

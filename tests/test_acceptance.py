@@ -51,8 +51,8 @@ def test_criterion_2_complete_interpretation_over_full_4x4():
     fx_c = build_fixture("fig1c")
     report_c = run_complete_interpretation(fx_c.engine_config(rng_seed=0))
     assert 0.0 < report_c.final_interpretability < 1.0
-    h0 = brute_force_breakdown(fx_c.model_a, fx_c.model_b, fx_c.space).total_entropy
-    _, fixed = exhaustive_fixed_point(fx_c.model_a, fx_c.model_b, fx_c.space)
+    _, fixed, initial = exhaustive_fixed_point(fx_c.model_a, fx_c.model_b, fx_c.space)
+    h0 = initial.total_entropy
     oracle_i = (h0 - fixed.total_entropy) / h0
     assert report_c.final_interpretability == pytest.approx(oracle_i, abs=1e-9)
 

@@ -222,6 +222,20 @@ class TestOracle:
         assert "error: unknown activation 'tanh'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.json").exists()
 
+    def test_ragged_neural_weights_exit_2_with_a_typed_message(self, tmp_path, capsys):
+        net = model_to_json(init_neural([4, 3, 1], 2, 2, rng_seed=0))
+        net["layers"][0]["weights"][1].pop()
+        models_path = tmp_path / "models.json"
+        models_path.write_text(json.dumps({"model_a": net, "model_b": net}))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(spec_to_json(ImageSpaceSpec(2, 2, "full"))))
+        assert main(["oracle", "--models", str(models_path), "--space", str(space_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: layer weights must be a rectangular array of numbers" in err
+        assert "malformed input" not in err
+        assert not (tmp_path / "oracle.json").exists()
+
 
 class TestDemo:
     def test_fig1b_summary(self, tmp_path, capsys):

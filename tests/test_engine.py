@@ -25,7 +25,7 @@ from diaginterp.models import (
     model_from_json,
     predict,
 )
-from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
+from diaginterp.oracle import exhaustive_fixed_point
 
 
 def rule(ones=(), zeros=(), grid=(4, 4)):
@@ -293,9 +293,9 @@ class TestRunCompleteInterpretation:
         assert report.steps[-1].entropy_after.total == 0.0
 
     def test_inexpressible_pair_matches_oracle_fixed_point(self, fig1c_fixed_point):
-        fx, _, fixed = fig1c_fixed_point
+        fx, _, fixed, initial = fig1c_fixed_point
         report = run_complete_interpretation(fx.engine_config(rng_seed=0))
-        h0 = brute_force_breakdown(fx.model_a, fx.model_b, fx.space).total_entropy
+        h0 = initial.total_entropy
         expected = (h0 - fixed.total_entropy) / h0
         # its last pass also ends on the model the pass before ended on, so
         # the stall test must come before the cycle test
@@ -324,7 +324,7 @@ class TestRunCompleteInterpretation:
         assert report.termination == "cycle"
         assert report.pass_disagreements == (16, 12, 8)
         assert report.steps[-1].entropy_after.disagreement_counts == (12,)
-        fixed, result = exhaustive_fixed_point(start, net, space)
+        fixed, result, _ = exhaustive_fixed_point(start, net, space)
         assert fixed == report.final_model == rule(ones=[3], zeros=[0], grid=(3, 2))
         assert result.disagreement_counts == (12,)
 
@@ -386,9 +386,8 @@ class TestRunCompleteInterpretation:
                 rng_seed=int(rng.integers(0, 2**31)),
             )
             complete = run_complete_interpretation(config)
-            truth = brute_force_breakdown(model_a, model_b, space)
+            _, fixed, truth = exhaustive_fixed_point(model_a, model_b, space)
             assert complete.initial_entropy.disagreement_counts == truth.disagreement_counts
-            _, fixed = exhaustive_fixed_point(model_a, model_b, space)
             final = complete.steps[-1].entropy_after if complete.steps else complete.initial_entropy
             assert final.disagreement_counts == fixed.disagreement_counts
 

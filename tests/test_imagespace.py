@@ -140,8 +140,9 @@ class TestEnumeration:
         assert images == enumerate_space(spec)
 
     def test_envelope_matches_oracle_enumeration(self):
-        # the oracle enumerates with its own scalar loop and dedup; order and
-        # content must agree, duplicates and overlapping flips included
+        # the oracle enumerates image codes (the bitstring read in base 2)
+        # with its own scalar loop and dedup; order and content must agree,
+        # duplicates and overlapping flips included
         from diaginterp.oracle import _iterate_space
 
         rng = np.random.default_rng(3)
@@ -153,7 +154,7 @@ class TestEnumeration:
                     3, 3, "envelope", tuple(BinaryImage(3, 3, b) for b in bases), radius
                 )
                 images = enumerate_space(spec)
-                assert [img.bits for img in images] == list(_iterate_space(spec))
+                assert [int(img.to_string(), 2) for img in images] == list(_iterate_space(spec))
         tiny = ImageSpaceSpec(1, 1, "envelope", (BinaryImage(1, 1, (0,)),), flip_radius=2)
         assert [img.bits for img in enumerate_space(tiny)] == [(0,), (1,)]
 

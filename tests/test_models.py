@@ -399,12 +399,19 @@ def malformed_neural_doc(defect):
     elif defect == "final_layer_two_units":
         output["weights"] = [row * 2 for row in output["weights"]]
         output["bias"] = output["bias"] * 2
+    elif defect == "ragged_weights":
+        hidden["weights"][2].pop()
+    elif defect == "non_numeric_weight":
+        hidden["weights"][0][1] = "x"
+    elif defect == "non_numeric_bias":
+        hidden["bias"][0] = "x"
     return doc
 
 
 NEURAL_DEFECTS = [
     "non_finite_weight", "non_finite_bias", "weights_not_2d", "fan_in_does_not_chain",
     "bias_shape", "unknown_activation", "final_layer_relu", "final_layer_two_units",
+    "ragged_weights", "non_numeric_weight", "non_numeric_bias",
 ]
 
 
@@ -435,6 +442,16 @@ class TestSerialization:
     def test_malformed_neural_document_rejected(self, defect):
         with pytest.raises(InvalidSpecError):
             model_from_json(malformed_neural_doc(defect))
+
+    @pytest.mark.parametrize("weights, bias", [
+        ([0.5, "x", 1.0, 0.0], 0.0),
+        ([0.5, [1.0], 1.0, 0.0], 0.0),
+        ([0.5, 1.0, 1.0, 0.0], "x"),
+    ])
+    def test_malformed_linear_document_rejected(self, weights, bias):
+        doc = {"kind": "linear", "width": 2, "height": 2, "weights": weights, "bias": bias}
+        with pytest.raises(InvalidSpecError):
+            model_from_json(doc)
 
     def test_num_levels(self):
         assert num_levels(diagonal_rule()) == 1

@@ -5,7 +5,7 @@ from diaginterp.errors import InvalidConfigError, SpaceTooLargeError
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import BinaryImage, ImageSpaceSpec
 from diaginterp.metrics import disagreement_breakdown
-from diaginterp.models import RuleLevel, RuleModel, predict
+from diaginterp.models import LinearModel, RuleLevel, RuleModel, predict
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 
 
@@ -65,6 +65,13 @@ class TestBruteForceBreakdown:
         with pytest.raises(SpaceTooLargeError):
             brute_force_breakdown(model, model, ImageSpaceSpec(5, 5, "full"))
 
+    def test_model_grid_must_match_the_space(self):
+        # the scalar labellers read a code's bits by the space's pixel count
+        model = LinearModel(2, 2, [1.0, 1.0, -1.0, -1.0], -0.5)
+        other = RuleModel(3, 3, (RuleLevel.of(ones=[0]),))
+        with pytest.raises(InvalidConfigError, match="2x2 model cannot label the 3x3 space"):
+            brute_force_breakdown(model, other, ImageSpaceSpec(3, 3, "full"))
+
     def test_radius_past_pixels_is_the_whole_ball(self):
         base = BinaryImage.from_string(2, 2, "1000")
         spec = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=10**9)
@@ -85,18 +92,17 @@ class TestBruteForceBreakdown:
 class TestExhaustiveFixedPoint:
     def test_expressible_target_reaches_zero_entropy(self):
         fx = build_fixture("fig1b")
-        model, result = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
+        model, result, _ = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
         assert result.total_entropy == 0.0
         assert brute_force_breakdown(model, fx.model_b, fx.space).disagreement_counts == (0,)
 
     def test_inexpressible_target_settles_between(self, fig1c_fixed_point):
-        fx, _, result = fig1c_fixed_point
-        initial = brute_force_breakdown(fx.model_a, fx.model_b, fx.space)
+        _, _, result, initial = fig1c_fixed_point
         assert 0.0 < result.total_entropy < initial.total_entropy
 
     def test_identical_start_returns_unchanged_model(self):
         model = RuleModel(3, 3, (RuleLevel.of(ones=[0]),))
-        fixed, result = exhaustive_fixed_point(model, model, ImageSpaceSpec(3, 3, "full"))
+        fixed, result, _ = exhaustive_fixed_point(model, model, ImageSpaceSpec(3, 3, "full"))
         assert fixed == model
         assert result.total_entropy == 0.0
 
@@ -104,13 +110,13 @@ class TestExhaustiveFixedPoint:
         # the two images of a 1x1 space both disagree: H0 = 0, nothing to edit
         model_a = RuleModel(1, 1, (RuleLevel.of(ones=[0]),))
         model_b = RuleModel(1, 1, (RuleLevel.of(zeros=[0]),))
-        fixed, result = exhaustive_fixed_point(model_a, model_b, ImageSpaceSpec(1, 1, "full"))
+        fixed, result, _ = exhaustive_fixed_point(model_a, model_b, ImageSpaceSpec(1, 1, "full"))
         assert fixed == model_a
         assert result.disagreement_counts == (2,)
 
     def test_idempotent(self, fig1c_fixed_point):
-        fx, fixed, first = fig1c_fixed_point
-        again, second = exhaustive_fixed_point(fixed, fx.model_b, fx.space)
+        fx, fixed, first, _ = fig1c_fixed_point
+        again, second, _ = exhaustive_fixed_point(fixed, fx.model_b, fx.space)
         assert second.total_entropy == first.total_entropy
         assert brute_force_breakdown(again, fx.model_b, fx.space).total_entropy == pytest.approx(
             first.total_entropy, abs=1e-12

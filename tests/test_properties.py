@@ -102,12 +102,15 @@ def random_space(rng, width, height):
     return ImageSpaceSpec(width, height, "envelope", bases, int(rng.integers(0, 3)))
 
 
-def random_config(rng, mode):
-    """A run whose known model is a rule model (edited) or a linear model
-    (retrained on a base dataset); diagnostic runs get matched level counts."""
+def random_config(rng, mode, linear=None):
+    """A run whose known model is a rule model (edited) or, when ``linear``
+    says so (a 1-in-4 draw when None), a linear model (retrained on a base
+    dataset); diagnostic runs get matched level counts."""
     width, height = random_grid(rng)
     space = random_space(rng, width, height)
-    if rng.integers(0, 4) == 0:
+    if linear is None:
+        linear = rng.integers(0, 4) == 0
+    if linear:
         model_a = random_linear(rng, width, height)
         base = [(random_image(rng, width, height), 0), (random_image(rng, width, height), 1)]
     else:
@@ -125,8 +128,13 @@ def test_predict_matches_scalar_oracle(seed):
     rng = np.random.default_rng(seed)
     width, height = random_grid(rng)
     model = random_model(rng, width, height)
-    for image in enumerate_space(ImageSpaceSpec(width, height, "full")):
-        assert list(predict(model, image)) == _scalar_levels(model, image.bits)
+    space = ImageSpaceSpec(width, height, "full")
+    images = enumerate_space(space)
+    # the oracle labels image codes, the bitstrings read in base 2
+    codes = [int(image.to_string(), 2) for image in images]
+    scalar = zip(*_scalar_levels(model, space, codes))
+    for image, levels in zip(images, scalar, strict=True):
+        assert list(predict(model, image)) == list(levels)
 
 
 @PROPERTY_SETTINGS
@@ -154,6 +162,22 @@ def test_initial_run_counts_match_brute_force(seed, mode):
     expected = oracle.disagreement_counts if mode == "diagnostic" else oracle.disagreement_counts[-1:]
     assert report.initial_entropy.disagreement_counts == expected
     assert report.initial_entropy.sample_size == oracle.sample_size
+
+
+@pytest.mark.filterwarnings("ignore:entropy increased")
+@PROPERTY_SETTINGS
+@given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]), st.booleans())
+def test_budgeted_run_final_counts_match_brute_force(seed, mode, linear):
+    # rule edits and perceptron retraining alike end on a model whose counts
+    # the oracle recounts from scratch
+    rng = np.random.default_rng(seed)
+    config = replace(random_config(rng, mode, linear), max_queries=int(rng.integers(1, 9)))
+    report = run_interpretation(config)
+    final = report.steps[-1].entropy_after if report.steps else report.initial_entropy
+    oracle = brute_force_breakdown(report.final_model, config.model_b, config.space, keep_images=0)
+    expected = oracle.disagreement_counts if mode == "diagnostic" else oracle.disagreement_counts[-1:]
+    assert final.disagreement_counts == expected
+    assert final.sample_size == oracle.sample_size
 
 
 @pytest.mark.filterwarnings("ignore:entropy increased")
@@ -187,7 +211,7 @@ def test_complete_run_matches_exhaustive_fixed_point(seed):
     model_a = random_rule(rng, width, height, num_levels(model_b))
     space = ImageSpaceSpec(width, height, "full")
     report = run_complete_interpretation(EngineConfig(space=space, model_a=model_a, model_b=model_b))
-    fixed, result = exhaustive_fixed_point(model_a, model_b, space)
+    fixed, result, _ = exhaustive_fixed_point(model_a, model_b, space)
     final = report.steps[-1].entropy_after if report.steps else report.initial_entropy
     assert report.final_model == fixed
     assert final.disagreement_counts == result.disagreement_counts
@@ -211,7 +235,8 @@ def test_space_matrix_matches_oracle_enumeration(seed):
         bases = tuple(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 6))))
         radius = int(rng.integers(0, width * height + 2))
         spec = ImageSpaceSpec(width, height, "envelope", bases, radius)
-    assert [tuple(row) for row in space_matrix(spec).tolist()] == list(_iterate_space(spec))
+    codes = [int("".join(map(str, row)), 2) for row in space_matrix(spec).tolist()]
+    assert codes == list(_iterate_space(spec))
 
 
 ROWS = st.integers(1, 4).flatmap(
