@@ -33,7 +33,7 @@ from .engine import (
     trajectory_rows,
 )
 from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
-from .fixtures import build_fixture, fixture_names
+from .fixtures import build_fixture
 from .imagespace import spec_from_json
 from .metrics import raw_interpretability
 from .models import RuleModel, model_from_json, num_levels
@@ -208,13 +208,7 @@ def _demo_eval_squares(args, out_dir: Path) -> list[str]:
 
 
 def _cmd_demo(args) -> int:
-    names = fixture_names()
-    if args.fixture not in names:
-        raise DiagInterpError(
-            f"unknown fixture {args.fixture!r}; valid names: {', '.join(names)}"
-        )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.fixture == "eval-squares":
         lines = _demo_eval_squares(args, out_dir)
     else:

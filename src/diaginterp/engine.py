@@ -264,7 +264,7 @@ class _Run:
             initial_entropy=self.initial,
             steps=tuple(self.steps),
             final_interpretability=float(final),
-            objective_j=objective([s.i_t for s in self.steps], config.lam, len(self.steps)),
+            objective_j=objective([s.i_t for s in self.steps], config.lam),
             termination=termination,
             raw_unclamped_final=float(raw_final),
             config=config,

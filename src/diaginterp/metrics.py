@@ -18,7 +18,6 @@ on, every level or (``top_only``) the diagnosis level alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +140,9 @@ def raw_interpretability(h_initial: float, h_final: float) -> float:
 
 
 def interpretability(h_initial: float, h_final: float) -> float:
-    """raw_interpretability, clamped to 0 with a warning when the entropy rose
-    (possible under retraining updates); callers that care keep the raw ratio."""
-    raw = raw_interpretability(h_initial, h_final)
-    if raw < 0.0:
-        warnings.warn(
-            f"entropy increased ({h_final} > {h_initial}); interpretability clamped to 0",
-            stacklevel=2,
-        )
-        return 0.0
-    return raw
+    """raw_interpretability, clamped to 0 when the entropy rose (a rule edit
+    or a retrain can raise it); callers that care keep the raw ratio."""
+    return max(raw_interpretability(h_initial, h_final), 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,11 +175,9 @@ def confidence_epsilon(sample_size: int, pixels: int) -> Confidence:
     return Confidence(log2_epsilon=log2_eps, display=_scientific_from_log2(log2_eps))
 
 
-def objective(
-    per_step_interpretability, lam: float, sample_count: int
-) -> float:
+def objective(per_step_interpretability, lam: float) -> float:
     """Query-penalized objective: -sum of per-step interpretability plus
-    lam * (number of sampled queries)."""
+    lam * T, where T, the number of sampled queries, is one per step."""
     lam = float(lam)
     if lam < 0.0:
         raise DomainError(f"penalty weight must be nonnegative, got {lam}")
@@ -195,6 +185,4 @@ def objective(
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"per-step interpretability must lie in [0, 1], got {v}")
-    if sample_count < 0:
-        raise DomainError("sample count cannot be negative")
-    return -sum(values) + lam * sample_count
+    return -sum(values) + lam * len(values)

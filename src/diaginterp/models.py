@@ -257,12 +257,15 @@ def rule_update(
     the reference's labels over it (level_label_matrix), one row per level of
     ``model``; the caller aligns a reference with another level count.
 
-    For a level that must flip 0 -> 1 the edit is forced: remove exactly the
-    constraints the image violates. For 1 -> 0 any single violated constraint
-    suffices; among those candidates the one minimizing post-edit disagreement
-    with the same level of the reference labels wins, with remaining ties
-    broken by lowest pixel index. When a level is fully pinned (every pixel
-    already constrained) a two-edit swap is used instead.
+    For a level that must flip 0 -> 1 the edit is forced: keep only the
+    constraints the image meets. A level that must flip 1 -> 0 gets one
+    candidate per pixel j: require j to take the value the image lacks. On a
+    free pixel that adds a constraint; on a fully pinned level (no pixel
+    free) it swaps j's constraint to the other set, a two-edit change.
+    Candidates are free pixels, or every pixel when none is free. Each
+    candidate is scored by its disagreement with the same level of the
+    reference labels, and the lowest score wins, ties going to the lowest
+    pixel index.
     """
     if len(target) != len(model.levels):
         raise InvalidInputError(
@@ -275,20 +278,37 @@ def rule_update(
         )
 
     current = predict(model, image)
+    bits = image.bits
     new_levels = list(model.levels)
     for k, level in enumerate(model.levels):
         want = int(target[k])
         if current[k] == want:
             continue
         if want == 1:
-            violated_ones = frozenset(i for i in level.ones_required if image.bits[i] == 0)
-            violated_zeros = frozenset(i for i in level.zeros_required if image.bits[i] == 1)
             new_levels[k] = RuleLevel(
-                level.ones_required - violated_ones,
-                level.zeros_required - violated_zeros,
+                frozenset(i for i in level.ones_required if bits[i] == 1),
+                frozenset(i for i in level.zeros_required if bits[i] == 0),
             )
+            continue
+        # The image meets every constraint, so candidate j's accepted rows are
+        # the rows that differ from the image at j and meet every other
+        # constraint: the level's own labels when j is free, and the rows one
+        # bit away from the image when every pixel is pinned.
+        pinned = level.ones_required | level.zeros_required
+        free = [j for j in range(image.num_pixels) if j not in pinned]
+        if free:
+            allowed = _rule_level_labels(level, matrix)
         else:
-            new_levels[k] = _best_blocking_edit(level, image, matrix, reference_labels[k])
+            allowed = np.count_nonzero(matrix != np.array(bits, dtype=np.uint8), axis=1) == 1
+        ref = reference_labels[k].astype(bool)
+        _, j = min(
+            (int(np.count_nonzero(((matrix[:, j] != bits[j]) & allowed) != ref)), j)
+            for j in free or range(image.num_pixels)
+        )
+        if bits[j]:
+            new_levels[k] = RuleLevel(level.ones_required - {j}, level.zeros_required | {j})
+        else:
+            new_levels[k] = RuleLevel(level.ones_required | {j}, level.zeros_required - {j})
 
     updated = RuleModel(model.width, model.height, tuple(new_levels))
     if predict(updated, image) != tuple(int(t) for t in target):
@@ -297,39 +317,6 @@ def rule_update(
             f"{image.to_string()}"
         )
     return updated
-
-
-def _best_blocking_edit(
-    level: RuleLevel, image: BinaryImage, matrix: np.ndarray, ref_row: np.ndarray
-) -> RuleLevel:
-    """Smallest constraint addition that forces label 0 on ``image``."""
-    ref = ref_row.astype(bool)
-    base = _rule_level_labels(level, matrix)
-    candidates: list[tuple[int, int, RuleLevel]] = []
-    for j in range(image.num_pixels):
-        if image.bits[j] == 0 and j not in level.zeros_required:
-            cand = RuleLevel(level.ones_required | {j}, level.zeros_required)
-            pred = base & (matrix[:, j] == 1)
-        elif image.bits[j] == 1 and j not in level.ones_required:
-            cand = RuleLevel(level.ones_required, level.zeros_required | {j})
-            pred = base & (matrix[:, j] == 0)
-        else:
-            continue
-        candidates.append((int(np.count_nonzero(pred != ref)), j, cand))
-    if not candidates:
-        # Fully pinned level: swap one constraint to the other set (size-2
-        # edit). The image satisfies every constraint, so each swap blocks it.
-        for i in sorted(level.ones_required | level.zeros_required):
-            if i in level.ones_required:
-                cand = RuleLevel(level.ones_required - {i}, level.zeros_required | {i})
-            else:
-                cand = RuleLevel(level.ones_required | {i}, level.zeros_required - {i})
-            pred = _rule_level_labels(cand, matrix)
-            candidates.append((int(np.count_nonzero(pred != ref)), i, cand))
-    if not candidates:
-        raise UnreachableTargetError("no blocking edit exists for this level")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
 
 
 # ---------------------------------------------------------------------------

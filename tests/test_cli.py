@@ -257,10 +257,12 @@ class TestDemo:
         assert "I = 0.189" in summary
 
     def test_unknown_fixture_exits_2_and_lists_names(self, tmp_path, capsys):
-        assert main(["demo", "--fixture", "mystery", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["demo", "--fixture", "mystery", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         for name in ("fig1b", "fig1c", "fig2-diagonal", "eval-squares"):
             assert name in err
+        assert not out.exists()
 
     def test_eval_squares_demo_writes_per_seed_reports(self, tmp_path):
         assert main(["demo", "--fixture", "eval-squares", "--seed", "0",

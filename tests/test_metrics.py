@@ -109,9 +109,8 @@ class TestInterpretability:
     def test_zero_initial_entropy_counts_as_interpreted(self):
         assert interpretability(0.0, 0.0) == 1.0
 
-    def test_entropy_increase_clamps_with_warning(self):
-        with pytest.warns(UserWarning):
-            assert interpretability(0.5, 0.6) == 0.0
+    def test_entropy_increase_clamps_to_zero(self):
+        assert interpretability(0.5, 0.6) == 0.0
 
     def test_negative_entropy_rejected(self):
         with pytest.raises(DomainError):
@@ -171,18 +170,18 @@ class TestConfidenceEpsilon:
 
 class TestObjective:
     def test_pure_sum(self):
-        assert objective([1.0, 1.0], 0.0, 2) == -2.0
+        assert objective([1.0, 1.0], 0.0) == -2.0
 
     def test_empty(self):
-        assert objective([], 0.5, 0) == 0.0
+        assert objective([], 0.5) == 0.0
 
     def test_penalty_term(self):
-        assert objective([1.0, 0.5], 0.1, 2) == pytest.approx(-1.3)
+        assert objective([1.0, 0.5], 0.1) == pytest.approx(-1.3)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
-            objective([1.0], -0.1, 1)
+            objective([1.0], -0.1)
 
     def test_out_of_range_interpretability_rejected(self):
         with pytest.raises(DomainError):
-            objective([1.5], 0.0, 1)
+            objective([1.5], 0.0)

@@ -176,6 +176,9 @@ class TestRuleUpdate:
         reference = RuleModel(1, 2, (RuleLevel.of(ones=[1]),))
         updated = update_toward(model, image, (0,), spec, reference)
         assert predict(updated, image) == (0,)
+        # swapping pixel 1 accepts only "11", which disagrees with the
+        # reference on "01" alone; swapping pixel 0 accepts "00" (3 misses)
+        assert updated.levels == (RuleLevel.of(ones=[0, 1]),)
 
     def test_reference_with_other_level_count_rejected(self):
         model = RuleModel(3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4])))

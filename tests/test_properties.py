@@ -11,7 +11,6 @@ import json
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from diaginterp.engine import (
@@ -164,7 +163,6 @@ def test_initial_run_counts_match_brute_force(seed, mode):
     assert report.initial_entropy.sample_size == oracle.sample_size
 
 
-@pytest.mark.filterwarnings("ignore:entropy increased")
 @PROPERTY_SETTINGS
 @given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]), st.booleans())
 def test_budgeted_run_final_counts_match_brute_force(seed, mode, linear):
@@ -180,7 +178,6 @@ def test_budgeted_run_final_counts_match_brute_force(seed, mode, linear):
     assert final.sample_size == oracle.sample_size
 
 
-@pytest.mark.filterwarnings("ignore:entropy increased")
 @PROPERTY_SETTINGS
 @given(SEEDS)
 def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
@@ -199,7 +196,6 @@ def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
     assert report.final_model.levels[:-1] == model_a.levels[:-1]
 
 
-@pytest.mark.filterwarnings("ignore:entropy increased")
 @PROPERTY_SETTINGS
 @given(SEEDS)
 def test_complete_run_matches_exhaustive_fixed_point(seed):
@@ -277,7 +273,6 @@ def test_run_config_json_round_trip(seed, mode):
     assert config_to_json(config_from_json(json_trip(doc))) == doc
 
 
-@pytest.mark.filterwarnings("ignore:entropy increased")
 @settings(PROPERTY_SETTINGS, max_examples=50)
 @given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]))
 def test_seeded_run_is_deterministic(seed, mode):
