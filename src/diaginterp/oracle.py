@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _rule_level(ones: int, zeros: int, codes):
     return (code & ones == ones and not code & zeros for code in codes)
 
 
-def _rule_levels(model: RuleModel, pixels: int, codes: list[int]) -> list:
+def _rule_levels(model: RuleModel, pixels: int, codes: Sequence[int]) -> list:
     """One lazy label iterator per level of a rule model."""
     bit = _pixel_bits(pixels)
     return [
@@ -282,9 +283,10 @@ def exhaustive_fixed_point(
         miss = -1
         while True:
             # The next image, in enumeration order, that the current model
-            # mislabels. The labels are lazy, so the scan stops there.
+            # mislabels. The labels are lazy, so the scan stops there. On a
+            # full space codes[i] == i, so the rest of the codes is a range.
             start = miss + 1
-            mine = _rule_levels(current, spec.num_pixels, codes[start:])
+            mine = _rule_levels(current, spec.num_pixels, range(start, len(codes)))
             rest = [islice(labels, start, None) for labels in labels_b]
             miss = next(compress(count(start), _misses(mine, rest)), None)
             if miss is None:

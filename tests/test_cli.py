@@ -132,6 +132,22 @@ class TestInterpret:
         assert "base_dataset labels must be 0 or 1" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_non_integer_rule_pixel_exits_2(self, tmp_path, capsys, index):
+        def rule(ones):
+            return {"kind": "rule", "width": 2, "height": 2,
+                    "levels": [{"ones_required": ones, "zeros_required": []}]}
+
+        doc = {"space": {"width": 2, "height": 2, "mode": "full"}, "model_a": rule([index]),
+               "model_b": rule([0]), "updater": "rule_minimal_edit"}
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: pixel index")
+        assert not out.exists()
+
     @pytest.mark.parametrize("updater", ["retrain_with_queries", "rule_edit", None])
     def test_updater_must_name_the_known_models_update(self, tmp_path, capsys, updater):
         doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,20 @@ class TestTopLabel:
         for img in enumerate_space(ImageSpaceSpec(3, 3, "full")):
             expected = 1 if (img.bits[4] == 1 and img.bits[8] == 0) else 0
             assert predict(model, img)[-1] == expected
+
+
+class TestLabelMatrix:
+    def test_labelling_a_full_4x4_space_holds_one_block_of_floats(self):
+        # a float64 copy of the 65,536-row space alone is 8 MiB
+        matrix = space_matrix(ImageSpaceSpec(4, 4, "full"))
+        model = init_neural([16, 64, 1], 4, 4, rng_seed=0)
+        tracemalloc.start()
+        try:
+            level_label_matrix(model, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRuleModelProperties:
@@ -455,6 +471,20 @@ class TestSerialization:
         doc = {"kind": "linear", "width": 2, "height": 2, "weights": weights, "bias": bias}
         with pytest.raises(InvalidSpecError):
             model_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["ones_required", "zeros_required"])
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None])
+    def test_non_integer_rule_pixel_rejected(self, key, index):
+        level = {"ones_required": [], "zeros_required": []}
+        level[key] = [index]
+        doc = {"kind": "rule", "width": 2, "height": 2, "levels": [level]}
+        with pytest.raises(InvalidSpecError, match="is not an integer"):
+            model_from_json(doc)
+
+    def test_numpy_integer_rule_pixels_accepted(self):
+        model = RuleModel(2, 2, (RuleLevel.of(ones=[np.int64(0)], zeros=[np.uint8(3)]),))
+        assert predict(model, BinaryImage.from_string(2, 2, "1000")) == (1,)
+        assert predict(model, BinaryImage.from_string(2, 2, "1001")) == (0,)
 
     def test_num_levels(self):
         assert num_levels(diagonal_rule()) == 1

@@ -1,12 +1,21 @@
 """The traced benchmark (perfbench/traced_op.py) wraps package functions by
-name; every name it wraps must still exist, or ``run.py --trace 1`` breaks
+name and reads their positional arguments; every name it wraps must still
+exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
 without any test noticing."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACED_OP = Path(__file__).resolve().parent.parent / "perfbench" / "traced_op.py"
+from diaginterp.fixtures import build_fixture
+from diaginterp.imagespace import space_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_OP = ROOT / "perfbench" / "traced_op.py"
 
 
 def traced_layer_functions() -> dict:
@@ -33,3 +42,21 @@ def test_traced_layer_functions_exist():
     ]
     assert missing == []
 
+
+
+def test_traced_run_records_label_spans(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(TRACED_OP), str(spans_path), "interpret",
+         "--fixture", "fig2-diagonal", "--seed", "7", "--out", str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    label_spans = [
+        attributes for name, _, _, _, _, attributes in json.loads(spans_path.read_text())["spans"]
+        if name.startswith("models.level_label_matrix[")
+    ]
+    # the wrapper reads the labelled matrix's row count from its second argument
+    rows = len(space_matrix(build_fixture("fig2-diagonal").space))
+    assert {"images": rows} in label_spans
