@@ -18,9 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# Set before numpy is first imported, unless the user set it. The matrix
+# products here are small (labels take 1,024 rows at a time, training sets a
+# few hundred), and OpenBLAS's worker threads slow those down, and slow
+# numpy's import too.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .engine import (
     SETTING_KEYS,

@@ -28,7 +28,7 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import BinaryImage
+from .imagespace import MATERIALIZE_BYTE_LIMIT, BinaryImage
 
 PredictionVector = tuple[int, ...]
 
@@ -353,11 +353,6 @@ def _dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]
     return X, y, width, height
 
 
-# Rows in the first block of a scan for an epoch's next mistake; each clean
-# block doubles the next one, and a mistake starts over at this size.
-_SCAN_BLOCK = 16
-
-
 def train_linear(
     dataset: Dataset, epochs: int, learning_rate: float, rng_seed
 ) -> LinearModel:
@@ -368,44 +363,46 @@ def train_linear(
     the bias (label 1) or subtracts them (label 0). Stops early once an epoch
     is mistake-free (the pass order no longer matters at that point).
 
-    Rows are 0/1 and every step is +-1, so the weights and the bias are
-    integer counts, kept as float64. A score is then a sum of integers, exact
-    under any summation order while its partial sums stay below 2^53 in
-    magnitude. Which examples are mistakes therefore does not depend on
-    ``learning_rate``: it only scales the returned weights and bias.
+    Each row is signed by its label, so every update adds a signed row, and
+    the weights are the mistake counts times the signed rows. The scan runs
+    in the dual form: it keeps every example's score, and a mistake at i adds
+    row i of the Gram matrix ``signed @ signed.T`` to the scores. Rows are
+    0/1, so every Gram entry, score and count is an integer, exact in float64
+    under any summation order while it stays below 2^53 in magnitude; the
+    mistakes, and so the weights, equal the per-example loop's bit for bit.
+    Which examples are mistakes does not depend on ``learning_rate``: it only
+    scales the returned weights and bias.
 
-    Each row is signed by its label, so every update adds a signed row. The
-    next mistake is found by scoring the rest of the epoch's order in blocks
-    of _SCAN_BLOCK rows after a mistake and twice as many after each clean
-    block, so an epoch of n examples with m mistakes scores at most
-    2n + (m + 1) * _SCAN_BLOCK rows.
+    The Gram matrix takes 8 n^2 bytes; above MATERIALIZE_BYTE_LIMIT (about
+    5,800 examples) each mistake computes its row from the signed rows
+    instead, so memory stays O(n * pixels).
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
     X, y, width, height = _dataset_arrays(dataset)
+    n = len(X)
     # A column of ones carries the bias: the last count is the bias count.
-    signed = np.hstack([X, np.ones((len(X), 1))]) * (2.0 * y - 1.0)[:, None]
+    signed = np.hstack([X, np.ones((n, 1))]) * (2.0 * y - 1.0)[:, None]
     # A label-1 example is a mistake at a signed score <= 0, a label-0 one at
     # a signed score < 0, which for an integer score is <= -0.5.
-    limit = np.where(y == 1.0, 0.0, -0.5)
+    limit = np.where(y == 1.0, 0.0, -0.5).tolist()
+    gram = signed @ signed.T if 8 * n * n <= MATERIALIZE_BYTE_LIMIT else None
     rng = np.random.default_rng(rng_seed)
-    counts = np.zeros(signed.shape[1], dtype=np.float64)
+    scores, mistakes = np.zeros(n), [0] * n
+    view = scores.data  # reads one score as a Python float
     for _ in range(epochs):
-        order = rng.permutation(len(dataset))
-        rows, wrong_at = signed[order], limit[order]
-        pos, block, mistakes = 0, _SCAN_BLOCK, 0
-        while pos < len(order):
-            wrong = rows[pos : pos + block] @ counts <= wrong_at[pos : pos + block]
-            first = int(wrong.argmax())
-            if not wrong[first]:
-                pos, block = pos + block, 2 * block
-                continue
-            counts += rows[pos + first]
-            pos, block, mistakes = pos + first + 1, _SCAN_BLOCK, mistakes + 1
-        if mistakes == 0:
+        clean = True
+        for i in rng.permutation(n).tolist():
+            if view[i] <= limit[i]:
+                scores += signed @ signed[i] if gram is None else gram[i]
+                mistakes[i] += 1
+                clean = False
+        if clean:
             break
+    # + 0.0 turns a sum of -0.0 terms into the +0.0 the weights start at
+    counts = np.array(mistakes, dtype=np.float64) @ signed + 0.0
     return LinearModel(width, height, learning_rate * counts[:-1], learning_rate * counts[-1])
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +335,30 @@ class TestDemo:
                          "--out", str(out)]) == 0
         assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread unless the user chose a count.
+    OpenBLAS reads the variable once, when numpy is first imported, so the
+    package itself must not import numpy before cli.py sets it."""
+
+    @staticmethod
+    def fresh_python(code, threads=None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_cli_sets_one_thread_unless_the_user_chose(self, given, expected):
+        code = "import os, diaginterp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.fresh_python(code, threads=given) == expected
+
+    def test_package_import_leaves_numpy_unimported(self):
+        code = "import sys, diaginterp; print('numpy' in sys.modules)"
+        assert self.fresh_python(code) == "False"

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diaginterp import models
 from diaginterp.imagespace import BinaryImage
 from diaginterp.models import (
     NeuralLayer,
@@ -155,6 +156,14 @@ def test_train_linear_equals_the_per_example_loop_on_larger_sets(noise):
     w, b = reference_train_linear(dataset, 12, 1.0, rng_seed=5)
     assert exact_bits(model.weights, w)
     assert exact_bits(model.bias, b)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+def test_train_linear_over_the_gram_budget_equals_the_per_example_loop(noise, monkeypatch):
+    # The 800-example Gram matrix takes 8 * 800^2 bytes, one more than this
+    # budget, so every mistake computes its Gram row from the signed rows.
+    monkeypatch.setattr(models, "MATERIALIZE_BYTE_LIMIT", 8 * 800**2 - 1)
+    test_train_linear_equals_the_per_example_loop_on_larger_sets(noise)
 
 
 @PROPERTY_SETTINGS
