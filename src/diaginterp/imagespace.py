@@ -187,10 +187,12 @@ def _materialize_bytes(spec: ImageSpaceSpec) -> int:
     if spec.mode == "full":
         # per image: its uint32 code and its row
         return (1 << pixels) * (4 + pixels)
-    # Per candidate: its row, and in np.unique a flat copy, a sorted copy and
-    # the unique value of it, its sort index, its first index and its mask
-    # byte. One flip count's masks, freed before the dedup, take less.
-    return envelope_size_bound(spec) * (4 * pixels + 17)
+    # Per candidate: its row, its packed bytes and its key, and then the larger
+    # of np.unique's working set (a flat copy, a sorted copy and the unique
+    # value of the key, its sort index, first index and mask byte) and the
+    # result's first index and row. One flip count's masks take less.
+    key = max(8, -(-pixels // 8))
+    return envelope_size_bound(spec) * (pixels + 2 * key + max(3 * key + 17, pixels + 8))
 
 
 def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
@@ -229,9 +231,13 @@ def _flip_masks(pixels: int, radius: int) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The first occurrence of each distinct row of a 2-D array, in order."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    """The first occurrence of each distinct row of a 2-D 0/1 array, in order.
+    A row's key is its np.packbits bytes, zero-padded to 8: one big-endian
+    uint64, pixel 0 its top bit, up to 64 pixels; a void key beyond that."""
+    packed = np.packbits(rows, axis=1)
+    width = max(8, packed.shape[1])
+    packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+    keys = packed.view(">u8" if width == 8 else np.dtype((np.void, width))).ravel()
     # return_index sorts stably, so each index is a value's first occurrence.
     first = np.unique(keys, return_index=True)[1]
     first.sort()
@@ -248,20 +254,24 @@ def spec_to_json(spec: ImageSpaceSpec) -> dict:
     }
 
 
+def json_int(doc: dict, key: str, what: str, default: int | None = None) -> int:
+    """``doc[key]``, or ``default`` if given and the key is absent (KeyError
+    otherwise): a JSON integer, not a bool, float or string. ``what`` names ``doc``."""
+    if not isinstance(doc, dict):
+        raise InvalidSpecError(f"{what} document must be a JSON object, got {type(doc).__name__}")
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpecError(f"{what} {key} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_json(doc: dict) -> ImageSpaceSpec:
     try:
-        width = int(doc["width"])
-        height = int(doc["height"])
+        width, height = (json_int(doc, key, "space") for key in ("width", "height"))
         mode = doc["mode"]
     except KeyError as missing:
         raise InvalidSpecError(f"space document missing key {missing}") from None
     bases = tuple(
         BinaryImage.from_string(width, height, text) for text in doc.get("base_images", [])
     )
-    return ImageSpaceSpec(
-        width=width,
-        height=height,
-        mode=mode,
-        base_images=bases,
-        flip_radius=int(doc.get("flip_radius", 0)),
-    )
+    return ImageSpaceSpec(width, height, mode, bases, json_int(doc, "flip_radius", "space", 0))

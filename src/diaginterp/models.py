@@ -6,10 +6,11 @@ image to one {0,1} label per abstraction level, with the last level acting as
 the diagnosis label. Rule models may have any number of levels; the
 real-valued families are single-level.
 
-A net has one forward pass, ``_forward``: labelling, the gradients and the
-training epochs all run it. The perceptron keeps integer mistake counts, so
-its scores are exact. Real-valued labels take one fixed block of float rows at
-a time, never a float copy of the whole space.
+A net has one forward and one backward pass, ``_forward`` and ``_backward``;
+labelling, the gradients and the training epochs all run them, and training
+passes them buffers it makes once. The perceptron keeps integer mistake
+counts, so its scores are exact. Real-valued labels take one fixed block of
+float rows at a time, never a float copy of the whole space.
 
 Every training routine is a deterministic function of its inputs and seed.
 """
@@ -28,7 +29,7 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import MATERIALIZE_BYTE_LIMIT, BinaryImage
+from .imagespace import MATERIALIZE_BYTE_LIMIT, BinaryImage, json_int
 
 PredictionVector = tuple[int, ...]
 
@@ -182,25 +183,44 @@ def _check_image(model: Model, image: BinaryImage) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Two-branch form avoids overflow in exp for large |z|.
-    out = np.empty_like(z)
+    """The logistic function, written over ``z``. e = exp(-|z|) cannot
+    overflow: it is 1 / (1 + e) where z >= 0, else e / (1 + e)."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.copysign(z, -1.0))
+    d = e + 1.0
+    np.divide(e, d, out=z)
+    return np.divide(1.0, d, out=z, where=pos)
 
 
-def _forward(layers: Sequence[NeuralLayer], X: np.ndarray) -> list[np.ndarray]:
+def _forward(layers: Sequence[NeuralLayer], X: np.ndarray, out=None) -> list[np.ndarray]:
     """The net's forward pass over a (n, fan_in) batch: every layer's
-    activation, the batch itself first. A relu layer overwrites its
-    pre-activation, so the pass holds one (n, fan_out) array fewer."""
+    activation, the batch itself first. Layer k writes its pre-activation and
+    then its activation into ``out[k]``, or into a new array."""
     activations = [X]
-    for weights, bias, activation in layers:
-        z = activations[-1] @ weights
+    for k, (weights, bias, activation) in enumerate(layers):
+        z = np.matmul(activations[-1], weights, out=None if out is None else out[k])
         z += bias
         activations.append(np.maximum(z, 0.0, out=z) if activation == "relu" else _sigmoid(z))
     return activations
+
+
+def _backward(layers, activations, y, grads) -> None:
+    """The net's backward pass: bce_loss's gradients into ``grads``. Each of a
+    forward pass's ``activations`` but the batch is overwritten by its delta."""
+    # Sigmoid + cross-entropy collapse to (p - y)/n at the output.
+    delta = np.subtract(activations[-1], y[:, None], out=activations[-1])
+    delta /= len(y)
+    for k in range(len(layers) - 1, -1, -1):
+        np.matmul(activations[k].T, delta, out=grads[k][0])
+        np.add.reduce(delta, axis=0, out=grads[k][1])
+        if k > 0:
+            # Both derivatives read off the activation before its delta: a relu
+            # unit's is positive iff its input is; a sigmoid unit's is s in s(1-s).
+            a = activations[k]
+            factors = [a > 0.0] if layers[k - 1].activation == "relu" else [a.copy(), 1.0 - a]
+            delta = np.matmul(delta, layers[k].weights.T, out=a)
+            for factor in factors:
+                delta *= factor
 
 
 def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
@@ -469,29 +489,21 @@ def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
 
 def bce_gradients(model: NeuralModel, X: np.ndarray, y: np.ndarray):
     """Backpropagated gradients of bce_loss; one (dW, db) pair per layer."""
-    return _bce_gradients(model.layers, X, y)
-
-
-def _bce_gradients(layers: Sequence[NeuralLayer], X: np.ndarray, y: np.ndarray):
-    n = X.shape[0]
-    activations = _forward(layers, X)
-    # Sigmoid + cross-entropy collapse to (p - y)/n at the output.
-    delta = (activations[-1][:, 0] - y)[:, None] / n
-    grads = []
-    for k in range(len(layers) - 1, -1, -1):
-        grads.append((activations[k].T @ delta, delta.sum(axis=0)))
-        if k > 0:
-            delta = delta @ layers[k].weights.T
-            # Both derivatives read off the activation: a relu unit's
-            # activation is positive iff its pre-activation is, and a sigmoid
-            # unit's activation is s in s * (1 - s).
-            a = activations[k]
-            if layers[k - 1].activation == "relu":
-                delta = delta * (a > 0.0)
-            else:
-                delta = delta * a * (1.0 - a)
-    grads.reverse()
+    grads = [(np.empty_like(weights), np.empty_like(bias)) for weights, bias, _ in model.layers]
+    _backward(model.layers, _forward(model.layers, X), y, grads)
     return grads
+
+
+def _flat_layers(layers: Sequence[NeuralLayer]) -> tuple[np.ndarray, list[NeuralLayer]]:
+    """A flat float64 copy of the layers' parameters, each layer's weights
+    (row-major) and then its bias, and the layers as views of it."""
+    parts = [part for layer in layers for part in layer[:2]]
+    flat = np.concatenate([part.ravel() for part in parts])
+    views = np.split(flat, np.cumsum([part.size for part in parts])[:-1])
+    return flat, [
+        NeuralLayer(w.reshape(layer.weights.shape), b, layer.activation)
+        for w, b, layer in zip(views[::2], views[1::2], layers)
+    ]
 
 
 def train_neural(
@@ -502,18 +514,21 @@ def train_neural(
     rng_seed,
     hidden_activation: str = "relu",
 ) -> NeuralModel:
-    """Full-batch gradient descent on binary cross-entropy. The epochs step
-    unchecked NeuralLayers; the net is validated once, at the end."""
+    """Full-batch gradient descent on binary cross-entropy. The layers are
+    views of one flat parameter vector and their gradients of another; each
+    epoch runs the two passes into buffers made once here and steps by
+    ``grad *= rate; theta -= grad``, the same IEEE operations as
+    ``w - rate * dw``. The net is validated once, at the end."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     X, y, width, height = _dataset_arrays(dataset)
-    layers = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
+    init = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
+    (theta, layers), (grad, grads) = _flat_layers(init), _flat_layers(init)
+    activations = [np.empty((len(X), len(bias))) for _, bias, _ in init]
     for _ in range(epochs):
-        grads = _bce_gradients(layers, X, y)
-        layers = [
-            NeuralLayer(weights - learning_rate * dw, bias - learning_rate * db, activation)
-            for (weights, bias, activation), (dw, db) in zip(layers, grads)
-        ]
+        _backward(layers, _forward(layers, X, activations), y, grads)
+        grad *= learning_rate
+        theta -= grad
     return NeuralModel(width, height, tuple(layers))
 
 
@@ -568,8 +583,8 @@ def model_to_json(model: Model) -> dict:
 
 def model_from_json(doc: dict) -> Model:
     try:
+        width, height = (json_int(doc, key, "model") for key in ("width", "height"))
         kind = doc.get("kind")
-        width, height = int(doc["width"]), int(doc["height"])
         if kind == "rule":
             levels = tuple(
                 RuleLevel(frozenset(lv["ones_required"]), frozenset(lv["zeros_required"]))

@@ -213,21 +213,40 @@ class TestOracle:
     @pytest.mark.parametrize("broken, message", [
         ("model_a", "models file missing key 'model_a'"),
         ("zeros_required", "model document missing key 'zeros_required'"),
+        ("model_a_list", "model document must be a JSON object, got list"),
+        ("model_width_1e400", "model width must be an integer, got inf"),
+        ("space_width_2.5", "space width must be an integer, got 2.5"),
+        ("flip_radius_1.7", "space flip_radius must be an integer, got 1.7"),
     ])
     def test_missing_model_key_exits_2_naming_it(self, tmp_path, capsys, broken, message):
+        # a missing key, a model that is not a JSON object, or a size that is
+        # not a JSON integer, given as the raw JSON text of the value
         fx = build_fixture("fig2-diagonal")
         models = {"model_a": model_to_json(fx.model_a), "model_b": model_to_json(fx.model_b)}
+        space = spec_to_json(fx.space)
+        raw = {
+            "model_a_list": (models, "model_a", "[]"),
+            "model_width_1e400": (models["model_b"], "width", "1e400"),
+            "space_width_2.5": (space, "width", "2.5"),
+            "flip_radius_1.7": (space, "flip_radius", "1.7"),
+        }
+        text = ""
         if broken == "model_a":
             del models["model_a"]
-        else:
+        elif broken == "zeros_required":
             del models["model_b"]["levels"][0]["zeros_required"]
+        else:
+            doc, key, text = raw[broken]
+            doc[key] = "@raw"
         models_path = tmp_path / "models.json"
-        models_path.write_text(json.dumps(models))
+        models_path.write_text(json.dumps(models).replace('"@raw"', text))
         space_path = tmp_path / "space.json"
-        space_path.write_text(json.dumps(spec_to_json(fx.space)))
+        space_path.write_text(json.dumps(space).replace('"@raw"', text))
         assert main(["oracle", "--models", str(models_path), "--space", str(space_path),
                      "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "malformed input" not in err
         assert not (tmp_path / "oracle.json").exists()
 
     def test_malformed_neural_model_exits_2(self, tmp_path, capsys):

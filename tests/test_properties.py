@@ -2,7 +2,8 @@
 
 Each property draws an integer seed and builds its models and spaces from
 ``np.random.default_rng(seed)``: rule models with 1-3 levels, linear models
-and small ReLU nets, on grids of 3x3 or smaller. The settings are
+and small ReLU nets, on grids of 3x3 or smaller; the space and row
+properties also reach 64-72-pixel rows. The settings are
 derandomized and keep no example database, so every run checks the same
 examples.
 """
@@ -11,7 +12,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diaginterp.engine import (
     EngineConfig,
@@ -218,32 +219,44 @@ def json_trip(doc):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_space_matrix_matches_oracle_enumeration(seed):
+@given(seed=SEEDS, wide=st.none())
+@example(seed=1, wide=(8, 8))
+@example(seed=2, wide=(8, 8))
+@example(seed=3, wide=(9, 8))
+@example(seed=4, wide=(9, 8))
+def test_space_matrix_matches_oracle_enumeration(seed, wide):
     # full grids up to 3x3; envelopes whose bases repeat, with any radius
-    # from 0 to one past the pixel count
+    # from 0 to one past the pixel count; and radius-1 envelopes with
+    # repeated bases on the 64-pixel 8x8 and the 72-pixel 9x8 grid
     rng = np.random.default_rng(seed)
-    width, height = random_grid(rng)
-    if rng.integers(0, 3) == 0:
+    width, height = wide or random_grid(rng)
+    if wide is None and rng.integers(0, 3) == 0:
         spec = ImageSpaceSpec(width, height, "full")
     else:
         pool = [random_image(rng, width, height) for _ in range(int(rng.integers(1, 4)))]
         bases = tuple(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 6))))
-        radius = int(rng.integers(0, width * height + 2))
+        radius = 1 if wide else int(rng.integers(0, width * height + 2))
         spec = ImageSpaceSpec(width, height, "envelope", bases, radius)
     codes = [int("".join(map(str, row)), 2) for row in space_matrix(spec).tolist()]
     assert codes == list(_iterate_space(spec))
 
 
-ROWS = st.integers(1, 4).flatmap(
-    lambda width: st.lists(
-        st.lists(st.integers(0, 1), min_size=width, max_size=width), min_size=1, max_size=40
-    )
-)
+@st.composite
+def rows_with_repeats(draw):
+    """2-41 rows of 1-4 or 63-72 pixels, around unique_rows's switch from
+    one uint64 key to a wider key at 64 pixels. Each row is a base image or
+    one of at most 8 one-pixel flips of it, and the base comes last, so most
+    rows repeat and every distinct row differs from the base in one pixel."""
+    width = draw(st.sampled_from([1, 2, 3, 4, 63, 64, 65, 72]))
+    base = draw(st.integers(0, 2**width - 1))
+    # 0 keeps the base; j > 0 flips the j-th pixel from the end
+    pool = draw(st.lists(st.integers(1, width), min_size=1, max_size=8))
+    flips = draw(st.lists(st.sampled_from([0, *pool]), min_size=1, max_size=40)) + [0]
+    return [[int(bit) for bit in format(base ^ (1 << j >> 1), f"0{width}b")] for j in flips]
 
 
 @PROPERTY_SETTINGS
-@given(ROWS)
+@given(rows_with_repeats())
 def test_unique_rows_keeps_exactly_the_first_occurrences(rows):
     expected = list(dict.fromkeys(map(tuple, rows)))
     got = unique_rows(np.array(rows, dtype=np.uint8))

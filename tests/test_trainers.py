@@ -9,18 +9,22 @@ that loop is itself exact, and ``train_linear`` must equal it bit for bit.
 
 ``reference_train_neural`` is full-batch gradient descent that builds a
 validated ``NeuralModel`` every epoch and takes its gradients from a forward
-pass that keeps the pre-activations; ``train_neural`` must equal it bit for
-bit.
+pass that keeps the pre-activations, with the logistic function in its
+two-branch form; ``train_neural`` and ``bce_gradients`` must equal it bit for
+bit, on random small nets and at the eval-squares fixture's 64-16-1 shape.
 
 The properties are derandomized and keep no example database, so every run
 checks the same examples.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diaginterp import models
+from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import BinaryImage
 from diaginterp.models import (
     NeuralLayer,
@@ -57,13 +61,23 @@ def reference_train_linear(dataset, epochs, learning_rate, rng_seed):
     return w, b
 
 
+def reference_sigmoid(z):
+    # the two-branch form, on the entries each branch selects
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _reference_forward_trace(model, X):
     activations = [X]
     pre = []
     a = X
     for layer in model.layers:
         z = a @ layer.weights + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else _sigmoid(z)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else reference_sigmoid(z)
         pre.append(z)
         activations.append(a)
     return pre, activations
@@ -83,7 +97,7 @@ def reference_bce_gradients(model, X, y):
             if prev.activation == "relu":
                 delta = delta * (pre[k - 1] > 0.0)
             else:
-                s = _sigmoid(pre[k - 1])
+                s = reference_sigmoid(pre[k - 1])
                 delta = delta * s * (1.0 - s)
     grads.reverse()
     return grads
@@ -186,16 +200,32 @@ def test_rate_only_scales_the_weights(seed, epochs):
     )
 
 
-@pytest.mark.parametrize("hidden_activation", ["relu", "sigmoid"])
-@settings(max_examples=15, derandomize=True, database=None, deadline=None)
-@given(SEEDS)
-def test_train_neural_equals_the_per_epoch_loop(hidden_activation, seed):
-    rng = np.random.default_rng(seed)
+@functools.cache
+def eval_squares_dataset():
+    """The eval-squares fixture's 200-example 8x8 training set."""
+    return build_fixture("eval-squares", 0).base_dataset
+
+
+def neural_case(rng, eval_squares):
+    """A dataset and an architecture: a random one on a grid of up to 4x4
+    with 1-2 hidden layers of 1-5 units, or the eval-squares 64-16-1 net on
+    its fixture's dataset."""
+    if eval_squares:
+        return eval_squares_dataset(), [64, 16, 1]
     dataset = random_dataset(rng, max_side=4, max_examples=30)
     pixels = dataset[0][0].num_pixels
-    architecture = [pixels, *rng.integers(1, 6, int(rng.integers(1, 3))).tolist(), 1]
-    epochs = int(rng.integers(1, 40))
-    rate = float(rng.choice([0.05, 0.5, 1.3]))
+    return dataset, [pixels, *rng.integers(1, 6, int(rng.integers(1, 3))).tolist(), 1]
+
+
+@pytest.mark.parametrize("hidden_activation", ["relu", "sigmoid"])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(seed=SEEDS, eval_squares=st.just(False))
+@example(seed=0, eval_squares=True)
+def test_train_neural_equals_the_per_epoch_loop(hidden_activation, seed, eval_squares):
+    rng = np.random.default_rng(seed)
+    dataset, architecture = neural_case(rng, eval_squares)
+    epochs = 100 if eval_squares else int(rng.integers(1, 40))
+    rate = 0.5 if eval_squares else float(rng.choice([0.05, 0.5, 1.3]))
     model = train_neural(dataset, architecture, epochs, rate, [seed, 1], hidden_activation)
     reference = reference_train_neural(dataset, architecture, epochs, rate, [seed, 1], hidden_activation)
     assert len(model.layers) == len(reference.layers)
@@ -207,15 +237,25 @@ def test_train_neural_equals_the_per_epoch_loop(hidden_activation, seed):
 
 @pytest.mark.parametrize("hidden_activation", ["relu", "sigmoid"])
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
-@given(SEEDS)
-def test_bce_gradients_equal_the_reference_backprop(hidden_activation, seed):
+@given(seed=SEEDS, eval_squares=st.just(False))
+@example(seed=0, eval_squares=True)
+def test_bce_gradients_equal_the_reference_backprop(hidden_activation, seed, eval_squares):
     rng = np.random.default_rng(seed)
-    dataset = random_dataset(rng, max_side=4, max_examples=30)
+    dataset, architecture = neural_case(rng, eval_squares)
     X, y, width, height = _dataset_arrays(dataset)
-    architecture = [width * height, *rng.integers(1, 6, int(rng.integers(1, 3))).tolist(), 1]
     model = init_neural(architecture, width, height, seed, hidden_activation)
     for (dw, db), (ref_dw, ref_db) in zip(
         bce_gradients(model, X, y), reference_bce_gradients(model, X, y)
     ):
         assert exact_bits(dw, ref_dw)
         assert exact_bits(db, ref_db)
+
+
+def test_sigmoid_writes_the_two_branch_form_over_its_input():
+    z = np.concatenate([
+        np.random.default_rng(0).normal(scale=40.0, size=2000),
+        [0.0, -0.0, 36.8, -36.8, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf],
+    ])
+    expected = reference_sigmoid(z)
+    assert _sigmoid(z) is z
+    assert exact_bits(z, expected)
