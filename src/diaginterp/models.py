@@ -490,7 +490,7 @@ def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
 def bce_gradients(model: NeuralModel, X: np.ndarray, y: np.ndarray):
     """Backpropagated gradients of bce_loss; one (dW, db) pair per layer."""
     grads = [(np.empty_like(weights), np.empty_like(bias)) for weights, bias, _ in model.layers]
-    _backward(model.layers, _forward(model.layers, X), y, grads)
+    _backward(model.layers, _forward(model.layers, X), np.asarray(y, dtype=np.float64), grads)
     return grads
 
 

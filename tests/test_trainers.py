@@ -251,6 +251,18 @@ def test_bce_gradients_equal_the_reference_backprop(hidden_activation, seed, eva
         assert exact_bits(db, ref_db)
 
 
+def test_bce_gradients_take_labels_as_a_list():
+    dataset, architecture = neural_case(np.random.default_rng(3), False)
+    X, y, width, height = _dataset_arrays(dataset)
+    model = init_neural(architecture, width, height, 3)
+    labels = [int(label) for label in y]
+    for (dw, db), (ref_dw, ref_db) in zip(
+        bce_gradients(model, X, labels), reference_bce_gradients(model, X, y)
+    ):
+        assert exact_bits(dw, ref_dw)
+        assert exact_bits(db, ref_db)
+
+
 def test_sigmoid_writes_the_two_branch_form_over_its_input():
     z = np.concatenate([
         np.random.default_rng(0).normal(scale=40.0, size=2000),
