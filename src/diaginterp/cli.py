@@ -65,11 +65,14 @@ def _load_json(path: str) -> dict:
     except OSError as err:
         raise DiagInterpError(f"cannot read {path}: {err}") from None
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DiagInterpError(
             f"malformed JSON in {path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write_report(report: Report, out_dir: Path, stem: str = "report") -> None:

@@ -1,12 +1,14 @@
 """The interpretation engine: query a disagreement, update the known model,
 re-measure the disagreement entropy, repeat.
 
-A run materializes the evaluation space once as a matrix and labels it with
-the black box once. After every update it relabels the space with the known
-model, once, and compares the two label matrices. The levels it compares are
-every level in diagnostic mode and the diagnosis level in epsilon mode. The
-resulting disagreement rows give both the step's entropy breakdown and the
-query region: the images that disagree at any compared level.
+A run materializes the evaluation space once as a matrix, packs its pixel
+columns into 64-bit words, and labels it with the black box once, packed the
+same way: image i is bit i. After every update it relabels the space with the
+known model, once: a rule model as ANDs of packed columns, a linear model by
+packing its labels. The levels it compares are every level in diagnostic
+mode and the diagnosis level in epsilon mode. Their XOR gives the step's
+entropy breakdown (popcounts) and the query region: the OR of the compared
+levels. Queries are picked by bit position, so each costs words, not rows.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -44,6 +46,7 @@ from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
     BinaryImage,
     ImageSpaceSpec,
+    pack_bits,
     space_matrix,
     spec_from_json,
     spec_to_json,
@@ -68,6 +71,8 @@ from .models import (
     model_from_json,
     model_to_json,
     num_levels,
+    pack_columns,
+    rule_bits,
     rule_update,
 )
 
@@ -202,45 +207,71 @@ def trajectory_rows(report: Report) -> list[str]:
     return rows
 
 
+def _nth_bit(words: np.ndarray, k: int) -> int:
+    """The k-th set bit, from 0, of a packed bit vector: its word from the
+    cumulative popcounts, then its place among that word's set bits."""
+    counts = np.cumsum(np.bitwise_count(words))
+    w = int(np.searchsorted(counts, k, side="right"))
+    ones = np.flatnonzero(np.unpackbits(words[w : w + 1].view(np.uint8), bitorder="little"))
+    return 64 * w + int(ones[k - int(counts[w]) + ones.size])
+
+
+def _rank(words: np.ndarray, position: int) -> int:
+    """How many set bits of a packed bit vector lie below ``position``."""
+    w, b = divmod(position, 64)
+    head = int(words[w]) & (1 << b) - 1 if b else 0
+    return int(np.bitwise_count(words[:w]).sum()) + head.bit_count()
+
+
 class _Run:
-    """What both entry points share: the space matrix and the black box's
-    labels (computed once), the known model with its current labels, the
-    disagreement they leave, and the step records so far."""
+    """What both entry points share: the space matrix, its packed columns (for
+    a rule model) and the black box's packed labels, computed once; the known
+    model with its packed labels, the disagreement they leave, and the step
+    records so far."""
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
         self.matrix = space_matrix(config.space)
-        self.b_levels = level_label_matrix(config.model_b, self.matrix)
+        self.columns = pack_columns(self.matrix) if isinstance(config.model_a, RuleModel) else None
+        self.b_bits = pack_bits(level_label_matrix(config.model_b, self.matrix))
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
         self.initial = self.breakdown
         # Level counts differ only in epsilon mode, which compares the
         # diagnosis rows alone, so aligning after the first measure is safe.
-        if self.b_levels.shape[0] != self.a_levels.shape[0]:
-            self.b_levels = np.concatenate([self.a_levels[:-1], self.b_levels[-1:]])
+        if self.b_bits.shape[0] != self.a_bits.shape[0]:
+            self.b_bits = np.concatenate([self.a_bits[:-1], self.b_bits[-1:]])
 
     def _set_model(self, model: Model) -> None:
         self.model = model
-        self.a_levels = level_label_matrix(model, self.matrix)
-        rows = disagreement_rows(self.a_levels, self.b_levels, self.config.mode == "epsilon")
-        self.breakdown = EntropyBreakdown.from_counts(rows.sum(axis=1), self.matrix.shape[0])
-        # The query region, ascending in enumeration order.
-        self.region = np.flatnonzero(rows.any(axis=0))
+        if isinstance(model, RuleModel):
+            self.a_bits = rule_bits(model.levels, self.columns)
+        else:
+            self.a_bits = pack_bits(level_label_matrix(model, self.matrix))
+        rows = disagreement_rows(self.a_bits, self.b_bits, self.config.mode == "epsilon")
+        counts = np.bitwise_count(rows).sum(axis=1)
+        self.breakdown = EntropyBreakdown.from_counts(counts, self.matrix.shape[0])
+        # The query region, one bit per image, and its size.
+        self.region = np.bitwise_or.reduce(rows, axis=0)
+        self.region_size = int(np.bitwise_count(self.region).sum())
 
     def zero_entropy_termination(self) -> str:
         """How a run at zero initial entropy ends: ``entropy_zero`` when some
         level disagrees on every image, ``no_disagreement`` when none does."""
-        return TERM_NO_DISAGREEMENT if self.region.size == 0 else TERM_ENTROPY_ZERO
+        return TERM_NO_DISAGREEMENT if self.region_size == 0 else TERM_ENTROPY_ZERO
 
     def image(self, idx: int) -> BinaryImage:
         space = self.config.space
         return BinaryImage(space.width, space.height, tuple(self.matrix[idx].tolist()))
 
+    def target(self, idx: int) -> np.ndarray:
+        """The black box's (aligned) labels of image ``idx``, one per level."""
+        return self.b_bits[:, idx >> 6] >> (idx & 63) & 1
+
     def rule_step(self, idx: int) -> StepRecord:
         """Update the rule model toward the black box on image ``idx``."""
-        target = self.b_levels[:, idx]
         image = self.image(idx)
-        model = rule_update(self.model, image, target, self.matrix, self.b_levels)
+        model = rule_update(self.model, image, self.target(idx), self.columns, self.b_bits)
         return self.record(image, model)
 
     def record(self, image: BinaryImage, model: Model) -> StepRecord:
@@ -288,12 +319,12 @@ def run_interpretation(config: EngineConfig) -> Report:
     queries: list[tuple[BinaryImage, int]] = []
     zero_delta_run = 0
     for _ in range(config.max_queries):
-        idx = int(run.region[int(rng.integers(0, run.region.size))])
+        idx = _nth_bit(run.region, int(rng.integers(0, run.region_size)))
         if config.updater == RULE_UPDATER:
             step = run.rule_step(idx)
         else:
             image = run.image(idx)
-            queries.append((image, int(run.b_levels[-1, idx])))
+            queries.append((image, int(run.target(idx)[-1])))
             retrain_seed = int(rng.integers(0, 2**31))
             model = linear_update(
                 config.model_a,
@@ -340,14 +371,11 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     # The model at the start and at the end of each pass so far.
     seen = {run.model}
     while True:
-        pass_counts.append(int(run.region.size))
+        pass_counts.append(run.region_size)
         position = 0
-        while True:
-            # the next region image at or after ``position``
-            k = int(np.searchsorted(run.region, position))
-            if k == run.region.size:
-                break
-            idx = int(run.region[k])
+        # k indexes the next region image at or after ``position``
+        while (k := _rank(run.region, position)) < run.region_size:
+            idx = _nth_bit(run.region, k)
             if run.rule_step(idx).entropy_after.total == 0.0:
                 return run.report(TERM_ENTROPY_ZERO, pass_counts)
             position = idx + 1

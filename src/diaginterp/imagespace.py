@@ -191,7 +191,7 @@ def _materialize_bytes(spec: ImageSpaceSpec) -> int:
     # of np.unique's working set (a flat copy, a sorted copy and the unique
     # value of the key, its sort index, first index and mask byte) and the
     # result's first index and row. One flip count's masks take less.
-    key = max(8, -(-pixels // 8))
+    key = 8 * -(-pixels // 64)
     return envelope_size_bound(spec) * (pixels + 2 * key + max(3 * key + 17, pixels + 8))
 
 
@@ -230,16 +230,23 @@ def _flip_masks(pixels: int, radius: int) -> np.ndarray:
     return masks
 
 
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D 0/1 array as little-endian uint64 words: bit b of
+    word w is column 64 w + b, and the padding bits are 0."""
+    packed = np.zeros((len(rows), -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def unique_rows(rows: np.ndarray) -> np.ndarray:
     """The first occurrence of each distinct row of a 2-D 0/1 array, in order.
-    A row's key is its np.packbits bytes, zero-padded to 8: one big-endian
-    uint64, pixel 0 its top bit, up to 64 pixels; a void key beyond that."""
-    packed = np.packbits(rows, axis=1)
-    width = max(8, packed.shape[1])
-    packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
-    keys = packed.view(">u8" if width == 8 else np.dtype((np.void, width))).ravel()
+    A row's key is its pack_bits words: one uint64 up to 64 pixels, a void
+    key of all of them beyond that."""
+    keys = pack_bits(rows)
+    if keys.shape[1] > 1:
+        keys = keys.view(np.dtype((np.void, 8 * keys.shape[1])))
     # return_index sorts stably, so each index is a value's first occurrence.
-    first = np.unique(keys, return_index=True)[1]
+    first = np.unique(keys.ravel(), return_index=True)[1]
     first.sort()
     return rows[first]
 

@@ -98,12 +98,12 @@ def check_comparable(
 
 
 def disagreement_rows(labels_a: np.ndarray, labels_b: np.ndarray, top_only: bool) -> np.ndarray:
-    """Where two level_label_matrix results disagree, one boolean row per
-    compared level: the diagnosis level alone when ``top_only``, every level
-    otherwise."""
+    """Where two labellings disagree, one row per compared level: the
+    diagnosis level alone when ``top_only``, every level otherwise. The rows
+    are an XOR, so 0/1 labels and their packed bits (pack_bits) both work."""
     if top_only:
-        return labels_a[-1:] != labels_b[-1:]
-    return labels_a != labels_b
+        return labels_a[-1:] ^ labels_b[-1:]
+    return labels_a ^ labels_b
 
 
 def disagreement_breakdown(
@@ -124,7 +124,7 @@ def disagreement_breakdown(
     rows = disagreement_rows(
         level_label_matrix(model_a, matrix), level_label_matrix(model_b, matrix), top_only
     )
-    return EntropyBreakdown.from_counts(rows.sum(axis=1), matrix.shape[0])
+    return EntropyBreakdown.from_counts(np.bitwise_count(rows).sum(axis=1), matrix.shape[0])
 
 
 def raw_interpretability(h_initial: float, h_final: float) -> float:

@@ -6,7 +6,7 @@ its own per-model labellers. It deliberately shares no counting or
 enumeration code with the vectorized paths it is used to validate; entropies
 are always recomputed from integer counts. The one exception is the input of
 the minimal-edit updater that the fixed-point search drives: like the engine,
-it hands rule_update the space matrix and the reference model's label matrix.
+it hands rule_update the space's packed columns and the reference's packed labels.
 
 An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import BinaryImage, ImageSpaceSpec, space_matrix
+from .imagespace import BinaryImage, ImageSpaceSpec, pack_bits, space_matrix
 from .models import (
     LinearModel,
     Model,
@@ -34,6 +34,7 @@ from .models import (
     RuleModel,
     level_label_matrix,
     num_levels,
+    pack_columns,
     rule_update,
 )
 
@@ -267,7 +268,7 @@ def exhaustive_fixed_point(
     codes = list(_iterate_space(spec))
     labels_b = _scalar_levels(model_b, spec, codes)
     matrix = space_matrix(spec)
-    reference = level_label_matrix(model_b, matrix)
+    columns, reference = pack_columns(matrix), pack_bits(level_label_matrix(model_b, matrix))
     current = model_a
     initial = _breakdown(
         spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP
@@ -292,7 +293,7 @@ def exhaustive_fixed_point(
             if miss is None:
                 break
             target = [labels[miss] for labels in labels_b]
-            current = rule_update(current, _image(spec, codes[miss]), target, matrix, reference)
+            current = rule_update(current, _image(spec, codes[miss]), target, columns, reference)
             changed = True
         if not changed:
             # a pass with no update ends on the model the last one ended on

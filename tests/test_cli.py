@@ -62,6 +62,16 @@ class TestInterpret:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize("text, kind", [('"model_a"', "str"), ("[]", "list"), ("7", "int")])
+    def test_spec_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, text, kind):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(text)
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {spec_path} must hold a JSON object, got {kind}" in err
+        assert "malformed input" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_spec_and_fixture_together_exit_2(self, tmp_path):
         assert main(["interpret", "--spec", "x.json", "--fixture", "fig1b",
                      "--out", str(tmp_path)]) == 2
@@ -247,6 +257,25 @@ class TestOracle:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and "malformed input" not in err
+        assert not (tmp_path / "oracle.json").exists()
+
+    @pytest.mark.parametrize("broken", ["models", "space"])
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ('"model_a"', "str")])
+    def test_file_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, broken, text, kind):
+        fx = build_fixture("fig2-diagonal")
+        files = {
+            "models": json.dumps({"model_a": model_to_json(fx.model_a),
+                                  "model_b": model_to_json(fx.model_b)}),
+            "space": json.dumps(spec_to_json(fx.space)),
+        }
+        files[broken] = text
+        for name, body in files.items():
+            (tmp_path / f"{name}.json").write_text(body)
+        assert main(["oracle", "--models", str(tmp_path / "models.json"),
+                     "--space", str(tmp_path / "space.json"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / f'{broken}.json'} must hold a JSON object, got {kind}" in err
+        assert "malformed input" not in err
         assert not (tmp_path / "oracle.json").exists()
 
     def test_malformed_neural_model_exits_2(self, tmp_path, capsys):

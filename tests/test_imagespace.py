@@ -215,7 +215,7 @@ GUARDED_SPACES = {
     "eval-squares": eval_squares_envelope,
     "4x4-radius-3": lambda: random_envelope(4, 4, 1, 3, seed=1),
     "5x5-20-bases-radius-3": lambda: random_envelope(5, 5, 20, 3, seed=2),
-    # 72 pixels: unique_rows keys these rows by 9 packed bytes, not a uint64
+    # 72 pixels: unique_rows keys these rows by two packed words, not one uint64
     "9x8-200-bases-radius-1": lambda: random_envelope(9, 8, 200, 1, seed=3),
 }
 

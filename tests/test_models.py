@@ -8,7 +8,13 @@ from diaginterp.errors import (
     InvalidInputError,
     InvalidSpecError,
 )
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, enumerate_space, space_matrix
+from diaginterp.imagespace import (
+    BinaryImage,
+    ImageSpaceSpec,
+    enumerate_space,
+    pack_bits,
+    space_matrix,
+)
 from diaginterp.models import (
     LinearModel,
     NeuralModel,
@@ -22,6 +28,7 @@ from diaginterp.models import (
     model_from_json,
     model_to_json,
     num_levels,
+    pack_columns,
     predict,
     rule_update,
     train_linear,
@@ -40,7 +47,9 @@ def diagonal_rule():
 def update_toward(model, image, target, spec, reference):
     """rule_update scored against ``reference`` over the space ``spec``."""
     matrix = space_matrix(spec)
-    return rule_update(model, image, target, matrix, level_label_matrix(reference, matrix))
+    return rule_update(
+        model, image, target, pack_columns(matrix), pack_bits(level_label_matrix(reference, matrix))
+    )
 
 
 class TestPredict:
@@ -366,6 +375,15 @@ class TestTrainNeural:
             train_neural(dataset, [4, 3, 2], 1, 0.1, 0)  # output not single
         with pytest.raises(InvalidConfigError):
             train_neural(dataset, [5, 1], 1, 0.1, 0)  # input mismatch
+
+    @pytest.mark.parametrize("epochs", [0, -5])
+    def test_epochs_below_1_rejected_like_the_perceptron(self, epochs):
+        dataset = [(BinaryImage.from_string(2, 2, "1100"), 1),
+                   (BinaryImage.from_string(2, 2, "0011"), 0)]
+        with pytest.raises(InvalidConfigError, match=f"epochs must be >= 1, got {epochs}"):
+            train_neural(dataset, [4, 3, 1], epochs, 0.1, 0)
+        with pytest.raises(InvalidConfigError, match=f"epochs must be >= 1, got {epochs}"):
+            train_linear(dataset, epochs, 0.1, 0)
 
 
 def _perturbed(model: NeuralModel, layer_index: int, weight_index, delta: float):

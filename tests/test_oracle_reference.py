@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import diaginterp.oracle as oracle
 from diaginterp.cli import main
 from diaginterp.errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, space_matrix
+from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, pack_bits, space_matrix
 from diaginterp.models import (
     LinearModel,
     Model,
@@ -30,6 +30,7 @@ from diaginterp.models import (
     RuleModel,
     level_label_matrix,
     num_levels,
+    pack_columns,
     rule_update,
 )
 from diaginterp.oracle import (
@@ -181,7 +182,7 @@ def exhaustive_fixed_point(
             "exhaustive interpretation updates every level and needs matched level counts"
         )
     matrix = space_matrix(spec)
-    reference = level_label_matrix(model_b, matrix)
+    columns, reference = pack_columns(matrix), pack_bits(level_label_matrix(model_b, matrix))
     current = model_a
     result = brute_force_breakdown(current, model_b, spec)
     if result.total_entropy == 0.0:
@@ -197,7 +198,7 @@ def exhaustive_fixed_point(
             lb = _scalar_levels(model_b, bits)
             if la != lb:
                 image = BinaryImage(spec.width, spec.height, bits)
-                current = rule_update(current, image, lb, matrix, reference)
+                current = rule_update(current, image, lb, columns, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
         if not changed or result.total_entropy == entropy_before or current in seen:

@@ -1,11 +1,13 @@
 """The rule updater against a verbatim copy of its earlier two-path form.
 
-The copy below (``rule_update`` and ``_best_blocking_edit``) scores a
-blocking edit on a free pixel in one loop and, on a fully pinned level,
-builds a swapped ``RuleLevel`` per candidate and relabels the whole space for
-each. ``diaginterp.models.rule_update`` scores every blocking candidate with
-one expression; it must return the same model, or raise the same error type,
-on generated inputs.
+The copy below (``rule_update``, ``_best_blocking_edit`` and the uint8
+labeller ``_rule_level_labels``) scores a blocking edit on a free pixel in
+one loop and, on a fully pinned level, builds a swapped ``RuleLevel`` per
+candidate and relabels the whole space for each.
+``diaginterp.models.rule_update`` scores every blocking candidate with one
+expression on packed bits; given the same space and reference labels,
+packed, it must return the same model, or raise the same error type, on
+generated inputs.
 
 The property is derandomized and keeps no example database, so every run
 checks the same examples.
@@ -18,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 import diaginterp.models as models
 from diaginterp.errors import InvalidInputError, UnreachableTargetError
-from diaginterp.imagespace import BinaryImage, space_matrix
+from diaginterp.imagespace import BinaryImage, pack_bits, space_matrix
 from diaginterp.models import (
     RuleLevel,
     RuleModel,
-    _rule_level_labels,
     level_label_matrix,
+    pack_columns,
     predict,
 )
 from test_properties import random_grid, random_image, random_rule, random_space
@@ -91,6 +93,16 @@ def rule_update(
             f"{image.to_string()}"
         )
     return updated
+
+
+def _rule_level_labels(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
+    """One rule level's labels over every row of ``matrix``, as booleans."""
+    pred = np.ones(matrix.shape[0], dtype=bool)
+    if level.ones_required:
+        pred &= (matrix[:, sorted(level.ones_required)] == 1).all(axis=1)
+    if level.zeros_required:
+        pred &= (matrix[:, sorted(level.zeros_required)] == 0).all(axis=1)
+    return pred
 
 
 def _best_blocking_edit(
@@ -184,4 +196,6 @@ def outcome(update, args):
 @given(SEEDS)
 def test_rule_update_matches_two_path_copy(seed):
     args = random_update(np.random.default_rng(seed))
-    assert outcome(models.rule_update, args) == outcome(rule_update, args)
+    model, image, target, matrix, reference = args
+    packed = (model, image, target, pack_columns(matrix), pack_bits(reference))
+    assert outcome(models.rule_update, packed) == outcome(rule_update, args)
