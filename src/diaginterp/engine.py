@@ -9,6 +9,8 @@ packing its labels. The levels it compares are every level in diagnostic
 mode and the diagnosis level in epsilon mode. Their XOR gives the step's
 entropy breakdown (popcounts) and the query region: the OR of the compared
 levels. Queries are picked by bit position, so each costs words, not rows.
+A queried image stays a matrix row, which rule_update and a retrain take as
+it is; only the query a step record reports is built as a BinaryImage.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -62,7 +64,6 @@ from .metrics import (
     raw_interpretability,
 )
 from .models import (
-    Dataset,
     LinearModel,
     Model,
     RuleModel,
@@ -96,7 +97,8 @@ def check_integer(name: str, value) -> None:
 class EngineConfig:
     """One run's settings. The field defaults are the only run-setting
     defaults; ``lam`` and ``retrain_learning_rate`` are stored as floats. The
-    updater is not a setting: the known model's family fixes it."""
+    updater is not a setting: the known model's family fixes it. A linear
+    known model's ``base_dataset`` is a pair of 0/1 arrays, (rows, labels)."""
 
     space: ImageSpaceSpec
     model_a: Model
@@ -105,7 +107,7 @@ class EngineConfig:
     lam: float = 0.0
     rng_seed: int = 0
     mode: str = "diagnostic"
-    base_dataset: Dataset | None = None
+    base_dataset: tuple[np.ndarray, np.ndarray] | None = None
     stall_patience: int = 3
     retrain_epochs: int = 50
     retrain_learning_rate: float = 1.0
@@ -126,15 +128,17 @@ class EngineConfig:
             if not (real and math.isfinite(value)):
                 raise InvalidConfigError(f"{key} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if self.max_queries < 0:
-            raise InvalidConfigError("max_queries cannot be negative")
+        for name in ("max_queries", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise InvalidConfigError(f"{name} cannot be negative, got {getattr(self, name)}")
         if self.lam < 0:
             raise InvalidConfigError(f"lambda cannot be negative, got {self.lam}")
         if self.stall_patience < 1:
             raise InvalidConfigError("stall patience must be at least 1")
-        for _, label in self.base_dataset or ():
-            if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
-                raise InvalidConfigError(f"base_dataset labels must be 0 or 1, got {label!r}")
+        if self.base_dataset is not None:
+            rows, labels = self.base_dataset
+            if np.shape(rows) != (len(labels), self.space.num_pixels):
+                raise InvalidConfigError("base_dataset needs one space-sized row per label")
         top_only = self.mode == "epsilon"
         check_comparable(self.model_a, self.model_b, self.space.width, self.space.height, top_only)
         if isinstance(self.model_a, LinearModel):
@@ -260,27 +264,23 @@ class _Run:
         level disagrees on every image, ``no_disagreement`` when none does."""
         return TERM_NO_DISAGREEMENT if self.region_size == 0 else TERM_ENTROPY_ZERO
 
-    def image(self, idx: int) -> BinaryImage:
-        space = self.config.space
-        return BinaryImage(space.width, space.height, tuple(self.matrix[idx].tolist()))
-
     def target(self, idx: int) -> np.ndarray:
         """The black box's (aligned) labels of image ``idx``, one per level."""
         return self.b_bits[:, idx >> 6] >> (idx & 63) & 1
 
     def rule_step(self, idx: int) -> StepRecord:
         """Update the rule model toward the black box on image ``idx``."""
-        image = self.image(idx)
-        model = rule_update(self.model, image, self.target(idx), self.columns, self.b_bits)
-        return self.record(image, model)
+        row, target = self.matrix[idx], self.target(idx)
+        return self.record(idx, rule_update(self.model, row, target, self.columns, self.b_bits))
 
-    def record(self, image: BinaryImage, model: Model) -> StepRecord:
-        """Adopt the updated model, re-measure, and append the step."""
+    def record(self, idx: int, model: Model) -> StepRecord:
+        """Adopt the model updated on image ``idx``, re-measure, and append the step."""
         self._set_model(model)
         h0 = self.initial.total
         i_t = interpretability(h0, self.breakdown.total)
         prev = self.steps[-1].i_t if self.steps else 0.0
-        step = StepRecord(len(self.steps) + 1, image, self.breakdown, float(i_t), float(i_t - prev))
+        query = BinaryImage(self.model.width, self.model.height, tuple(self.matrix[idx].tolist()))
+        step = StepRecord(len(self.steps) + 1, query, self.breakdown, float(i_t), float(i_t - prev))
         self.steps.append(step)
         return step
 
@@ -316,25 +316,25 @@ def run_interpretation(config: EngineConfig) -> Report:
         return run.report(run.zero_entropy_termination())
 
     rng = np.random.default_rng(config.rng_seed)
-    queries: list[tuple[BinaryImage, int]] = []
+    queried: list[int] = []
     zero_delta_run = 0
     for _ in range(config.max_queries):
         idx = _nth_bit(run.region, int(rng.integers(0, run.region_size)))
         if config.updater == RULE_UPDATER:
             step = run.rule_step(idx)
         else:
-            image = run.image(idx)
-            queries.append((image, int(run.target(idx)[-1])))
+            queried.append(idx)
             retrain_seed = int(rng.integers(0, 2**31))
+            rows, labels = config.base_dataset
             model = linear_update(
                 config.model_a,
-                config.base_dataset,
-                queries,
+                np.concatenate([rows, run.matrix[queried]]),
+                np.concatenate([labels, [run.target(i)[-1] for i in queried]]),
                 config.retrain_epochs,
                 config.retrain_learning_rate,
                 retrain_seed,
             )
-            step = run.record(image, model)
+            step = run.record(idx, model)
         if step.entropy_after.total == 0.0:
             return run.report(TERM_ENTROPY_ZERO)
         zero_delta_run = zero_delta_run + 1 if step.delta_i_t == 0.0 else 0
@@ -408,12 +408,27 @@ def config_to_json(config: EngineConfig) -> dict:
         "updater": config.updater,
     }
     doc.update({key: getattr(config, name) for key, name in SETTING_KEYS.items()})
-    doc["base_dataset"] = (
-        None
-        if config.base_dataset is None
-        else [[img.to_string(), int(label)] for img, label in config.base_dataset]
-    )
+    doc["base_dataset"] = None
+    if config.base_dataset is not None:
+        rows, labels = config.base_dataset
+        rows = np.asarray(rows, dtype=np.uint8) + ord("0")
+        doc["base_dataset"] = [[bytes(row).decode(), int(y)] for row, y in zip(rows, labels)]
     return doc
+
+
+def _dataset_from_json(entries, pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """A run spec's base_dataset, [[bitstring, label], ...], as uint8 rows and
+    labels. Each label is checked as written, so a JSON true is not read as 1."""
+    if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        raise InvalidConfigError("base_dataset must be a list of [bitstring, label] pairs")
+    for text, label in entries:
+        if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
+            raise InvalidConfigError(f"base_dataset labels must be 0 or 1, got {label!r}")
+        if not (isinstance(text, str) and len(text) == pixels and set(text) <= {"0", "1"}):
+            raise InvalidConfigError(f"base_dataset image {text!r} is not a {pixels}-bit string")
+    digits = "".join(text for text, _ in entries).encode()
+    rows = np.frombuffer(digits, dtype=np.uint8).reshape(len(entries), pixels) - ord("0")
+    return rows, np.array([label for _, label in entries], dtype=np.uint8)
 
 
 def config_from_json(doc: dict) -> EngineConfig:
@@ -428,10 +443,7 @@ def config_from_json(doc: dict) -> EngineConfig:
         raise InvalidConfigError(f"run spec missing key {missing}") from None
     settings = {name: doc[key] for key, name in SETTING_KEYS.items() if key in doc}
     if doc.get("base_dataset") is not None:
-        settings["base_dataset"] = [
-            (BinaryImage.from_string(space.width, space.height, text), label)
-            for text, label in doc["base_dataset"]
-        ]
+        settings["base_dataset"] = _dataset_from_json(doc["base_dataset"], space.num_pixels)
     config = EngineConfig(space=space, model_a=model_a, model_b=model_b, **settings)
     if updater != config.updater:
         raise InvalidConfigError(f"updater {updater!r} does not drive a {type(model_a).__name__}")

@@ -28,7 +28,6 @@ from .engine import EngineConfig
 from .errors import InvalidConfigError
 from .imagespace import BinaryImage, ImageSpaceSpec, unique_rows
 from .models import (
-    Dataset,
     LinearModel,
     Model,
     RuleLevel,
@@ -64,7 +63,7 @@ class Fixture:
     mode: str
     max_queries: int
     complete: bool = False
-    base_dataset: Dataset | None = None
+    base_dataset: tuple[np.ndarray, np.ndarray] | None = None
     black_box_train_accuracy: float | None = None
     known_model_train_accuracy: float | None = None
 
@@ -88,6 +87,8 @@ def fixture_names() -> list[str]:
 
 
 def build_fixture(name: str, seed: int = 0) -> Fixture:
+    if seed < 0:
+        raise InvalidConfigError(f"fixture seed cannot be negative, got {seed}")
     if name == "fig1b":
         return _build_fig1b()
     if name == "fig1c":
@@ -210,28 +211,27 @@ def two_squares_class_pools(
 
 
 def _build_eval_squares(seed: int) -> Fixture:
-    bases, labels = two_squares_bases()
+    bases, classes = two_squares_bases()
     base_images = tuple(BinaryImage(GRID_8, GRID_8, tuple(row)) for row in bases.tolist())
     space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", base_images, flip_radius=1)
 
     rng = np.random.default_rng([seed, 0])
-    pool0, pool1 = two_squares_class_pools(bases, labels)
+    pool0, pool1 = two_squares_class_pools(bases, classes)
     picked0 = rng.choice(len(pool0), size=TRAIN_PER_CLASS, replace=False)
     picked1 = rng.choice(len(pool1), size=TRAIN_PER_CLASS, replace=False)
-    dataset: list[tuple[BinaryImage, int]] = []
-    for label, pool, picked in ((0, pool0, picked0), (1, pool1, picked1)):
-        for i in picked:
-            dataset.append((BinaryImage(GRID_8, GRID_8, tuple(pool[i].tolist())), label))
+    rows = np.concatenate([pool0[picked0], pool1[picked1]])
+    labels = np.repeat(np.uint8([0, 1]), TRAIN_PER_CLASS)
+    dataset = rows, labels, GRID_8, GRID_8
 
     black_box = train_neural(
-        dataset,
+        *dataset,
         NEURAL_ARCHITECTURE,
         epochs=NEURAL_EPOCHS,
         learning_rate=NEURAL_LEARNING_RATE,
         rng_seed=[seed, 1],
     )
     known = train_linear(
-        dataset,
+        *dataset,
         epochs=PERCEPTRON_EPOCHS,
         learning_rate=PERCEPTRON_LEARNING_RATE,
         rng_seed=[seed, 2],
@@ -244,7 +244,7 @@ def _build_eval_squares(seed: int) -> Fixture:
         model_b=black_box,
         mode="epsilon",
         max_queries=10,
-        base_dataset=tuple(dataset),
-        black_box_train_accuracy=training_accuracy(black_box, dataset),
-        known_model_train_accuracy=training_accuracy(known, dataset),
+        base_dataset=(rows, labels),
+        black_box_train_accuracy=training_accuracy(black_box, rows, labels),
+        known_model_train_accuracy=training_accuracy(known, rows, labels),
     )

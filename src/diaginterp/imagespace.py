@@ -7,8 +7,8 @@ together with every image within a fixed Hamming radius of one of them.
 In memory a materialized set is a single read-only ``(n_images, n_pixels)``
 uint8 matrix, one row per image (space_matrix). Per-image BinaryImage objects
 are built from its rows only at the API edge (enumerate_space) and for the
-images a run actually queries. A set's size is a plain int, the matrix's row
-count; a full space's 2^pixels is never built as a number.
+queries that a run's step records report. A set's size is a plain int, the
+matrix's row count; a full space's 2^pixels is never built as a number.
 
 space_matrix refuses, before allocating, a set whose materialization would
 peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows for a full space, or

@@ -17,7 +17,8 @@ into 64-bit words (pack_columns), a level's labels the AND of its columns
 and masked complements (rule_bits). rule_update scores every candidate edit
 on the same words, as popcounts over one (candidates, words) array.
 
-Every training routine is a deterministic function of its inputs and seed.
+Every training routine takes a 0/1 row matrix, its 0/1 labels and the grid,
+and is a deterministic function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .errors import (
 from .imagespace import MATERIALIZE_BYTE_LIMIT, BinaryImage, json_int, pack_bits
 
 PredictionVector = tuple[int, ...]
-
-# (image, label) pairs; labels are 0/1 ints.
-Dataset = Sequence[tuple[BinaryImage, int]]
 
 
 @dataclass(frozen=True)
@@ -179,14 +177,6 @@ def num_levels(model: Model) -> int:
     return 1
 
 
-def _check_image(model: Model, image: BinaryImage) -> None:
-    if (image.width, image.height) != (model.width, model.height):
-        raise InvalidInputError(
-            f"image is {image.width}x{image.height}, model expects "
-            f"{model.width}x{model.height}"
-        )
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function, written over ``z``. e = exp(-|z|) cannot
     overflow: it is 1 / (1 + e) where z >= 0, else e / (1 + e)."""
@@ -290,7 +280,11 @@ def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
 
 def predict(model: Model, image: BinaryImage) -> PredictionVector:
     """Labels at every abstraction level for a single image."""
-    _check_image(model, image)
+    if (image.width, image.height) != (model.width, model.height):
+        raise InvalidInputError(
+            f"image is {image.width}x{image.height}, model expects "
+            f"{model.width}x{model.height}"
+        )
     row = np.array([image.bits], dtype=np.uint8)
     return tuple(level_label_matrix(model, row)[:, 0].tolist())
 
@@ -302,13 +296,13 @@ def predict(model: Model, image: BinaryImage) -> PredictionVector:
 
 def rule_update(
     model: RuleModel,
-    image: BinaryImage,
+    bits: Sequence[int],
     target: Sequence[int],
     columns: np.ndarray,
     reference_bits: np.ndarray,
 ) -> RuleModel:
-    """Edit the model so its prediction on ``image`` equals ``target`` at
-    every level, using the fewest constraint insertions/removals per level.
+    """Edit the model so its labels of the 0/1 pixels ``bits`` equal ``target``
+    at every level, using the fewest constraint insertions/removals per level.
 
     ``columns`` is the evaluation space's pack_columns and ``reference_bits``
     the reference's packed labels over it (pack_bits of level_label_matrix),
@@ -334,9 +328,10 @@ def rule_update(
             f"model has {len(model.levels)}"
         )
 
-    _check_image(model, image)
-    bits = image.bits
-    on = frozenset(j for j in range(image.num_pixels) if bits[j])
+    pixels = model.width * model.height
+    if len(bits) != pixels:
+        raise InvalidInputError(f"image has {len(bits)} pixels, model expects {pixels}")
+    on = frozenset(np.flatnonzero(bits).tolist())
 
     def label(level: RuleLevel) -> int:  # the level's label of the image
         return int(level.ones_required <= on and not level.zeros_required & on)
@@ -356,8 +351,8 @@ def rule_update(
         # constraint: the level's own labels when j is free, and the rows one
         # bit away from the image when every pixel is pinned.
         pinned = level.ones_required | level.zeros_required
-        free = [j for j in range(image.num_pixels) if j not in pinned]
-        candidates = free or list(range(image.num_pixels))
+        free = [j for j in range(pixels) if j not in pinned]
+        candidates = free or list(range(pixels))
         differ = columns[candidates] ^ flips[candidates, None]
         if free:
             allowed = rule_bits([level], columns)[0]
@@ -379,7 +374,7 @@ def rule_update(
     if [label(level) for level in new_levels] != [int(t) for t in target]:
         raise UnreachableTargetError(
             f"no constraint edit reaches target {tuple(target)} on image "
-            f"{image.to_string()}"
+            f"{''.join(map(str, bits))}"
         )
     return updated
 
@@ -389,22 +384,19 @@ def rule_update(
 # ---------------------------------------------------------------------------
 
 
-def _dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, int, int]:
-    if not dataset:
-        raise InvalidConfigError("dataset may not be empty")
-    width, height = dataset[0][0].width, dataset[0][0].height
-    for img, label in dataset:
-        if (img.width, img.height) != (width, height):
-            raise InvalidConfigError("dataset images must share one grid size")
-        if label not in (0, 1):
-            raise InvalidConfigError(f"labels must be 0/1, got {label!r}")
-    X = np.array([img.bits for img, _ in dataset], dtype=np.float64)
-    y = np.array([label for _, label in dataset], dtype=np.float64)
-    return X, y, width, height
+def _training_arrays(X, y, pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 copies of a training set: n > 0 rows ``X`` of ``pixels`` 0/1
+    pixels each, and n 0/1 labels ``y``."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or not len(X) or y.shape != X.shape[:1] or X.shape[1] != pixels:
+        raise InvalidConfigError(f"a training set needs n > 0 rows of {pixels} pixels and n labels")
+    if not (np.isin(X, (0.0, 1.0)).all() and np.isin(y, (0.0, 1.0)).all()):
+        raise InvalidConfigError("training rows and labels must be 0/1")
+    return X, y
 
 
 def train_linear(
-    dataset: Dataset, epochs: int, learning_rate: float, rng_seed
+    X, y, width: int, height: int, epochs: int, learning_rate: float, rng_seed
 ) -> LinearModel:
     """Mistake-driven perceptron training, in exact integer arithmetic.
 
@@ -431,7 +423,7 @@ def train_linear(
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
-    X, y, width, height = _dataset_arrays(dataset)
+    X, y = _training_arrays(X, y, width * height)
     n = len(X)
     # A column of ones carries the bias: the last count is the bias count.
     signed = np.hstack([X, np.ones((n, 1))]) * (2.0 * y - 1.0)[:, None]
@@ -457,23 +449,10 @@ def train_linear(
 
 
 def linear_update(
-    model: LinearModel,
-    base_dataset: Dataset,
-    queries: Dataset,
-    epochs: int,
-    learning_rate: float,
-    rng_seed,
+    model: LinearModel, X, y, epochs: int, learning_rate: float, rng_seed
 ) -> LinearModel:
-    """Retrain from scratch on base_dataset followed by the queried examples.
-
-    Queries carry the black box's labels; duplicates are kept. With no
-    queries this is exactly train_linear on the base set.
-    """
-    combined = list(base_dataset) + list(queries)
-    updated = train_linear(combined, epochs, learning_rate, rng_seed)
-    if (updated.width, updated.height) != (model.width, model.height):
-        raise InvalidConfigError("query images do not match the model's grid")
-    return updated
+    """Retrain from scratch: train_linear on the model's grid, base rows first."""
+    return train_linear(X, y, model.width, model.height, epochs, learning_rate, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +516,10 @@ def _flat_layers(layers: Sequence[NeuralLayer]) -> tuple[np.ndarray, list[Neural
 
 
 def train_neural(
-    dataset: Dataset,
+    X,
+    y,
+    width: int,
+    height: int,
     architecture: Sequence[int],
     epochs: int,
     learning_rate: float,
@@ -553,7 +535,7 @@ def train_neural(
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
-    X, y, width, height = _dataset_arrays(dataset)
+    X, y = _training_arrays(X, y, width * height)
     init = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
     (theta, layers), (grad, grads) = _flat_layers(init), _flat_layers(init)
     activations = [np.empty((len(X), len(bias))) for _, bias, _ in init]
@@ -564,8 +546,9 @@ def train_neural(
     return NeuralModel(width, height, tuple(layers))
 
 
-def training_accuracy(model: Model, dataset: Dataset) -> float:
-    X, y, _, _ = _dataset_arrays(dataset)
+def training_accuracy(model: Model, X, y) -> float:
+    """The share of the rows ``X`` whose diagnosis label is their label in ``y``."""
+    X, y = _training_arrays(X, y, model.width * model.height)
     return float(np.mean(level_label_matrix(model, X)[-1] == y))
 
 

@@ -12,7 +12,8 @@ An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
 and a full space in canonical order is ``range(2**pixels)``. Each public call
 enumerates the space once, through _iterate_space, and labels the black box
-once; BinaryImages are built only for the disagreement images a result keeps.
+once. A kept disagreement image is its code's digits, a bitstring, and the
+minimal-edit updater takes those digits as the image's pixels.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import BinaryImage, ImageSpaceSpec, pack_bits, space_matrix
+from .imagespace import ImageSpaceSpec, pack_bits, space_matrix
 from .models import (
     LinearModel,
     Model,
@@ -43,9 +44,6 @@ ORACLE_SPACE_LIMIT = 1 << 20
 # Disagreement images kept in a result, at most.
 DEFAULT_IMAGE_KEEP = 4096
 
-# Maps each '0'/'1' character of a code's binary digits to its bit.
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -53,7 +51,7 @@ class OracleResult:
     sample_size: int
     per_level_entropy: tuple[float, ...]
     total_entropy: float
-    disagreement_images: tuple[BinaryImage, ...] | None = None
+    disagreement_images: tuple[str, ...] | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -63,7 +61,7 @@ class OracleResult:
             "total_entropy": self.total_entropy,
         }
         if self.disagreement_images is not None:
-            doc["disagreement_images"] = [img.to_string() for img in self.disagreement_images]
+            doc["disagreement_images"] = list(self.disagreement_images)
         return doc
 
 
@@ -77,11 +75,6 @@ def _entropy_bits(count: int, total: int) -> float:
 def _pixel_bits(pixels: int) -> list[int]:
     """Each pixel's bit in an image code, pixel 0 first."""
     return [1 << (pixels - 1 - j) for j in range(pixels)]
-
-
-def _image(spec: ImageSpaceSpec, code: int) -> BinaryImage:
-    digits = format(code, f"0{spec.num_pixels}b").encode("ascii")
-    return BinaryImage(spec.width, spec.height, tuple(digits.translate(_DIGIT_BITS)))
 
 
 def _rule_level(ones: int, zeros: int, codes):
@@ -213,7 +206,7 @@ def _breakdown(
     kept = None
     if keep_images:
         hits = compress(codes, _misses(labels_a, labels_b))
-        kept = tuple(_image(spec, code) for code in islice(hits, keep_images))
+        kept = tuple(format(code, f"0{spec.num_pixels}b") for code in islice(hits, keep_images))
     per_level = tuple(_entropy_bits(c, total) for c in counts)
     return OracleResult(
         disagreement_counts=counts,
@@ -293,7 +286,8 @@ def exhaustive_fixed_point(
             if miss is None:
                 break
             target = [labels[miss] for labels in labels_b]
-            current = rule_update(current, _image(spec, codes[miss]), target, columns, reference)
+            bits = [int(digit) for digit in format(codes[miss], f"0{spec.num_pixels}b")]
+            current = rule_update(current, bits, target, columns, reference)
             changed = True
         if not changed:
             # a pass with no update ends on the model the last one ended on

@@ -10,7 +10,7 @@ import pytest
 
 from diaginterp import cli
 from diaginterp.cli import main
-from diaginterp.engine import config_to_json
+from diaginterp.engine import config_from_json, config_to_json, run_interpretation
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import spec_to_json, ImageSpaceSpec
 from diaginterp.models import LinearModel, init_neural, model_to_json
@@ -18,6 +18,15 @@ from diaginterp.models import LinearModel, init_neural, model_to_json
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def linear_run_spec(rows=("0" * 16,), labels=(0,), **settings):
+    """fig2-diagonal's run spec with a zero-weight linear known model, which
+    is retrained on the base dataset of ``rows`` and ``labels``."""
+    config = build_fixture("fig2-diagonal").engine_config(rng_seed=0, **settings)
+    base = np.array([[int(c) for c in text] for text in rows], dtype=np.uint8), np.array(labels)
+    model_a = LinearModel(4, 4, np.zeros(16), 0.0)
+    return config_to_json(replace(config, model_a=model_a, base_dataset=base))
 
 
 class TestInterpret:
@@ -135,9 +144,7 @@ class TestInterpret:
 
     @pytest.mark.parametrize("label", [1.7, True, "0", 2])
     def test_dataset_label_not_0_or_1_exits_2(self, tmp_path, capsys, label):
-        model_a = LinearModel(4, 4, np.zeros(16), 0.0)
-        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
-        doc = config_to_json(replace(config, model_a=model_a, base_dataset=()))
+        doc = linear_run_spec()
         doc["base_dataset"] = [["0" * 16, label]]
         doc["max_queries"] = 0
         spec_path = tmp_path / "run.json"
@@ -145,6 +152,42 @@ class TestInterpret:
         assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
         assert "base_dataset labels must be 0 or 1" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ([["0" * 16, 0], ["1" * 16, True]], "base_dataset labels must be 0 or 1, got True"),
+        *[
+            (shape, "base_dataset must be a list of [bitstring, label] pairs")
+            for shape in (True, 0, 2.5, "x", [1], [None])
+        ],
+        *[
+            ([[text, 1]], f"base_dataset image {text!r} is not a 16-bit string")
+            for text in (None, [[]], "0" * 15, "2" * 16)
+        ],
+    ])
+    def test_malformed_dataset_exits_2_with_a_typed_message(
+        self, tmp_path, capsys, dataset, message
+    ):
+        doc = linear_run_spec()
+        doc["base_dataset"] = dataset
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_spec_driven_retrain_writes_the_api_report(self, tmp_path):
+        # a linear known model retrained on its base dataset plus each query
+        rows = ["1000010000100001", "0001001001001000", "1100000000000000"]
+        doc = linear_run_spec(rows, [1, 0, 0], max_queries=6)
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "report.json")
+        assert report == run_interpretation(config_from_json(doc)).to_json()
+        assert report["config"]["updater"] == "retrain_with_queries"
+        assert len(report["steps"]) == 6
 
     @pytest.mark.parametrize("index", [1.5, True])
     def test_non_integer_rule_pixel_exits_2(self, tmp_path, capsys, index):
@@ -183,6 +226,20 @@ class TestInterpret:
                          "--out", str(out)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpret", "--fixture", "fig2-diagonal", "--seed", "-1"],
+    ["demo", "--fixture", "eval-squares", "--seed", "-1", "--seeds", "1"],
+    ["oracle", "--fixture", "eval-squares", "--seed", "-1"],
+    ["demo", "--fixture", "fig1b", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: fixture seed cannot be negative, got -1\n"
+    assert not out.exists()
 
 
 class TestOracle:

@@ -197,7 +197,8 @@ class TestRunInterpretation:
         config = everywhere_disagreeing_config()
         assert config.updater == "rule_minimal_edit"
         linear = LinearModel(1, 1, np.zeros(1), 0.0)
-        assert replace(config, model_a=linear, base_dataset=()).updater == "retrain_with_queries"
+        base = np.zeros((0, 1), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
+        assert replace(config, model_a=linear, base_dataset=base).updater == "retrain_with_queries"
         net = NeuralModel(1, 1, (NeuralLayer(np.ones((1, 1)), np.zeros(1), "sigmoid"),))
         with pytest.raises(InvalidConfigError, match="rule or linear"):
             replace(config, model_a=net)
@@ -215,6 +216,18 @@ class TestRunInterpretation:
         config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
         with pytest.raises(InvalidConfigError):
             replace(config, **{field: value})
+
+    @pytest.mark.parametrize("rows, labels", [(np.zeros((2, 15)), [0, 1]), (np.zeros((2, 16)), [1])])
+    def test_base_dataset_rows_must_fit_the_space(self, rows, labels):
+        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        linear = LinearModel(4, 4, np.zeros(16), 0.0)
+        with pytest.raises(InvalidConfigError, match="one space-sized row per label"):
+            replace(config, model_a=linear, base_dataset=(rows, labels))
+
+    def test_negative_seed_rejected(self):
+        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        with pytest.raises(InvalidConfigError, match="rng_seed cannot be negative, got -1"):
+            replace(config, rng_seed=-1)
 
     def test_diagnostic_mode_requires_matched_levels(self):
         model_a = RuleModel(2, 2, (RuleLevel.of(), RuleLevel.of()))

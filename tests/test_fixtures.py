@@ -94,7 +94,7 @@ class TestEvalSquares:
         fx2 = build_fixture("eval-squares", seed=3)
         assert model_to_json(fx1.model_a) == model_to_json(fx2.model_a)
         assert model_to_json(fx1.model_b) == model_to_json(fx2.model_b)
-        assert fx1.base_dataset == fx2.base_dataset
+        assert all(map(np.array_equal, fx1.base_dataset, fx2.base_dataset))
 
     def test_different_seeds_differ(self):
         fx1 = build_fixture("eval-squares", seed=0)
@@ -103,8 +103,9 @@ class TestEvalSquares:
 
     def test_dataset_contract(self):
         fx = build_fixture("eval-squares", seed=0)
-        labels = [label for _, label in fx.base_dataset]
-        assert len(fx.base_dataset) == 200
+        rows, labels = fx.base_dataset
+        labels = labels.tolist()
+        assert len(rows) == len(labels) == 200
         assert labels.count(0) == labels.count(1) == 100
         assert fx.black_box_train_accuracy >= 0.99
 

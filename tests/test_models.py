@@ -48,8 +48,18 @@ def update_toward(model, image, target, spec, reference):
     """rule_update scored against ``reference`` over the space ``spec``."""
     matrix = space_matrix(spec)
     return rule_update(
-        model, image, target, pack_columns(matrix), pack_bits(level_label_matrix(reference, matrix))
+        model,
+        image.bits,
+        target,
+        pack_columns(matrix),
+        pack_bits(level_label_matrix(reference, matrix)),
     )
+
+
+def training_set(width, height, *examples):
+    """(rows, labels, width, height) from (bitstring, label) pairs."""
+    rows = [[int(c) for c in text] for text, _ in examples]
+    return np.array(rows, dtype=np.uint8), np.array([label for _, label in examples]), width, height
 
 
 class TestPredict:
@@ -231,15 +241,12 @@ class TestRuleUpdate:
 
 class TestTrainLinear:
     def one_pixel_dataset(self):
-        return [
-            (BinaryImage.from_string(2, 2, "1000"), 1),
-            (BinaryImage.from_string(2, 2, "0000"), 0),
-        ]
+        return training_set(2, 2, ("1000", 1), ("0000", 0))
 
     def test_single_example_learned(self):
-        dataset = [(BinaryImage.from_string(2, 2, "1010"), 1)]
-        model = train_linear(dataset, epochs=5, learning_rate=1.0, rng_seed=0)
-        assert predict(model, dataset[0][0])[-1] == 1
+        dataset = training_set(2, 2, ("1010", 1))
+        model = train_linear(*dataset, epochs=5, learning_rate=1.0, rng_seed=0)
+        assert predict(model, BinaryImage.from_string(2, 2, "1010"))[-1] == 1
 
     def test_separable_data_reaches_full_accuracy(self):
         from diaginterp.fixtures import build_fixture
@@ -249,23 +256,23 @@ class TestTrainLinear:
 
     def test_same_seed_identical_weights(self):
         dataset = self.one_pixel_dataset()
-        m1 = train_linear(dataset, epochs=10, learning_rate=0.5, rng_seed=42)
-        m2 = train_linear(dataset, epochs=10, learning_rate=0.5, rng_seed=42)
+        m1 = train_linear(*dataset, epochs=10, learning_rate=0.5, rng_seed=42)
+        m2 = train_linear(*dataset, epochs=10, learning_rate=0.5, rng_seed=42)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidConfigError):
-            train_linear([], epochs=1, learning_rate=1.0, rng_seed=0)
+            train_linear(np.zeros((0, 4)), np.zeros(0), 2, 2, epochs=1, learning_rate=1.0, rng_seed=0)
 
     def test_bad_learning_rate_rejected(self):
         with pytest.raises(InvalidConfigError):
-            train_linear(self.one_pixel_dataset(), 1, float("nan"), 0)
+            train_linear(*self.one_pixel_dataset(), 1, float("nan"), 0)
         with pytest.raises(InvalidConfigError):
-            train_linear(self.one_pixel_dataset(), 1, -1.0, 0)
+            train_linear(*self.one_pixel_dataset(), 1, -1.0, 0)
 
     def test_label_scale_invariance(self):
-        model = train_linear(self.one_pixel_dataset(), 20, 1.0, rng_seed=1)
+        model = train_linear(*self.one_pixel_dataset(), 20, 1.0, rng_seed=1)
         space = enumerate_space(ImageSpaceSpec(2, 2, "full"))
         for factor in (0.5, 2.0, 10.0):
             scaled = LinearModel(2, 2, model.weights * factor, model.bias * factor)
@@ -275,25 +282,16 @@ class TestTrainLinear:
 
 class TestLinearUpdate:
     def test_no_queries_equals_plain_training(self):
-        dataset = [
-            (BinaryImage.from_string(2, 2, "1100"), 1),
-            (BinaryImage.from_string(2, 2, "0011"), 0),
-        ]
-        base = train_linear(dataset, epochs=10, learning_rate=1.0, rng_seed=9)
-        updated = linear_update(base, dataset, [], epochs=10, learning_rate=1.0, rng_seed=9)
+        X, y, _, _ = training_set(2, 2, ("1100", 1), ("0011", 0))
+        base = train_linear(X, y, 2, 2, epochs=10, learning_rate=1.0, rng_seed=9)
+        updated = linear_update(base, X, y, epochs=10, learning_rate=1.0, rng_seed=9)
         assert np.array_equal(base.weights, updated.weights)
         assert base.bias == updated.bias
 
     def test_repeated_query_keeps_dimensions(self):
-        dataset = [
-            (BinaryImage.from_string(2, 2, "1100"), 1),
-            (BinaryImage.from_string(2, 2, "0011"), 0),
-        ]
-        base = train_linear(dataset, epochs=5, learning_rate=1.0, rng_seed=0)
-        query = (BinaryImage.from_string(2, 2, "1110"), 1)
-        updated = linear_update(
-            base, dataset, [query, query, query], epochs=5, learning_rate=1.0, rng_seed=0
-        )
+        X, y, _, _ = training_set(2, 2, ("1100", 1), ("0011", 0), *[("1110", 1)] * 3)
+        base = train_linear(X[:2], y[:2], 2, 2, epochs=5, learning_rate=1.0, rng_seed=0)
+        updated = linear_update(base, X, y, epochs=5, learning_rate=1.0, rng_seed=0)
         assert updated.weights.shape == base.weights.shape
 
 
@@ -349,41 +347,36 @@ class TestTrainNeural:
             BinaryImage(2, 2, tuple(int(b) for b in rng.integers(0, 2, 4)))
             for _ in range(8)
         ]
-        dataset = [(img, 1) for img in images]
         X = np.array([img.bits for img in images], dtype=float)
         y = np.ones(len(images))
         losses = []
         for epochs in range(1, 101, 10):
-            model = train_neural(dataset, [4, 3, 1], epochs, 0.01, rng_seed=4)
+            model = train_neural(X, y, 2, 2, [4, 3, 1], epochs, 0.01, rng_seed=4)
             losses.append(bce_loss(model, X, y))
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_same_seed_identical_parameters(self):
-        dataset = [
-            (BinaryImage.from_string(2, 2, "1100"), 1),
-            (BinaryImage.from_string(2, 2, "0011"), 0),
-        ]
-        m1 = train_neural(dataset, [4, 3, 1], 50, 0.5, rng_seed=8)
-        m2 = train_neural(dataset, [4, 3, 1], 50, 0.5, rng_seed=8)
+        dataset = training_set(2, 2, ("1100", 1), ("0011", 0))
+        m1 = train_neural(*dataset, [4, 3, 1], 50, 0.5, rng_seed=8)
+        m2 = train_neural(*dataset, [4, 3, 1], 50, 0.5, rng_seed=8)
         for l1, l2 in zip(m1.layers, m2.layers):
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
 
     def test_bad_architecture_rejected(self):
-        dataset = [(BinaryImage.from_string(2, 2, "1100"), 1)]
+        dataset = training_set(2, 2, ("1100", 1))
         with pytest.raises(InvalidConfigError):
-            train_neural(dataset, [4, 3, 2], 1, 0.1, 0)  # output not single
+            train_neural(*dataset, [4, 3, 2], 1, 0.1, 0)  # output not single
         with pytest.raises(InvalidConfigError):
-            train_neural(dataset, [5, 1], 1, 0.1, 0)  # input mismatch
+            train_neural(*dataset, [5, 1], 1, 0.1, 0)  # input mismatch
 
     @pytest.mark.parametrize("epochs", [0, -5])
     def test_epochs_below_1_rejected_like_the_perceptron(self, epochs):
-        dataset = [(BinaryImage.from_string(2, 2, "1100"), 1),
-                   (BinaryImage.from_string(2, 2, "0011"), 0)]
+        dataset = training_set(2, 2, ("1100", 1), ("0011", 0))
         with pytest.raises(InvalidConfigError, match=f"epochs must be >= 1, got {epochs}"):
-            train_neural(dataset, [4, 3, 1], epochs, 0.1, 0)
+            train_neural(*dataset, [4, 3, 1], epochs, 0.1, 0)
         with pytest.raises(InvalidConfigError, match=f"epochs must be >= 1, got {epochs}"):
-            train_linear(dataset, epochs, 0.1, 0)
+            train_linear(*dataset, epochs, 0.1, 0)
 
 
 def _perturbed(model: NeuralModel, layer_index: int, weight_index, delta: float):
@@ -399,20 +392,15 @@ def _perturbed(model: NeuralModel, layer_index: int, weight_index, delta: float)
 class TestTrainingAccuracy:
     def test_share_of_matching_diagnosis_labels(self):
         model = RuleModel(2, 1, (RuleLevel.of(ones=[0]),))
-        dataset = [
-            (BinaryImage.from_string(2, 1, "10"), 1),
-            (BinaryImage.from_string(2, 1, "11"), 1),
-            (BinaryImage.from_string(2, 1, "01"), 1),
-            (BinaryImage.from_string(2, 1, "00"), 0),
-        ]
-        assert training_accuracy(model, dataset) == 0.75
+        X, y, _, _ = training_set(2, 1, ("10", 1), ("11", 1), ("01", 1), ("00", 0))
+        assert training_accuracy(model, X, y) == 0.75
 
     def test_rejects_what_training_rejects(self):
         model = RuleModel(2, 1, (RuleLevel.of(ones=[0]),))
-        image = BinaryImage.from_string(2, 1, "10")
-        for dataset in ([], [(image, 2)], [(image, 1), (BinaryImage.from_string(1, 2, "10"), 0)]):
+        # no rows, a label of 2, and a row of another grid's size
+        for X, y in ((np.zeros((0, 2)), np.zeros(0)), ([[1, 0]], [2]), ([[1, 0, 0]], [1])):
             with pytest.raises(InvalidConfigError):
-                training_accuracy(model, dataset)
+                training_accuracy(model, X, y)
 
 
 def malformed_neural_doc(defect):
@@ -460,9 +448,7 @@ class TestSerialization:
         assert model_from_json(model_to_json(model)) == model
 
     def test_linear_round_trip_bit_identical(self):
-        model = train_linear(
-            [(BinaryImage.from_string(2, 2, "1010"), 1)], 5, 0.3, rng_seed=0
-        )
+        model = train_linear(*training_set(2, 2, ("1010", 1)), 5, 0.3, rng_seed=0)
         back = model_from_json(model_to_json(model))
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias

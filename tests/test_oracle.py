@@ -85,7 +85,8 @@ class TestBruteForceBreakdown:
         fx = build_fixture("fig2-diagonal")
         result = brute_force_breakdown(fx.model_a, fx.model_b, fx.space)
         assert len(result.disagreement_images) == 4
-        for img in result.disagreement_images:
+        for text in result.disagreement_images:
+            img = BinaryImage.from_string(4, 4, text)
             assert predict(fx.model_a, img) != predict(fx.model_b, img)
 
 

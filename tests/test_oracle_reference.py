@@ -139,7 +139,7 @@ def brute_force_breakdown(
     matched = num_levels(model_a) == num_levels(model_b)
     counts = [0] * (num_levels(model_a) if matched else 1)
     total = 0
-    kept: list[BinaryImage] = []
+    kept: list[str] = []
     for bits in _iterate_space(spec):
         total += 1
         la = _scalar_levels(model_a, bits)
@@ -152,7 +152,7 @@ def brute_force_breakdown(
                 counts[lvl] += 1
                 hit = True
         if hit and len(kept) < keep_images:
-            kept.append(BinaryImage(spec.width, spec.height, bits))
+            kept.append(BinaryImage(spec.width, spec.height, bits).to_string())
     per_level = tuple(_entropy_bits(c, total) for c in counts)
     return OracleResult(
         disagreement_counts=tuple(counts),
@@ -198,7 +198,7 @@ def exhaustive_fixed_point(
             lb = _scalar_levels(model_b, bits)
             if la != lb:
                 image = BinaryImage(spec.width, spec.height, bits)
-                current = rule_update(current, image, lb, columns, reference)
+                current = rule_update(current, image.bits, lb, columns, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
         if not changed or result.total_entropy == entropy_before or current in seen:

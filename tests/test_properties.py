@@ -112,7 +112,8 @@ def random_config(rng, mode, linear=None):
         linear = rng.integers(0, 4) == 0
     if linear:
         model_a = random_linear(rng, width, height)
-        base = [(random_image(rng, width, height), 0), (random_image(rng, width, height), 1)]
+        rows = np.array([random_image(rng, width, height).bits for _ in range(2)], dtype=np.uint8)
+        base = rows, np.array([0, 1], dtype=np.uint8)
     else:
         model_a = random_rule(rng, width, height, int(rng.integers(1, 4)))
         base = None

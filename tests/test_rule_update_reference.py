@@ -197,5 +197,5 @@ def outcome(update, args):
 def test_rule_update_matches_two_path_copy(seed):
     args = random_update(np.random.default_rng(seed))
     model, image, target, matrix, reference = args
-    packed = (model, image, target, pack_columns(matrix), pack_bits(reference))
+    packed = (model, image.bits, target, pack_columns(matrix), pack_bits(reference))
     assert outcome(models.rule_update, packed) == outcome(rule_update, args)

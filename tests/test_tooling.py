@@ -44,19 +44,33 @@ def test_traced_layer_functions_exist():
 
 
 
-def test_traced_run_records_label_spans(tmp_path):
+def traced_label_spans(tmp_path, *argv) -> list:
+    """Run a CLI command under traced_op.py; return the (span name,
+    attributes) of its level_label_matrix spans."""
     spans_path = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(TRACED_OP), str(spans_path), "interpret",
-         "--fixture", "fig2-diagonal", "--seed", "7", "--out", str(tmp_path / "out")],
+        [sys.executable, str(TRACED_OP), str(spans_path), *argv, "--out", str(tmp_path / "out")],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    label_spans = [
-        attributes for name, _, _, _, _, attributes in json.loads(spans_path.read_text())["spans"]
+    return [
+        (name, attributes)
+        for name, _, _, _, _, attributes in json.loads(spans_path.read_text())["spans"]
         if name.startswith("models.level_label_matrix[")
     ]
+
+
+def test_traced_run_records_label_spans(tmp_path):
+    spans = traced_label_spans(tmp_path, "interpret", "--fixture", "fig2-diagonal", "--seed", "7")
     # the wrapper reads the labelled matrix's row count from its second argument
     rows = len(space_matrix(build_fixture("fig2-diagonal").space))
-    assert {"images": rows} in label_spans
+    assert {"images": rows} in [attributes for _, attributes in spans]
+
+
+def test_traced_eval_squares_run_labels_the_envelope_with_the_net(tmp_path):
+    # the fixture's trainers, the net's labels and the perceptron's retrains
+    # all run under the tracer's wrappers
+    spans = traced_label_spans(tmp_path, "demo", "--fixture", "eval-squares", "--seeds", "1")
+    rows = len(space_matrix(build_fixture("eval-squares").space))
+    assert ("models.level_label_matrix[neural]", {"images": rows}) in spans

@@ -25,11 +25,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from diaginterp import models
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import BinaryImage
 from diaginterp.models import (
     NeuralLayer,
     NeuralModel,
-    _dataset_arrays,
     _sigmoid,
     bce_gradients,
     init_neural,
@@ -42,14 +40,14 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def reference_train_linear(dataset, epochs, learning_rate, rng_seed):
-    X, y, width, height = _dataset_arrays(dataset)
+def reference_train_linear(X, y, width, height, epochs, learning_rate, rng_seed):
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(rng_seed)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     for _ in range(epochs):
         mistakes = 0
-        for idx in rng.permutation(len(dataset)):
+        for idx in rng.permutation(len(X)):
             pred = 1.0 if X[idx] @ w + b > 0.0 else 0.0
             if pred != y[idx]:
                 step = learning_rate * (y[idx] - pred)
@@ -103,8 +101,10 @@ def reference_bce_gradients(model, X, y):
     return grads
 
 
-def reference_train_neural(dataset, architecture, epochs, learning_rate, rng_seed, hidden_activation):
-    X, y, width, height = _dataset_arrays(dataset)
+def reference_train_neural(
+    X, y, width, height, architecture, epochs, learning_rate, rng_seed, hidden_activation
+):
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     model = init_neural(architecture, width, height, rng_seed, hidden_activation)
     layers = list(model.layers)
     for _ in range(epochs):
@@ -122,7 +122,8 @@ def reference_train_neural(dataset, architecture, epochs, learning_rate, rng_see
 
 
 def random_dataset(rng, max_side=8, max_examples=60):
-    """Random rows and labels on a grid of up to max_side x max_side. Labels
+    """Random rows and labels on a grid of up to max_side x max_side, as
+    (rows, labels, width, height). Labels
     are drawn independently of the rows, and a few rows are repeated with the
     opposite label, so most datasets are inseparable."""
     width, height = int(rng.integers(1, max_side + 1)), int(rng.integers(1, max_side + 1))
@@ -132,10 +133,7 @@ def random_dataset(rng, max_side=8, max_examples=60):
     flipped = rng.integers(0, n, int(rng.integers(0, 3)))
     rows = np.vstack([rows, rows[flipped]])
     labels = np.concatenate([labels, 1 - labels[flipped]])
-    return [
-        (BinaryImage(width, height, tuple(row.tolist())), int(label))
-        for row, label in zip(rows, labels)
-    ]
+    return rows, labels, width, height
 
 
 def exact_bits(a, b) -> bool:
@@ -149,8 +147,8 @@ def exact_bits(a, b) -> bool:
 def test_train_linear_equals_the_per_example_loop(seed, rate, epochs):
     rng = np.random.default_rng(seed)
     dataset = random_dataset(rng)
-    model = train_linear(dataset, epochs, rate, rng_seed=seed)
-    w, b = reference_train_linear(dataset, epochs, rate, rng_seed=seed)
+    model = train_linear(*dataset, epochs, rate, rng_seed=seed)
+    w, b = reference_train_linear(*dataset, epochs, rate, rng_seed=seed)
     assert exact_bits(model.weights, w)
     assert exact_bits(model.bias, b)
 
@@ -163,11 +161,9 @@ def test_train_linear_equals_the_per_example_loop_on_larger_sets(noise):
     rows = (rng.random((800, 64)) < 0.3).astype(np.uint8)
     scores = rows @ rng.normal(size=64)
     labels = (scores > np.median(scores)) ^ (rng.random(800) < noise)
-    dataset = [
-        (BinaryImage(8, 8, tuple(row.tolist())), int(label)) for row, label in zip(rows, labels)
-    ]
-    model = train_linear(dataset, 12, 1.0, rng_seed=5)
-    w, b = reference_train_linear(dataset, 12, 1.0, rng_seed=5)
+    dataset = rows, labels.astype(np.uint8), 8, 8
+    model = train_linear(*dataset, 12, 1.0, rng_seed=5)
+    w, b = reference_train_linear(*dataset, 12, 1.0, rng_seed=5)
     assert exact_bits(model.weights, w)
     assert exact_bits(model.bias, b)
 
@@ -189,11 +185,11 @@ def test_rate_only_scales_the_weights(seed, epochs):
     # round either way once the weights are scaled by 0.1.
     rng = np.random.default_rng(seed)
     dataset = random_dataset(rng)
-    one = train_linear(dataset, epochs, 1.0, rng_seed=seed)
-    tenth = train_linear(dataset, epochs, 0.1, rng_seed=seed)
+    one = train_linear(*dataset, epochs, 1.0, rng_seed=seed)
+    tenth = train_linear(*dataset, epochs, 0.1, rng_seed=seed)
     assert exact_bits(tenth.weights, 0.1 * one.weights)
     assert exact_bits(tenth.bias, 0.1 * one.bias)
-    rows = np.array([img.bits for img, _ in dataset], dtype=np.uint8)
+    rows = dataset[0]
     decided = rows @ one.weights + one.bias != 0.0
     assert np.array_equal(
         level_label_matrix(tenth, rows)[0][decided], level_label_matrix(one, rows)[0][decided]
@@ -203,7 +199,7 @@ def test_rate_only_scales_the_weights(seed, epochs):
 @functools.cache
 def eval_squares_dataset():
     """The eval-squares fixture's 200-example 8x8 training set."""
-    return build_fixture("eval-squares", 0).base_dataset
+    return (*build_fixture("eval-squares", 0).base_dataset, 8, 8)
 
 
 def neural_case(rng, eval_squares):
@@ -213,7 +209,7 @@ def neural_case(rng, eval_squares):
     if eval_squares:
         return eval_squares_dataset(), [64, 16, 1]
     dataset = random_dataset(rng, max_side=4, max_examples=30)
-    pixels = dataset[0][0].num_pixels
+    pixels = dataset[2] * dataset[3]
     return dataset, [pixels, *rng.integers(1, 6, int(rng.integers(1, 3))).tolist(), 1]
 
 
@@ -226,8 +222,10 @@ def test_train_neural_equals_the_per_epoch_loop(hidden_activation, seed, eval_sq
     dataset, architecture = neural_case(rng, eval_squares)
     epochs = 100 if eval_squares else int(rng.integers(1, 40))
     rate = 0.5 if eval_squares else float(rng.choice([0.05, 0.5, 1.3]))
-    model = train_neural(dataset, architecture, epochs, rate, [seed, 1], hidden_activation)
-    reference = reference_train_neural(dataset, architecture, epochs, rate, [seed, 1], hidden_activation)
+    model = train_neural(*dataset, architecture, epochs, rate, [seed, 1], hidden_activation)
+    reference = reference_train_neural(
+        *dataset, architecture, epochs, rate, [seed, 1], hidden_activation
+    )
     assert len(model.layers) == len(reference.layers)
     for layer, ref in zip(model.layers, reference.layers):
         assert layer.activation == ref.activation
@@ -242,7 +240,8 @@ def test_train_neural_equals_the_per_epoch_loop(hidden_activation, seed, eval_sq
 def test_bce_gradients_equal_the_reference_backprop(hidden_activation, seed, eval_squares):
     rng = np.random.default_rng(seed)
     dataset, architecture = neural_case(rng, eval_squares)
-    X, y, width, height = _dataset_arrays(dataset)
+    X, y, width, height = dataset
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     model = init_neural(architecture, width, height, seed, hidden_activation)
     for (dw, db), (ref_dw, ref_db) in zip(
         bce_gradients(model, X, y), reference_bce_gradients(model, X, y)
@@ -253,7 +252,8 @@ def test_bce_gradients_equal_the_reference_backprop(hidden_activation, seed, eva
 
 def test_bce_gradients_take_labels_as_a_list():
     dataset, architecture = neural_case(np.random.default_rng(3), False)
-    X, y, width, height = _dataset_arrays(dataset)
+    X, y, width, height = dataset
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     model = init_neural(architecture, width, height, 3)
     labels = [int(label) for label in y]
     for (dw, db), (ref_dw, ref_db) in zip(
