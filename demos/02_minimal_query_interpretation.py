@@ -20,7 +20,7 @@ report = run_interpretation(fx.engine_config(rng_seed=7))
 print(f"initial entropy: {report.initial_entropy.total:.4f} bits")
 print("t  query              I_t      dI_t     H_total")
 for step in report.steps:
-    print(f"{step.t}  {step.query.to_string()}  {step.i_t:.4f}   "
+    print(f"{step.t}  {step.query}  {step.i_t:.4f}   "
           f"{step.delta_i_t:+.4f}  {step.entropy_after.total:.4f}")
 print(f"termination: {report.termination}")
 print(f"final interpretability: {report.final_interpretability:.4f}")

@@ -10,7 +10,7 @@ mode and the diagnosis level in epsilon mode. Their XOR gives the step's
 entropy breakdown (popcounts) and the query region: the OR of the compared
 levels. Queries are picked by bit position, so each costs words, not rows.
 A queried image stays a matrix row, which rule_update and a retrain take as
-it is; only the query a step record reports is built as a BinaryImage.
+it is; a step record reports it as its bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -46,9 +46,11 @@ import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
-    BinaryImage,
     ImageSpaceSpec,
+    bitstrings_to_rows,
+    is_bitstring,
     pack_bits,
+    rows_to_bitstrings,
     space_matrix,
     spec_from_json,
     spec_to_json,
@@ -153,7 +155,7 @@ class EngineConfig:
 @dataclass(frozen=True)
 class StepRecord:
     t: int
-    query: BinaryImage
+    query: str  # the queried image's bitstring
     entropy_after: EntropyBreakdown
     i_t: float
     delta_i_t: float
@@ -161,7 +163,7 @@ class StepRecord:
     def to_json(self) -> dict:
         return {
             "t": self.t,
-            "query": self.query.to_string(),
+            "query": self.query,
             "entropy_after": self.entropy_after.to_json(),
             "I_t": self.i_t,
             "delta_I_t": self.delta_i_t,
@@ -279,7 +281,7 @@ class _Run:
         h0 = self.initial.total
         i_t = interpretability(h0, self.breakdown.total)
         prev = self.steps[-1].i_t if self.steps else 0.0
-        query = BinaryImage(self.model.width, self.model.height, tuple(self.matrix[idx].tolist()))
+        query = rows_to_bitstrings(self.matrix[idx : idx + 1])[0]
         step = StepRecord(len(self.steps) + 1, query, self.breakdown, float(i_t), float(i_t - prev))
         self.steps.append(step)
         return step
@@ -411,8 +413,7 @@ def config_to_json(config: EngineConfig) -> dict:
     doc["base_dataset"] = None
     if config.base_dataset is not None:
         rows, labels = config.base_dataset
-        rows = np.asarray(rows, dtype=np.uint8) + ord("0")
-        doc["base_dataset"] = [[bytes(row).decode(), int(y)] for row, y in zip(rows, labels)]
+        doc["base_dataset"] = [[text, int(y)] for text, y in zip(rows_to_bitstrings(rows), labels)]
     return doc
 
 
@@ -424,10 +425,9 @@ def _dataset_from_json(entries, pixels: int) -> tuple[np.ndarray, np.ndarray]:
     for text, label in entries:
         if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
             raise InvalidConfigError(f"base_dataset labels must be 0 or 1, got {label!r}")
-        if not (isinstance(text, str) and len(text) == pixels and set(text) <= {"0", "1"}):
+        if not is_bitstring(text, pixels):
             raise InvalidConfigError(f"base_dataset image {text!r} is not a {pixels}-bit string")
-    digits = "".join(text for text, _ in entries).encode()
-    rows = np.frombuffer(digits, dtype=np.uint8).reshape(len(entries), pixels) - ord("0")
+    rows = bitstrings_to_rows([text for text, _ in entries], pixels)
     return rows, np.array([label for _, label in entries], dtype=np.uint8)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import EngineConfig
 from .errors import InvalidConfigError
-from .imagespace import BinaryImage, ImageSpaceSpec, unique_rows
+from .imagespace import ImageSpaceSpec, rows_to_bitstrings, unique_rows
 from .models import (
     LinearModel,
     Model,
@@ -137,15 +137,13 @@ def _build_fig1c() -> Fixture:
     )
 
 
-def diagonal_images() -> tuple[BinaryImage, BinaryImage]:
-    main = BinaryImage.from_pixels(GRID_4, GRID_4, [0, 5, 10, 15])
-    anti = BinaryImage.from_pixels(GRID_4, GRID_4, [3, 6, 9, 12])
-    return main, anti
+def diagonal_images() -> tuple[str, str]:
+    """The 4x4 diagonals' bitstrings: pixels 0, 5, 10, 15 and 3, 6, 9, 12 set."""
+    return "1000010000100001", "0001001001001000"
 
 
 def _build_fig2_diagonal() -> Fixture:
-    main, anti = diagonal_images()
-    space = ImageSpaceSpec(GRID_4, GRID_4, "envelope", (main, anti), flip_radius=1)
+    space = ImageSpaceSpec(GRID_4, GRID_4, "envelope", diagonal_images(), flip_radius=1)
     model_a = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0]),))
     model_b = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0, 5, 10, 15]),))
     return Fixture(
@@ -212,8 +210,7 @@ def two_squares_class_pools(
 
 def _build_eval_squares(seed: int) -> Fixture:
     bases, classes = two_squares_bases()
-    base_images = tuple(BinaryImage(GRID_8, GRID_8, tuple(row)) for row in bases.tolist())
-    space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", base_images, flip_radius=1)
+    space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", rows_to_bitstrings(bases), flip_radius=1)
 
     rng = np.random.default_rng([seed, 0])
     pool0, pool1 = two_squares_class_pools(bases, classes)

@@ -5,10 +5,11 @@ Every evaluation set in this package is either the full space of
 together with every image within a fixed Hamming radius of one of them.
 
 In memory a materialized set is a single read-only ``(n_images, n_pixels)``
-uint8 matrix, one row per image (space_matrix). Per-image BinaryImage objects
-are built from its rows only at the API edge (enumerate_space) and for the
-queries that a run's step records report. A set's size is a plain int, the
-matrix's row count; a full space's 2^pixels is never built as a number.
+uint8 matrix, one row per image (space_matrix). At the JSON edge -- a spec's
+base images, a run's queries and base dataset -- an image is its row-major
+bitstring of '0'/'1' characters; bitstrings_to_rows and rows_to_bitstrings
+convert between the two forms. A set's size is a plain int, the matrix's row
+count; a full space's 2^pixels is never built as a number.
 
 space_matrix refuses, before allocating, a set whose materialization would
 peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows for a full space, or
@@ -43,79 +44,24 @@ from .errors import InvalidSpecError, SpaceTooLargeError
 # than this. A full 4x6 space needs 448 MiB and is refused; 4x5 needs 24 MiB.
 MATERIALIZE_BYTE_LIMIT = 256 << 20
 
-# Maps each bit, as a byte, to its '0'/'1' character.
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-@dataclass(frozen=True)
-class BinaryImage:
-    """A fixed-size 2D bit grid, stored row-major.
-
-    Immutable and hashable; two images are equal iff their dimensions and all
-    bits are equal.
-    """
-
-    width: int
-    height: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise InvalidSpecError(
-                f"image dimensions must be positive, got {self.width}x{self.height}"
-            )
-        if len(self.bits) != self.width * self.height:
-            raise InvalidSpecError(
-                f"expected {self.width * self.height} bits, got {len(self.bits)}"
-            )
-        # to_string's own conversion, so every image that builds can be
-        # written out; it refuses non-integers such as 1.0 and ints past a byte.
-        try:
-            bits_ok = max(bytes(self.bits)) <= 1
-        except (TypeError, ValueError):
-            bits_ok = False
-        if not bits_ok:
-            raise InvalidSpecError("image bits must all be 0 or 1")
-
-    @property
-    def num_pixels(self) -> int:
-        return self.width * self.height
-
-    @classmethod
-    def from_string(cls, width: int, height: int, text: str) -> "BinaryImage":
-        """Build an image from a row-major '0'/'1' string."""
-        if not set(text) <= {"0", "1"}:
-            raise InvalidSpecError(f"bitstring may only contain 0/1, got {text!r}")
-        return cls(width, height, tuple(int(c) for c in text))
-
-    @classmethod
-    def from_pixels(cls, width: int, height: int, on_pixels) -> "BinaryImage":
-        """Build an image with the given pixel indices set to 1."""
-        bits = [0] * (width * height)
-        for i in on_pixels:
-            bits[i] = 1
-        return cls(width, height, tuple(bits))
-
-    def to_string(self) -> str:
-        return bytes(self.bits).translate(_BIT_CHARS).decode("ascii")
-
-
 @dataclass(frozen=True)
 class ImageSpaceSpec:
     """Declarative description of an evaluation set of binary images.
 
     ``mode='full'`` denotes all 2^(width*height) images; ``mode='envelope'``
-    denotes the given base images plus every image within Hamming distance
-    ``flip_radius`` of one of them, deduplicated.
+    denotes the given base images, row-major bitstrings, plus every image
+    within Hamming distance ``flip_radius`` of one of them, deduplicated.
     """
 
     width: int
     height: int
     mode: str
-    base_images: tuple[BinaryImage, ...] = field(default=())
+    base_images: tuple[str, ...] = field(default=())
     flip_radius: int = 0
 
     def __post_init__(self) -> None:
+        # a tuple, so the spec stays hashable and equal to its JSON round trip
+        object.__setattr__(self, "base_images", tuple(self.base_images))
         if self.width < 1 or self.height < 1:
             raise InvalidSpecError(
                 f"space dimensions must be positive, got {self.width}x{self.height}"
@@ -130,11 +76,10 @@ class ImageSpaceSpec:
         else:
             if not self.base_images:
                 raise InvalidSpecError("envelope mode requires at least one base image")
-            for img in self.base_images:
-                if (img.width, img.height) != (self.width, self.height):
+            for text in self.base_images:
+                if not is_bitstring(text, self.num_pixels):
                     raise InvalidSpecError(
-                        f"base image is {img.width}x{img.height}, "
-                        f"space is {self.width}x{self.height}"
+                        f"base image {text!r} is not a {self.num_pixels}-bit string"
                     )
 
     @property
@@ -152,15 +97,27 @@ def envelope_size_bound(spec: ImageSpaceSpec) -> int:
     return len(spec.base_images) * ball
 
 
-def enumerate_space(spec: ImageSpaceSpec) -> tuple[BinaryImage, ...]:
-    """Materialize the set described by ``spec`` in its canonical order.
+def is_bitstring(text, pixels: int) -> bool:
+    """Whether ``text`` is a row-major string of ``pixels`` '0'/'1' characters."""
+    return isinstance(text, str) and len(text) == pixels and set(text) <= {"0", "1"}
 
-    Yields each image exactly once. Raises SpaceTooLargeError when
-    space_matrix's materialization guard trips.
-    """
-    return tuple(
-        BinaryImage(spec.width, spec.height, tuple(row)) for row in space_matrix(spec).tolist()
-    )
+
+def bitstrings_to_rows(texts, pixels: int) -> np.ndarray:
+    """Bitstrings of ``pixels`` characters, checked by is_bitstring, as uint8 rows."""
+    digits = "".join(texts).encode()
+    return np.frombuffer(digits, dtype=np.uint8).reshape(len(texts), pixels) - ord("0")
+
+
+def rows_to_bitstrings(rows) -> tuple[str, ...]:
+    """Each row of a 2-D 0/1 array as its row-major bitstring."""
+    chars = np.asarray(rows, dtype=np.uint8) + ord("0")
+    return tuple(row.tobytes().decode() for row in chars)
+
+
+def enumerate_space(spec: ImageSpaceSpec) -> tuple[str, ...]:
+    """The bitstrings of ``spec``'s images, each once, in canonical order.
+    Raises SpaceTooLargeError as space_matrix does."""
+    return rows_to_bitstrings(space_matrix(spec))
 
 
 def space_matrix(spec: ImageSpaceSpec) -> np.ndarray:
@@ -210,7 +167,7 @@ def _materialize_envelope(spec: ImageSpaceSpec) -> np.ndarray:
     # base XOR every flip mask of that count. unique_rows drops the repeats.
     candidates = np.empty((envelope_size_bound(spec), pixels), dtype=np.uint8)
     bases = candidates[: len(spec.base_images)]
-    bases[:] = [img.bits for img in spec.base_images]
+    bases[:] = bitstrings_to_rows(spec.base_images, pixels)
     start = len(bases)
     for radius in range(1, min(spec.flip_radius, pixels) + 1):
         stop = start + len(bases) * math.comb(pixels, radius)
@@ -256,20 +213,31 @@ def spec_to_json(spec: ImageSpaceSpec) -> dict:
         "width": spec.width,
         "height": spec.height,
         "mode": spec.mode,
-        "base_images": [img.to_string() for img in spec.base_images],
+        "base_images": list(spec.base_images),
         "flip_radius": spec.flip_radius,
     }
 
 
-def json_int(doc: dict, key: str, what: str, default: int | None = None) -> int:
+def _json_value(doc: dict, key: str, what: str, default, kind: type, kind_name: str):
     """``doc[key]``, or ``default`` if given and the key is absent (KeyError
-    otherwise): a JSON integer, not a bool, float or string. ``what`` names ``doc``."""
+    otherwise): a JSON value of type ``kind``, never a bool. ``what`` names
+    ``doc``, which must be a JSON object."""
     if not isinstance(doc, dict):
         raise InvalidSpecError(f"{what} document must be a JSON object, got {type(doc).__name__}")
     value = doc[key] if default is None else doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidSpecError(f"{what} {key} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidSpecError(f"{what} {key} must be {kind_name}, got {value!r}")
     return value
+
+
+def json_int(doc: dict, key: str, what: str, default: int | None = None) -> int:
+    """``doc[key]`` as _json_value reads it: a JSON integer, not a bool, float or string."""
+    return _json_value(doc, key, what, default, int, "an integer")
+
+
+def json_list(doc: dict, key: str, what: str, default: list | None = None) -> list:
+    """``doc[key]`` as _json_value reads it: a JSON list."""
+    return _json_value(doc, key, what, default, list, "a list")
 
 
 def spec_from_json(doc: dict) -> ImageSpaceSpec:
@@ -278,7 +246,5 @@ def spec_from_json(doc: dict) -> ImageSpaceSpec:
         mode = doc["mode"]
     except KeyError as missing:
         raise InvalidSpecError(f"space document missing key {missing}") from None
-    bases = tuple(
-        BinaryImage.from_string(width, height, text) for text in doc.get("base_images", [])
-    )
+    bases = json_list(doc, "base_images", "space", [])
     return ImageSpaceSpec(width, height, mode, bases, json_int(doc, "flip_radius", "space", 0))

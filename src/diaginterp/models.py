@@ -35,9 +35,7 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import MATERIALIZE_BYTE_LIMIT, BinaryImage, json_int, pack_bits
-
-PredictionVector = tuple[int, ...]
+from .imagespace import MATERIALIZE_BYTE_LIMIT, json_int, json_list, pack_bits, rows_to_bitstrings
 
 
 @dataclass(frozen=True)
@@ -278,14 +276,12 @@ def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(model: Model, image: BinaryImage) -> PredictionVector:
-    """Labels at every abstraction level for a single image."""
-    if (image.width, image.height) != (model.width, model.height):
-        raise InvalidInputError(
-            f"image is {image.width}x{image.height}, model expects "
-            f"{model.width}x{model.height}"
-        )
-    row = np.array([image.bits], dtype=np.uint8)
+def predict(model: Model, bits: Sequence[int]) -> tuple[int, ...]:
+    """Labels at every abstraction level for one image's 0/1 pixels."""
+    pixels = model.width * model.height
+    if isinstance(bits, str) or len(bits) != pixels:  # a bitstring's characters are not pixels
+        raise InvalidInputError(f"expected an image of {pixels} 0/1 pixels, got {bits!r}")
+    row = np.array([bits], dtype=np.uint8)
     return tuple(level_label_matrix(model, row)[:, 0].tolist())
 
 
@@ -329,8 +325,8 @@ def rule_update(
         )
 
     pixels = model.width * model.height
-    if len(bits) != pixels:
-        raise InvalidInputError(f"image has {len(bits)} pixels, model expects {pixels}")
+    if isinstance(bits, str) or len(bits) != pixels:  # a bitstring's characters are not pixels
+        raise InvalidInputError(f"expected an image of {pixels} 0/1 pixels, got {bits!r}")
     on = frozenset(np.flatnonzero(bits).tolist())
 
     def label(level: RuleLevel) -> int:  # the level's label of the image
@@ -374,7 +370,7 @@ def rule_update(
     if [label(level) for level in new_levels] != [int(t) for t in target]:
         raise UnreachableTargetError(
             f"no constraint edit reaches target {tuple(target)} on image "
-            f"{''.join(map(str, bits))}"
+            f"{rows_to_bitstrings([bits])[0]}"
         )
     return updated
 
@@ -596,21 +592,32 @@ def model_to_json(model: Model) -> dict:
     raise InvalidInputError(f"unknown model type {type(model).__name__}")
 
 
+def _pixel_set(level: dict, key: str) -> frozenset:
+    """A rule level's JSON pixel list as a set. A list or object entry cannot
+    be hashed, so it is refused here; RuleModel checks the other entries."""
+    pixels = json_list(level, key, "rule level")
+    for i in pixels:
+        if isinstance(i, (list, dict)):
+            raise InvalidSpecError(f"pixel index {i!r} is not an integer")
+    return frozenset(pixels)
+
+
 def model_from_json(doc: dict) -> Model:
     try:
         width, height = (json_int(doc, key, "model") for key in ("width", "height"))
         kind = doc.get("kind")
         if kind == "rule":
             levels = tuple(
-                RuleLevel(frozenset(lv["ones_required"]), frozenset(lv["zeros_required"]))
-                for lv in doc["levels"]
+                RuleLevel(_pixel_set(lv, "ones_required"), _pixel_set(lv, "zeros_required"))
+                for lv in json_list(doc, "levels", "model")
             )
             return RuleModel(width, height, levels)
         if kind == "linear":
             return LinearModel(width, height, doc["weights"], doc["bias"])
         if kind == "neural":
             layers = tuple(
-                NeuralLayer(lv["weights"], lv["bias"], lv["activation"]) for lv in doc["layers"]
+                NeuralLayer(json_list(lv, "weights", "neural layer"), lv["bias"], lv["activation"])
+                for lv in json_list(doc, "layers", "model")
             )
             return NeuralModel(width, height, layers)
     except KeyError as missing:

@@ -163,7 +163,7 @@ def _iterate_space(spec: ImageSpaceSpec):
             )
         yield from range(size)
         return
-    bases = [int(base.to_string(), 2) for base in spec.base_images]
+    bases = [int(base, 2) for base in spec.base_images]
     bit = _pixel_bits(pixels)
     # flipping more pixels than the grid has yields nothing new
     flipped = (
@@ -281,7 +281,7 @@ def exhaustive_fixed_point(
             # full space codes[i] == i, so the rest of the codes is a range.
             start = miss + 1
             mine = _rule_levels(current, spec.num_pixels, range(start, len(codes)))
-            rest = [islice(labels, start, None) for labels in labels_b]
+            rest = [map(labels.__getitem__, range(start, len(codes))) for labels in labels_b]
             miss = next(compress(count(start), _misses(mine, rest)), None)
             if miss is None:
                 break

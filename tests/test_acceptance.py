@@ -11,7 +11,7 @@ import pytest
 from diaginterp.cli import main
 from diaginterp.engine import run_complete_interpretation, run_interpretation
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import ImageSpaceSpec, BinaryImage
+from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.metrics import binary_entropy, confidence_epsilon, disagreement_breakdown
 from diaginterp.models import RuleLevel, RuleModel, bce_gradients, bce_loss, init_neural
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -112,15 +112,11 @@ def test_criterion_5_oracle_equivalence_sweep():
 
     for _ in range(20):
         while True:
-            bits_a = tuple(int(v) for v in rng.integers(0, 2, 16))
-            bits_b = tuple(int(v) for v in rng.integers(0, 2, 16))
+            bits_a = "".join(map(str, rng.integers(0, 2, 16)))
+            bits_b = "".join(map(str, rng.integers(0, 2, 16)))
             if sum(x != y for x, y in zip(bits_a, bits_b)) >= 3:
                 break
-        spec = ImageSpaceSpec(
-            4, 4, "envelope",
-            (BinaryImage(4, 4, bits_a), BinaryImage(4, 4, bits_b)),
-            flip_radius=1,
-        )
+        spec = ImageSpaceSpec(4, 4, "envelope", (bits_a, bits_b), flip_radius=1)
         a, b = random_rule(16, (4, 4)), random_rule(16, (4, 4))
         truth = brute_force_breakdown(a, b, spec)
         fast = disagreement_breakdown(a, b, spec)

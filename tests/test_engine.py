@@ -14,7 +14,7 @@ from diaginterp.engine import (
 )
 from diaginterp.errors import AbstractionMismatchError, InvalidConfigError
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec
+from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.metrics import disagreement_breakdown
 from diaginterp.models import (
     LinearModel,
@@ -96,7 +96,7 @@ class TestRunInterpretation:
         report = run_interpretation(fx.engine_config(rng_seed=3))
         # after the final step the models agree on the final query at all levels
         assert report.final_model is not None
-        last = report.steps[-1].query
+        last = [int(c) for c in report.steps[-1].query]
         assert predict(report.final_model, last) == predict(fx.model_b, last)
 
     def test_fixed_denominator_identity(self):
@@ -173,8 +173,8 @@ class TestRunInterpretation:
         assert report.final_interpretability == 1.0
         # the lower level was never the target of an update
         assert report.final_model.levels[0] == model_a.levels[0]
-        assert predict(report.final_model, BinaryImage.from_string(2, 2, "0100"))[-1] == 1
-        assert predict(report.final_model, BinaryImage.from_string(2, 2, "1011"))[-1] == 0
+        assert predict(report.final_model, [0, 1, 0, 0])[-1] == 1
+        assert predict(report.final_model, [1, 0, 1, 1])[-1] == 0
 
     def test_objective_recomputable_from_trajectory(self):
         fx = build_fixture("fig2-diagonal")

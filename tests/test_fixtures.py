@@ -11,7 +11,7 @@ from diaginterp.fixtures import (
     two_squares_bases,
     two_squares_class_pools,
 )
-from diaginterp.imagespace import enumerate_space, space_matrix
+from diaginterp.imagespace import bitstrings_to_rows, space_matrix
 from diaginterp.metrics import disagreement_breakdown
 from diaginterp.models import model_to_json, num_levels, predict
 
@@ -33,15 +33,15 @@ class TestDiagonalFixture:
         assert bd.disagreement_counts == (4,)
 
     def test_bases_are_the_two_diagonals(self):
-        main, anti = diagonal_images()
-        assert main.bits[0] == main.bits[5] == main.bits[10] == main.bits[15] == 1
-        assert sum(main.bits) == 4
-        assert anti.bits[3] == anti.bits[6] == anti.bits[9] == anti.bits[12] == 1
-        assert sum(anti.bits) == 4
+        main, anti = bitstrings_to_rows(diagonal_images(), 16)
+        assert main[0] == main[5] == main[10] == main[15] == 1
+        assert sum(main) == 4
+        assert anti[3] == anti[6] == anti[9] == anti[12] == 1
+        assert sum(anti) == 4
 
     def test_models_classify_their_diagonals(self):
         fx = build_fixture("fig2-diagonal")
-        main, anti = diagonal_images()
+        main, anti = bitstrings_to_rows(diagonal_images(), 16)
         assert predict(fx.model_b, main)[-1] == 1
         assert predict(fx.model_b, anti)[-1] == 0
 
@@ -56,10 +56,10 @@ class TestExpressivityFixtures:
     def test_fig1c_target_is_not_a_conjunction(self):
         # the linear OR fires on either pixel alone; no conjunction does that
         fx = build_fixture("fig1c")
-        images = enumerate_space(fx.space)
+        images = space_matrix(fx.space)
         fires = [img for img in images if predict(fx.model_b, img)[-1] == 1]
-        only_first = [img for img in fires if img.bits[0] == 1 and img.bits[1] == 0]
-        only_second = [img for img in fires if img.bits[1] == 1 and img.bits[0] == 0]
+        only_first = [img for img in fires if img[0] == 1 and img[1] == 0]
+        only_second = [img for img in fires if img[1] == 1 and img[0] == 0]
         assert only_first and only_second
 
 

@@ -5,12 +5,13 @@ import pytest
 
 from diaginterp import imagespace
 from diaginterp.errors import InvalidSpecError, SpaceTooLargeError
-from diaginterp.fixtures import two_squares_bases
+from diaginterp.fixtures import diagonal_images, two_squares_bases
 from diaginterp.imagespace import (
-    BinaryImage,
     ImageSpaceSpec,
+    bitstrings_to_rows,
     enumerate_space,
     envelope_size_bound,
+    rows_to_bitstrings,
     space_matrix,
     spec_from_json,
     spec_to_json,
@@ -22,43 +23,50 @@ def full_spec(w, h):
     return ImageSpaceSpec(w, h, "full")
 
 
-def flip(image, index):
-    """``image`` with pixel ``index`` inverted."""
-    bits = list(image.bits)
-    bits[index] ^= 1
-    return BinaryImage(image.width, image.height, tuple(bits))
+MAIN, ANTI = diagonal_images()
+
+
+def flip(text, index):
+    """The bitstring ``text`` with pixel ``index`` inverted."""
+    return text[:index] + "10"[int(text[index])] + text[index + 1 :]
+
+
+def envelope(width, height, *bases, radius=0):
+    return ImageSpaceSpec(width, height, "envelope", bases, flip_radius=radius)
 
 
 class TestBinaryImage:
+    """A binary image at the JSON edge: its row-major bitstring, checked as
+    a spec's base image and converted to and from matrix rows."""
+
     def test_bit_count_enforced(self):
-        with pytest.raises(InvalidSpecError):
-            BinaryImage(2, 2, (0, 1, 0))
-
-    def test_equality_needs_matching_dimensions(self):
-        a = BinaryImage(2, 2, (0, 0, 0, 0))
-        b = BinaryImage(4, 1, (0, 0, 0, 0))
-        assert a != b
-        assert a == BinaryImage(2, 2, (0, 0, 0, 0))
-
-    def test_flip_and_string_round_trip(self):
-        img = BinaryImage.from_string(2, 2, "0110")
-        assert flip(img, 0).to_string() == "1110"
-        assert BinaryImage.from_string(2, 2, img.to_string()) == img
+        for text in ("010", "01010"):
+            with pytest.raises(InvalidSpecError, match="is not a 4-bit string"):
+                envelope(2, 2, text)
 
     def test_rejects_non_bits(self):
-        for bits in ((0, 2), (0, -1), (0, 256), (0, 0.5), (1.0, 0), (np.float64(1.0), 0),
-                     (0, None), (0, [1]), (0, {1: 1})):
-            with pytest.raises(InvalidSpecError):
-                BinaryImage(1, 2, bits)
+        # only a str is a base image: not its bits, nor a list of its characters
+        for base in ((1, 0), [1, 0], ["1", "0"], b"10", 10, 1.0, None, {"1": 0}):
+            with pytest.raises(InvalidSpecError, match="is not a 2-bit string"):
+                envelope(1, 2, base)
 
     def test_integer_bits_write_out(self):
         for bits in ((1, 0), (True, False), (np.int64(1), np.uint8(0))):
-            assert BinaryImage(1, 2, bits).to_string() == "10"
+            assert rows_to_bitstrings([bits]) == ("10",)
 
     def test_from_string_rejects_non_bits(self):
         for text in ("02", "0 ", "1a"):
             with pytest.raises(InvalidSpecError):
-                BinaryImage.from_string(1, 2, text)
+                envelope(1, 2, text)
+            with pytest.raises(InvalidSpecError):
+                spec_from_json(spec_to_json(envelope(1, 2, "10")) | {"base_images": [text]})
+
+    def test_rows_and_bitstrings_round_trip(self):
+        texts = ("0110", "1110", "0000")
+        rows = bitstrings_to_rows(texts, 4)
+        assert rows.dtype == np.uint8
+        assert rows.tolist() == [[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 0]]
+        assert rows_to_bitstrings(rows) == texts
 
 
 class TestCardinality:
@@ -87,56 +95,45 @@ class TestEnumeration:
         assert len(set(images)) == 16
 
     def test_diagonal_envelope_has_34_images(self):
-        main = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
-        anti = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
-        spec = ImageSpaceSpec(4, 4, "envelope", (main, anti), flip_radius=1)
-        images = enumerate_space(spec)
+        images = enumerate_space(envelope(4, 4, MAIN, ANTI, radius=1))
         assert len(images) == 34
         assert len(set(images)) == 34
 
     def test_single_base_one_flip_envelope(self):
         # brute force: the all-zero 2x2 base plus its 4 single-flip variants,
         # all distinct
-        base = BinaryImage.from_string(2, 2, "0000")
-        spec = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=1)
-        images = enumerate_space(spec)
+        images = enumerate_space(envelope(2, 2, "0000", radius=1))
         expected = {"0000", "1000", "0100", "0010", "0001"}
-        assert {img.to_string() for img in images} == expected
+        assert set(images) == expected
 
     def test_flip_radius_zero_keeps_deduped_bases(self):
-        base = BinaryImage.from_string(2, 2, "0110")
-        spec = ImageSpaceSpec(2, 2, "envelope", (base, base, flip(base, 0)), flip_radius=0)
-        images = enumerate_space(spec)
-        assert images == (base, flip(base, 0))
+        base = "0110"
+        images = enumerate_space(envelope(2, 2, base, base, flip(base, 0)))
+        assert images == (base, "1110")
 
     def test_size_never_exceeds_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            bases = tuple(
-                BinaryImage(3, 3, tuple(int(b) for b in rng.integers(0, 2, 9)))
-                for _ in range(3)
-            )
-            spec = ImageSpaceSpec(3, 3, "envelope", bases, flip_radius=2)
+            bases = ("".join(map(str, rng.integers(0, 2, 9))) for _ in range(3))
+            spec = envelope(3, 3, *bases, radius=2)
             assert len(enumerate_space(spec)) <= envelope_size_bound(spec)
 
     def test_full_order_is_lexicographic_golden(self):
         # pixel 0 is the most significant bit of the bitstring
         images = enumerate_space(full_spec(3, 3))
         assert len(images) == 512
-        strings = [img.to_string() for img in images]
+        strings = list(images)
         assert strings[:4] == ["000000000", "000000001", "000000010", "000000011"]
         assert strings[5] == "000000101"
         assert strings[-1] == "111111111"
         assert strings == sorted(strings)
 
     def test_envelope_order_is_stable(self):
-        main = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
-        anti = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
-        spec = ImageSpaceSpec(4, 4, "envelope", (main, anti), flip_radius=1)
+        spec = envelope(4, 4, MAIN, ANTI, radius=1)
         images = enumerate_space(spec)
-        assert images[0] == main
-        assert images[1] == anti
-        assert images[2] == flip(main, 0)
+        assert images[0] == MAIN
+        assert images[1] == ANTI
+        assert images[2] == flip(MAIN, 0)
         assert images == enumerate_space(spec)
 
     def test_envelope_matches_oracle_enumeration(self):
@@ -148,22 +145,19 @@ class TestEnumeration:
         rng = np.random.default_rng(3)
         for radius in range(4):
             for _ in range(5):
-                bases = [tuple(int(b) for b in rng.integers(0, 2, 9)) for _ in range(3)]
+                bases = ["".join(map(str, rng.integers(0, 2, 9))) for _ in range(3)]
                 bases.append(bases[0])
-                spec = ImageSpaceSpec(
-                    3, 3, "envelope", tuple(BinaryImage(3, 3, b) for b in bases), radius
-                )
+                spec = envelope(3, 3, *bases, radius=radius)
                 images = enumerate_space(spec)
-                assert [int(img.to_string(), 2) for img in images] == list(_iterate_space(spec))
-        tiny = ImageSpaceSpec(1, 1, "envelope", (BinaryImage(1, 1, (0,)),), flip_radius=2)
-        assert [img.bits for img in enumerate_space(tiny)] == [(0,), (1,)]
+                assert [int(img, 2) for img in images] == list(_iterate_space(spec))
+        assert enumerate_space(envelope(1, 1, "0", radius=2)) == ("0", "1")
 
     def test_matrix_matches_images(self):
         spec = full_spec(2, 2)
         matrix = space_matrix(spec)
         images = enumerate_space(spec)
-        for row, img in zip(matrix, images):
-            assert tuple(int(b) for b in row) == img.bits
+        for row, img in zip(matrix, images, strict=True):
+            assert "".join(map(str, row)) == img
 
     def test_full_guard(self):
         with pytest.raises(SpaceTooLargeError):
@@ -172,39 +166,29 @@ class TestEnumeration:
             space_matrix(full_spec(4, 6))
 
     def test_radius_past_pixels_is_the_whole_ball(self):
-        base = BinaryImage.from_string(2, 2, "0110")
-        huge = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=10**9)
+        huge = envelope(2, 2, "0110", radius=10**9)
         assert envelope_size_bound(huge) == 16
-        assert sorted(img.to_string() for img in enumerate_space(huge)) == [
-            img.to_string() for img in enumerate_space(full_spec(2, 2))
-        ]
+        assert sorted(enumerate_space(huge)) == list(enumerate_space(full_spec(2, 2)))
 
     def test_envelope_guard_names_limit(self, monkeypatch):
-        base = BinaryImage.from_string(4, 4, "0" * 16)
-        spec = ImageSpaceSpec(4, 4, "envelope", (base,), flip_radius=2)
+        spec = envelope(4, 4, "0" * 16, radius=2)
         monkeypatch.setattr(imagespace, "MATERIALIZE_BYTE_LIMIT", 1000)
         with pytest.raises(SpaceTooLargeError, match="limit"):
             enumerate_space(spec)
 
     def test_envelope_cardinality_exact(self):
-        main = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
-        anti = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
-        spec = ImageSpaceSpec(4, 4, "envelope", (main, anti), flip_radius=1)
+        spec = envelope(4, 4, MAIN, ANTI, radius=1)
         assert space_matrix(spec).shape[0] == 34
 
 
 def random_envelope(width, height, bases, radius, seed):
     rng = np.random.default_rng(seed)
-    images = tuple(
-        BinaryImage(width, height, tuple(int(b) for b in rng.integers(0, 2, width * height)))
-        for _ in range(bases)
-    )
-    return ImageSpaceSpec(width, height, "envelope", images, flip_radius=radius)
+    images = ("".join(map(str, rng.integers(0, 2, width * height))) for _ in range(bases))
+    return envelope(width, height, *images, radius=radius)
 
 
 def eval_squares_envelope():
-    bases = tuple(BinaryImage(8, 8, tuple(row)) for row in two_squares_bases()[0].tolist())
-    return ImageSpaceSpec(8, 8, "envelope", bases, flip_radius=1)
+    return envelope(8, 8, *rows_to_bitstrings(two_squares_bases()[0]), radius=1)
 
 
 GUARDED_SPACES = {
@@ -242,17 +226,17 @@ class TestSpecValidation:
             ImageSpaceSpec(2, 2, "envelope", (), flip_radius=1)
 
     def test_base_dimensions_must_match(self):
-        base = BinaryImage.from_string(2, 2, "0000")
         with pytest.raises(InvalidSpecError):
-            ImageSpaceSpec(3, 3, "envelope", (base,), flip_radius=1)
+            envelope(3, 3, "0000", radius=1)
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidSpecError):
             ImageSpaceSpec(2, 2, "everything")
 
     def test_json_round_trip(self):
-        main = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
-        spec = ImageSpaceSpec(4, 4, "envelope", (main,), flip_radius=1)
+        spec = envelope(4, 4, MAIN, radius=1)
         assert spec_from_json(spec_to_json(spec)) == spec
+        listed = ImageSpaceSpec(4, 4, "envelope", [MAIN], flip_radius=1)
+        assert listed == spec and hash(listed) == hash(spec)
         full = full_spec(3, 3)
         assert spec_from_json(spec_to_json(full)) == full

@@ -8,13 +8,7 @@ from diaginterp.errors import (
     InvalidInputError,
     InvalidSpecError,
 )
-from diaginterp.imagespace import (
-    BinaryImage,
-    ImageSpaceSpec,
-    enumerate_space,
-    pack_bits,
-    space_matrix,
-)
+from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
 from diaginterp.models import (
     LinearModel,
     NeuralModel,
@@ -36,8 +30,18 @@ from diaginterp.models import (
     training_accuracy,
 )
 
-MAIN_DIAGONAL = BinaryImage.from_pixels(4, 4, [0, 5, 10, 15])
-ANTI_DIAGONAL = BinaryImage.from_pixels(4, 4, [3, 6, 9, 12])
+def bits(text):
+    """The 0/1 pixels of a row-major bitstring."""
+    return [int(c) for c in text]
+
+
+def with_pixels(pixels, *on):
+    """The 0/1 pixels of a ``pixels``-pixel image with the pixels ``on`` set."""
+    return [int(i in on) for i in range(pixels)]
+
+
+MAIN_DIAGONAL = with_pixels(16, 0, 5, 10, 15)
+ANTI_DIAGONAL = with_pixels(16, 3, 6, 9, 12)
 
 
 def diagonal_rule():
@@ -49,7 +53,7 @@ def update_toward(model, image, target, spec, reference):
     matrix = space_matrix(spec)
     return rule_update(
         model,
-        image.bits,
+        image,
         target,
         pack_columns(matrix),
         pack_bits(level_label_matrix(reference, matrix)),
@@ -71,22 +75,30 @@ class TestPredict:
 
     def test_empty_level_predicts_one_everywhere(self):
         model = RuleModel(2, 2, (RuleLevel.of(),))
-        for img in enumerate_space(ImageSpaceSpec(2, 2, "full")):
+        for img in space_matrix(ImageSpaceSpec(2, 2, "full")):
             assert predict(model, img) == (1,)
 
     def test_zeros_constraint(self):
         model = RuleModel(2, 2, (RuleLevel.of(zeros=[3]),))
-        assert predict(model, BinaryImage.from_string(2, 2, "1110")) == (1,)
-        assert predict(model, BinaryImage.from_string(2, 2, "1111")) == (0,)
+        assert predict(model, bits("1110")) == (1,)
+        assert predict(model, bits("1111")) == (0,)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            predict(diagonal_rule(), BinaryImage.from_string(2, 2, "1111"))
+        with pytest.raises(InvalidInputError, match="expected an image of 16 0/1 pixels"):
+            predict(diagonal_rule(), bits("1111"))
+
+    def test_bitstring_is_not_pixels(self):
+        # its length matches, but its characters are not 0/1 ints
+        model = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
+        with pytest.raises(InvalidInputError, match="got '0101'"):
+            predict(model, "0101")
+        with pytest.raises(InvalidInputError, match="got '0101'"):
+            update_toward(model, "0101", (1,), ImageSpaceSpec(2, 2, "full"), model)
 
     def test_linear_ties_break_to_zero(self):
         model = LinearModel(1, 2, np.array([1.0, -1.0]), 0.0)
-        assert predict(model, BinaryImage.from_string(1, 2, "11")) == (0,)
-        assert predict(model, BinaryImage.from_string(1, 2, "10")) == (1,)
+        assert predict(model, bits("11")) == (0,)
+        assert predict(model, bits("10")) == (1,)
 
     def test_overlapping_constraints_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -99,8 +111,8 @@ class TestTopLabel:
         model = RuleModel(
             3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4], zeros=[8]))
         )
-        for img in enumerate_space(ImageSpaceSpec(3, 3, "full")):
-            expected = 1 if (img.bits[4] == 1 and img.bits[8] == 0) else 0
+        for img in space_matrix(ImageSpaceSpec(3, 3, "full")):
+            expected = 1 if (img[4] == 1 and img[8] == 0) else 0
             assert predict(model, img)[-1] == expected
 
 
@@ -121,7 +133,7 @@ class TestLabelMatrix:
 class TestRuleModelProperties:
     def test_adding_constraints_is_monotone(self):
         rng = np.random.default_rng(3)
-        space = enumerate_space(ImageSpaceSpec(3, 3, "full"))
+        space = space_matrix(ImageSpaceSpec(3, 3, "full"))
         for _ in range(20):
             ones = {int(i) for i in rng.choice(9, rng.integers(0, 3), replace=False)}
             free = [i for i in range(9) if i not in ones]
@@ -138,7 +150,7 @@ class TestRuleModelProperties:
 
 class TestRuleUpdate:
     def setup_method(self):
-        main, anti = MAIN_DIAGONAL, ANTI_DIAGONAL
+        main, anti = "1000010000100001", "0001001001001000"
         self.space = ImageSpaceSpec(4, 4, "envelope", (main, anti), flip_radius=1)
         self.model_a = RuleModel(4, 4, (RuleLevel.of(ones=[0]),))
         self.model_b = diagonal_rule()
@@ -147,21 +159,21 @@ class TestRuleUpdate:
         # A requires pixel 5; the queried image lacks it; the only minimal
         # edit is removing that constraint
         model = RuleModel(4, 4, (RuleLevel.of(ones=[0, 5]),))
-        image = BinaryImage.from_pixels(4, 4, [0, 10, 15])  # the diagonal less pixel 5
+        image = with_pixels(16, 0, 10, 15)  # the diagonal less pixel 5
         updated = update_toward(model, image, (1,), self.space, self.model_b)
         assert updated.levels[0] == RuleLevel.of(ones=[0])
         assert predict(updated, image) == (1,)
 
     def test_blocking_addition_matches_brute_force_argmin(self):
-        image = BinaryImage.from_pixels(4, 4, [0, 10, 15])  # A says 1, B says 0
+        image = with_pixels(16, 0, 10, 15)  # A says 1, B says 0
         updated = update_toward(self.model_a, image, (0,), self.space, self.model_b)
 
         # independent argmin: try every legal single addition, count
         # disagreements with B by looping over the envelope
-        space_images = enumerate_space(self.space)
+        space_images = space_matrix(self.space)
         best = None
         for j in range(16):
-            if image.bits[j] == 0:
+            if image[j] == 0:
                 cand = RuleModel(4, 4, (RuleLevel.of(ones=[0, j]),))
             else:
                 if j == 0:
@@ -179,7 +191,7 @@ class TestRuleUpdate:
     def test_updated_model_hits_target_on_query(self):
         rng = np.random.default_rng(7)
         spec = ImageSpaceSpec(3, 3, "full")
-        images = enumerate_space(spec)
+        images = space_matrix(spec)
         for _ in range(25):
             ones = [int(i) for i in rng.choice(9, rng.integers(0, 3), replace=False)]
             model = RuleModel(3, 3, (RuleLevel.of(ones=ones),))
@@ -198,14 +210,14 @@ class TestRuleUpdate:
             3, 3, (RuleLevel.of(ones=[1]), RuleLevel.of(ones=[5]))
         )
         spec = ImageSpaceSpec(3, 3, "full")
-        image = BinaryImage.from_pixels(3, 3, [1, 5])
+        image = with_pixels(9, 1, 5)
         updated = update_toward(model, image, (1, 1), spec, reference)
         assert predict(updated, image) == (1, 1)
 
     def test_fully_pinned_level_uses_swap(self):
         # every pixel constrained: no single addition can block, so a swap
         # (remove one constraint, add its opposite) must be found
-        image = BinaryImage.from_string(1, 2, "10")
+        image = bits("10")
         model = RuleModel(1, 2, (RuleLevel.of(ones=[0], zeros=[1]),))
         spec = ImageSpaceSpec(1, 2, "full")
         reference = RuleModel(1, 2, (RuleLevel.of(ones=[1]),))
@@ -218,7 +230,7 @@ class TestRuleUpdate:
     def test_reference_with_other_level_count_rejected(self):
         model = RuleModel(3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[4])))
         reference = RuleModel(3, 3, (RuleLevel.of(ones=[1]),))
-        image = BinaryImage.from_pixels(3, 3, [0, 4])
+        image = with_pixels(9, 0, 4)
         with pytest.raises(InvalidInputError):
             update_toward(model, image, (1, 0), ImageSpaceSpec(3, 3, "full"), reference)
 
@@ -226,7 +238,7 @@ class TestRuleUpdate:
         current = self.model_a
         disagreements = [
             img
-            for img in enumerate_space(self.space)
+            for img in space_matrix(self.space)
             if predict(current, img) != predict(self.model_b, img)
         ]
         assert len(disagreements) == 4
@@ -235,7 +247,7 @@ class TestRuleUpdate:
                 current = update_toward(
                     current, img, predict(self.model_b, img), self.space, self.model_b
                 )
-        for img in enumerate_space(self.space):
+        for img in space_matrix(self.space):
             assert predict(current, img) == predict(self.model_b, img)
 
 
@@ -246,7 +258,7 @@ class TestTrainLinear:
     def test_single_example_learned(self):
         dataset = training_set(2, 2, ("1010", 1))
         model = train_linear(*dataset, epochs=5, learning_rate=1.0, rng_seed=0)
-        assert predict(model, BinaryImage.from_string(2, 2, "1010"))[-1] == 1
+        assert predict(model, bits("1010"))[-1] == 1
 
     def test_separable_data_reaches_full_accuracy(self):
         from diaginterp.fixtures import build_fixture
@@ -273,7 +285,7 @@ class TestTrainLinear:
 
     def test_label_scale_invariance(self):
         model = train_linear(*self.one_pixel_dataset(), 20, 1.0, rng_seed=1)
-        space = enumerate_space(ImageSpaceSpec(2, 2, "full"))
+        space = space_matrix(ImageSpaceSpec(2, 2, "full"))
         for factor in (0.5, 2.0, 10.0):
             scaled = LinearModel(2, 2, model.weights * factor, model.bias * factor)
             for img in space:
@@ -343,12 +355,8 @@ class TestTrainNeural:
 
     def test_loss_non_increasing_on_constant_labels(self):
         rng = np.random.default_rng(0)
-        images = [
-            BinaryImage(2, 2, tuple(int(b) for b in rng.integers(0, 2, 4)))
-            for _ in range(8)
-        ]
-        X = np.array([img.bits for img in images], dtype=float)
-        y = np.ones(len(images))
+        X = np.array([rng.integers(0, 2, 4) for _ in range(8)], dtype=float)
+        y = np.ones(len(X))
         losses = []
         for epochs in range(1, 101, 10):
             model = train_neural(X, y, 2, 2, [4, 3, 1], epochs, 0.01, rng_seed=4)
@@ -487,8 +495,8 @@ class TestSerialization:
 
     def test_numpy_integer_rule_pixels_accepted(self):
         model = RuleModel(2, 2, (RuleLevel.of(ones=[np.int64(0)], zeros=[np.uint8(3)]),))
-        assert predict(model, BinaryImage.from_string(2, 2, "1000")) == (1,)
-        assert predict(model, BinaryImage.from_string(2, 2, "1001")) == (0,)
+        assert predict(model, bits("1000")) == (1,)
+        assert predict(model, bits("1001")) == (0,)
 
     def test_num_levels(self):
         assert num_levels(diagonal_rule()) == 1

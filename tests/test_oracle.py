@@ -3,7 +3,7 @@ import pytest
 
 from diaginterp.errors import InvalidConfigError, SpaceTooLargeError
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec
+from diaginterp.imagespace import ImageSpaceSpec, bitstrings_to_rows
 from diaginterp.metrics import disagreement_breakdown
 from diaginterp.models import LinearModel, RuleLevel, RuleModel, predict
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -23,14 +23,10 @@ def random_envelope_34(rng):
     """Two 4x4 bases at Hamming distance >= 3, so the 1-flip envelope has
     exactly 2 + 32 distinct images."""
     while True:
-        a = tuple(int(b) for b in rng.integers(0, 2, 16))
-        b = tuple(int(v) for v in rng.integers(0, 2, 16))
+        a = "".join(map(str, rng.integers(0, 2, 16)))
+        b = "".join(map(str, rng.integers(0, 2, 16)))
         if sum(x != y for x, y in zip(a, b)) >= 3:
-            return ImageSpaceSpec(
-                4, 4, "envelope",
-                (BinaryImage(4, 4, a), BinaryImage(4, 4, b)),
-                flip_radius=1,
-            )
+            return ImageSpaceSpec(4, 4, "envelope", (a, b), flip_radius=1)
 
 
 class TestBruteForceBreakdown:
@@ -73,8 +69,7 @@ class TestBruteForceBreakdown:
             brute_force_breakdown(model, other, ImageSpaceSpec(3, 3, "full"))
 
     def test_radius_past_pixels_is_the_whole_ball(self):
-        base = BinaryImage.from_string(2, 2, "1000")
-        spec = ImageSpaceSpec(2, 2, "envelope", (base,), flip_radius=10**9)
+        spec = ImageSpaceSpec(2, 2, "envelope", ("1000",), flip_radius=10**9)
         model_a = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
         model_b = RuleModel(2, 2, (RuleLevel.of(ones=[1]),))
         truth = brute_force_breakdown(model_a, model_b, spec)
@@ -85,9 +80,8 @@ class TestBruteForceBreakdown:
         fx = build_fixture("fig2-diagonal")
         result = brute_force_breakdown(fx.model_a, fx.model_b, fx.space)
         assert len(result.disagreement_images) == 4
-        for text in result.disagreement_images:
-            img = BinaryImage.from_string(4, 4, text)
-            assert predict(fx.model_a, img) != predict(fx.model_b, img)
+        for row in bitstrings_to_rows(result.disagreement_images, 16):
+            assert predict(fx.model_a, row) != predict(fx.model_b, row)
 
 
 class TestExhaustiveFixedPoint:

@@ -3,7 +3,7 @@
 The copy below (``_scalar_levels``, ``_iterate_space``,
 ``brute_force_breakdown`` and ``exhaustive_fixed_point``) walks every image as
 a bit tuple, labels both models image by image, enumerates the space again
-for every breakdown and builds a ``BinaryImage`` for every disagreement it
+for every breakdown and writes out the bitstring of every disagreement it
 keeps. ``diaginterp.oracle`` now enumerates integer image codes once per call
 and labels the black box once; it must give equal results on generated
 inputs: the same counts, sample size, entropies and kept images, and the same
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import diaginterp.oracle as oracle
 from diaginterp.cli import main
 from diaginterp.errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from diaginterp.imagespace import BinaryImage, ImageSpaceSpec, pack_bits, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
 from diaginterp.models import (
     LinearModel,
     Model,
@@ -108,15 +108,16 @@ def _iterate_space(spec: ImageSpaceSpec):
         seen.add(bits)
         return bits
 
-    for base in spec.base_images:
-        got = _emit(base.bits)
+    bases = [tuple(int(c) for c in base) for base in spec.base_images]
+    for base in bases:
+        got = _emit(base)
         if got is not None:
             yield got
     # flipping more pixels than the grid has yields nothing new
     for radius in range(1, min(spec.flip_radius, pixels) + 1):
-        for base in spec.base_images:
+        for base in bases:
             for flips in combinations(range(pixels), radius):
-                bits = list(base.bits)
+                bits = list(base)
                 for i in flips:
                     bits[i] ^= 1
                 got = _emit(tuple(bits))
@@ -152,7 +153,7 @@ def brute_force_breakdown(
                 counts[lvl] += 1
                 hit = True
         if hit and len(kept) < keep_images:
-            kept.append(BinaryImage(spec.width, spec.height, bits).to_string())
+            kept.append("".join(map(str, bits)))
     per_level = tuple(_entropy_bits(c, total) for c in counts)
     return OracleResult(
         disagreement_counts=tuple(counts),
@@ -197,8 +198,7 @@ def exhaustive_fixed_point(
             la = _scalar_levels(current, bits)
             lb = _scalar_levels(model_b, bits)
             if la != lb:
-                image = BinaryImage(spec.width, spec.height, bits)
-                current = rule_update(current, image.bits, lb, columns, reference)
+                current = rule_update(current, bits, lb, columns, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
         if not changed or result.total_entropy == entropy_before or current in seen:

@@ -22,8 +22,8 @@ from diaginterp.engine import (
     run_interpretation,
 )
 from diaginterp.imagespace import (
-    BinaryImage,
     ImageSpaceSpec,
+    bitstrings_to_rows,
     enumerate_space,
     space_matrix,
     spec_from_json,
@@ -59,7 +59,8 @@ def random_grid(rng):
 
 
 def random_image(rng, width, height):
-    return BinaryImage(width, height, tuple(int(b) for b in rng.integers(0, 2, width * height)))
+    """A random image's row-major bitstring."""
+    return "".join(map(str, rng.integers(0, 2, width * height)))
 
 
 def random_rule(rng, width, height, levels):
@@ -112,7 +113,8 @@ def random_config(rng, mode, linear=None):
         linear = rng.integers(0, 4) == 0
     if linear:
         model_a = random_linear(rng, width, height)
-        rows = np.array([random_image(rng, width, height).bits for _ in range(2)], dtype=np.uint8)
+        images = [random_image(rng, width, height) for _ in range(2)]
+        rows = bitstrings_to_rows(images, width * height)
         base = rows, np.array([0, 1], dtype=np.uint8)
     else:
         model_a = random_rule(rng, width, height, int(rng.integers(1, 4)))
@@ -132,10 +134,11 @@ def test_predict_matches_scalar_oracle(seed):
     space = ImageSpaceSpec(width, height, "full")
     images = enumerate_space(space)
     # the oracle labels image codes, the bitstrings read in base 2
-    codes = [int(image.to_string(), 2) for image in images]
+    codes = [int(image, 2) for image in images]
     scalar = zip(*_scalar_levels(model, space, codes))
-    for image, levels in zip(images, scalar, strict=True):
-        assert list(predict(model, image)) == list(levels)
+    rows = bitstrings_to_rows(images, space.num_pixels)
+    for row, levels in zip(rows, scalar, strict=True):
+        assert list(predict(model, row)) == list(levels)
 
 
 @PROPERTY_SETTINGS

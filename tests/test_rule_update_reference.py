@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import diaginterp.models as models
 from diaginterp.errors import InvalidInputError, UnreachableTargetError
-from diaginterp.imagespace import BinaryImage, pack_bits, space_matrix
+from diaginterp.imagespace import pack_bits, space_matrix
 from diaginterp.models import (
     RuleLevel,
     RuleModel,
@@ -41,7 +41,7 @@ PROPERTY_SETTINGS = settings(max_examples=400, derandomize=True, database=None, 
 
 def rule_update(
     model: RuleModel,
-    image: BinaryImage,
+    image: tuple[int, ...],
     target: Sequence[int],
     matrix: np.ndarray,
     reference_labels: np.ndarray,
@@ -77,8 +77,8 @@ def rule_update(
         if current[k] == want:
             continue
         if want == 1:
-            violated_ones = frozenset(i for i in level.ones_required if image.bits[i] == 0)
-            violated_zeros = frozenset(i for i in level.zeros_required if image.bits[i] == 1)
+            violated_ones = frozenset(i for i in level.ones_required if image[i] == 0)
+            violated_zeros = frozenset(i for i in level.zeros_required if image[i] == 1)
             new_levels[k] = RuleLevel(
                 level.ones_required - violated_ones,
                 level.zeros_required - violated_zeros,
@@ -90,7 +90,7 @@ def rule_update(
     if predict(updated, image) != tuple(int(t) for t in target):
         raise UnreachableTargetError(
             f"no constraint edit reaches target {tuple(target)} on image "
-            f"{image.to_string()}"
+            f"{''.join(map(str, image))}"
         )
     return updated
 
@@ -106,17 +106,17 @@ def _rule_level_labels(level: RuleLevel, matrix: np.ndarray) -> np.ndarray:
 
 
 def _best_blocking_edit(
-    level: RuleLevel, image: BinaryImage, matrix: np.ndarray, ref_row: np.ndarray
+    level: RuleLevel, image: tuple[int, ...], matrix: np.ndarray, ref_row: np.ndarray
 ) -> RuleLevel:
     """Smallest constraint addition that forces label 0 on ``image``."""
     ref = ref_row.astype(bool)
     base = _rule_level_labels(level, matrix)
     candidates: list[tuple[int, int, RuleLevel]] = []
-    for j in range(image.num_pixels):
-        if image.bits[j] == 0 and j not in level.zeros_required:
+    for j in range(len(image)):
+        if image[j] == 0 and j not in level.zeros_required:
             cand = RuleLevel(level.ones_required | {j}, level.zeros_required)
             pred = base & (matrix[:, j] == 1)
-        elif image.bits[j] == 1 and j not in level.ones_required:
+        elif image[j] == 1 and j not in level.ones_required:
             cand = RuleLevel(level.ones_required, level.zeros_required | {j})
             pred = base & (matrix[:, j] == 0)
         else:
@@ -143,22 +143,22 @@ def _best_blocking_edit(
 # ---------------------------------------------------------------------------
 
 
-def random_level(rng, image: BinaryImage) -> RuleLevel:
+def random_level(rng, image: tuple[int, ...], width: int, height: int) -> RuleLevel:
     """A level the image may or may not meet. One draw in four is fully
     pinned, to the image itself (so the image meets it and a blocking edit
     must swap) or to random values; one in four constrains pixels only to
     the image's values, so the image meets it with free pixels left."""
-    pixels = image.num_pixels
+    pixels = len(image)
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        values = image.bits if rng.integers(0, 2) else tuple(rng.integers(0, 2, pixels).tolist())
+        values = image if rng.integers(0, 2) else tuple(rng.integers(0, 2, pixels).tolist())
         return RuleLevel.of(ones=[i for i in range(pixels) if values[i]],
                             zeros=[i for i in range(pixels) if not values[i]])
     if kind == 1:
         kept = rng.integers(0, 2, pixels)
-        return RuleLevel.of(ones=[i for i in range(pixels) if kept[i] and image.bits[i]],
-                            zeros=[i for i in range(pixels) if kept[i] and not image.bits[i]])
-    return random_rule(rng, image.width, image.height, 1).levels[0]
+        return RuleLevel.of(ones=[i for i in range(pixels) if kept[i] and image[i]],
+                            zeros=[i for i in range(pixels) if kept[i] and not image[i]])
+    return random_rule(rng, width, height, 1).levels[0]
 
 
 def random_update(rng):
@@ -170,11 +170,13 @@ def random_update(rng):
     width, height = random_grid(rng)
     matrix = space_matrix(random_space(rng, width, height))
     if rng.integers(0, 2):
-        image = BinaryImage(width, height, tuple(matrix[int(rng.integers(0, len(matrix)))].tolist()))
+        image = tuple(matrix[int(rng.integers(0, len(matrix)))].tolist())
     else:
-        image = random_image(rng, width, height)
+        image = tuple(int(c) for c in random_image(rng, width, height))
     levels = int(rng.integers(1, 4))
-    model = RuleModel(width, height, tuple(random_level(rng, image) for _ in range(levels)))
+    model = RuleModel(
+        width, height, tuple(random_level(rng, image, width, height) for _ in range(levels))
+    )
     target_levels = levels if rng.integers(0, 20) else int(rng.integers(1, 4))
     target = rng.integers(0, 2, target_levels).astype(np.uint8)
     ref_levels = levels if rng.integers(0, 20) else int(rng.integers(1, 4))
@@ -197,5 +199,5 @@ def outcome(update, args):
 def test_rule_update_matches_two_path_copy(seed):
     args = random_update(np.random.default_rng(seed))
     model, image, target, matrix, reference = args
-    packed = (model, image.bits, target, pack_columns(matrix), pack_bits(reference))
+    packed = (model, image, target, pack_columns(matrix), pack_bits(reference))
     assert outcome(models.rule_update, packed) == outcome(rule_update, args)
