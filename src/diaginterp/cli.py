@@ -11,7 +11,9 @@ Subcommands:
   plus a human-readable summary.txt.
 
 Exit codes: 0 success, 2 configuration problem, 3 enumeration guard tripped.
-All outputs are byte-stable for a given command line.
+A bad input exits 2 or 3 with one typed ``error:`` line and no output; an
+exit of 1 with a traceback is a program bug. All outputs are byte-stable for
+a given command line.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .engine import (
 )
 from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
 from .fixtures import build_fixture
-from .imagespace import spec_from_json
+from .imagespace import json_field, spec_from_json
 from .metrics import raw_interpretability
 from .models import RuleModel, model_from_json, num_levels
 from .oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -61,15 +63,11 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text())
     except OSError as err:
         raise DiagInterpError(f"cannot read {path}: {err}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DiagInterpError(
-            f"malformed JSON in {path}: line {err.lineno} column {err.colno}: {err.msg}"
-        ) from None
+    except ValueError as err:  # bad JSON at a line and column, non-UTF-8 text, a huge int
+        raise DiagInterpError(f"malformed JSON in {path}: {err}") from None
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -122,11 +120,8 @@ def _cmd_oracle(args) -> int:
         model_a, model_b, space = fixture.model_a, fixture.model_b, fixture.space
     elif args.models and args.space:
         models_doc = _load_json(args.models)
-        try:
-            model_a = model_from_json(models_doc["model_a"])
-            model_b = model_from_json(models_doc["model_b"])
-        except KeyError as missing:
-            raise InvalidConfigError(f"models file missing key {missing}") from None
+        model_a = model_from_json(json_field(models_doc, "model_a", "models file"))
+        model_b = model_from_json(json_field(models_doc, "model_b", "models file"))
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")
@@ -276,15 +271,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exit_err.code else EXIT_OK
     try:
         return args.func(args)
-    except SpaceTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_GUARD
     except DiagInterpError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (KeyError, ValueError, TypeError) as err:
-        print(f"error: malformed input ({err})", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_GUARD if isinstance(err, SpaceTooLargeError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ its own query selection and termination rules:
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +49,7 @@ from .imagespace import (
     ImageSpaceSpec,
     bitstrings_to_rows,
     is_bitstring,
+    json_field,
     pack_bits,
     rows_to_bitstrings,
     space_matrix,
@@ -127,7 +128,7 @@ class EngineConfig:
         for name, key in (("lam", "lambda"), ("retrain_learning_rate", "retrain_learning_rate")):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
+            if not (real and abs(value) <= sys.float_info.max):  # finite, even as a float
                 raise InvalidConfigError(f"{key} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         for name in ("max_queries", "rng_seed"):
@@ -434,13 +435,10 @@ def _dataset_from_json(entries, pixels: int) -> tuple[np.ndarray, np.ndarray]:
 def config_from_json(doc: dict) -> EngineConfig:
     """Parse a run spec. Settings it leaves out take EngineConfig's defaults;
     its required ``updater`` must name the known model's update."""
-    try:
-        space = spec_from_json(doc["space"])
-        model_a = model_from_json(doc["model_a"])
-        model_b = model_from_json(doc["model_b"])
-        updater = doc["updater"]
-    except KeyError as missing:
-        raise InvalidConfigError(f"run spec missing key {missing}") from None
+    space = spec_from_json(json_field(doc, "space", "run spec"))
+    model_a = model_from_json(json_field(doc, "model_a", "run spec"))
+    model_b = model_from_json(json_field(doc, "model_b", "run spec"))
+    updater = json_field(doc, "updater", "run spec")
     settings = {name: doc[key] for key, name in SETTING_KEYS.items() if key in doc}
     if doc.get("base_dataset") is not None:
         settings["base_dataset"] = _dataset_from_json(doc["base_dataset"], space.num_pixels)

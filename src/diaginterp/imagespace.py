@@ -60,6 +60,8 @@ class ImageSpaceSpec:
     flip_radius: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.base_images, str):
+            raise InvalidSpecError(f"base_images must be bitstrings, got one: {self.base_images!r}")
         # a tuple, so the spec stays hashable and equal to its JSON round trip
         object.__setattr__(self, "base_images", tuple(self.base_images))
         if self.width < 1 or self.height < 1:
@@ -127,29 +129,31 @@ def space_matrix(spec: ImageSpaceSpec) -> np.ndarray:
     allocating anything, when materializing the space would need more than
     MATERIALIZE_BYTE_LIMIT bytes.
     """
-    needed = _materialize_bytes(spec)
-    if needed > MATERIALIZE_BYTE_LIMIT:
+    log2_needed = _materialize_log2_bytes(spec)
+    if log2_needed > math.log2(MATERIALIZE_BYTE_LIMIT):
         raise SpaceTooLargeError(
             f"materialization guard: the {spec.width}x{spec.height} {spec.mode} space needs "
-            f"2^{math.log2(needed):.1f} bytes, limit is 2^{math.log2(MATERIALIZE_BYTE_LIMIT):.1f}"
+            f"2^{log2_needed:.1f} bytes, limit is 2^{math.log2(MATERIALIZE_BYTE_LIMIT):.1f}"
         )
     matrix = _materialize_full(spec) if spec.mode == "full" else _materialize_envelope(spec)
     matrix.setflags(write=False)
     return matrix
 
 
-def _materialize_bytes(spec: ImageSpaceSpec) -> int:
-    """Peak working memory of materializing ``spec``, in bytes."""
+def _materialize_log2_bytes(spec: ImageSpaceSpec) -> float:
+    """log2 of the peak working memory of materializing ``spec``, in bytes.
+    A full space's is a sum of logs, so its 2^pixels is never built; past
+    float range it is inf."""
     pixels = spec.num_pixels
     if spec.mode == "full":
         # per image: its uint32 code and its row
-        return (1 << pixels) * (4 + pixels)
+        return pixels + math.log2(4 + pixels) if pixels < 2**1000 else math.inf
     # Per candidate: its row, its packed bytes and its key, and then the larger
     # of np.unique's working set (a flat copy, a sorted copy and the unique
     # value of the key, its sort index, first index and mask byte) and the
     # result's first index and row. One flip count's masks take less.
     key = 8 * -(-pixels // 64)
-    return envelope_size_bound(spec) * (pixels + 2 * key + max(3 * key + 17, pixels + 8))
+    return math.log2(envelope_size_bound(spec) * (pixels + 2 * key + max(3 * key + 17, pixels + 8)))
 
 
 def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
@@ -218,33 +222,29 @@ def spec_to_json(spec: ImageSpaceSpec) -> dict:
     }
 
 
-def _json_value(doc: dict, key: str, what: str, default, kind: type, kind_name: str):
-    """``doc[key]``, or ``default`` if given and the key is absent (KeyError
-    otherwise): a JSON value of type ``kind``, never a bool. ``what`` names
-    ``doc``, which must be a JSON object."""
+# Where a missing key is reported, when not in "<what> document".
+_HOLDERS = {"rule level": "model document", "neural layer": "model document",
+            "models file": "models file", "run spec": "run spec"}
+_KIND_NAMES = {int: "an integer", list: "a list"}
+
+
+def json_field(doc: dict, key: str, what: str, kind: type = object, default=None):
+    """``doc[key]``, or ``default`` when given and the key is absent; a ``kind``
+    from _KIND_NAMES is checked, and a bool is never one. ``what`` names ``doc``,
+    a JSON object. Every refusal, a missing key too, is an InvalidSpecError."""
     if not isinstance(doc, dict):
         raise InvalidSpecError(f"{what} document must be a JSON object, got {type(doc).__name__}")
-    value = doc[key] if default is None else doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidSpecError(f"{what} {key} must be {kind_name}, got {value!r}")
+    if default is None and key not in doc:
+        raise InvalidSpecError(f"{_HOLDERS.get(what, what + ' document')} missing key {key!r}")
+    value = doc.get(key, default)
+    if kind is not object and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise InvalidSpecError(f"{what} {key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def json_int(doc: dict, key: str, what: str, default: int | None = None) -> int:
-    """``doc[key]`` as _json_value reads it: a JSON integer, not a bool, float or string."""
-    return _json_value(doc, key, what, default, int, "an integer")
-
-
-def json_list(doc: dict, key: str, what: str, default: list | None = None) -> list:
-    """``doc[key]`` as _json_value reads it: a JSON list."""
-    return _json_value(doc, key, what, default, list, "a list")
-
-
 def spec_from_json(doc: dict) -> ImageSpaceSpec:
-    try:
-        width, height = (json_int(doc, key, "space") for key in ("width", "height"))
-        mode = doc["mode"]
-    except KeyError as missing:
-        raise InvalidSpecError(f"space document missing key {missing}") from None
-    bases = json_list(doc, "base_images", "space", [])
-    return ImageSpaceSpec(width, height, mode, bases, json_int(doc, "flip_radius", "space", 0))
+    width, height = (json_field(doc, key, "space", int) for key in ("width", "height"))
+    mode = json_field(doc, "mode", "space")
+    bases = json_field(doc, "base_images", "space", list, [])
+    radius = json_field(doc, "flip_radius", "space", int, 0)
+    return ImageSpaceSpec(width, height, mode, bases, radius)

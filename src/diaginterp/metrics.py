@@ -185,4 +185,6 @@ def objective(per_step_interpretability, lam: float) -> float:
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"per-step interpretability must lie in [0, 1], got {v}")
-    return -sum(values) + lam * len(values)
+    if math.isinf(j := -sum(values) + lam * len(values)):
+        raise DomainError(f"objective J overflows: lambda {lam} times {len(values)} queries")
+    return j

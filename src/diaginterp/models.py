@@ -35,7 +35,7 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import MATERIALIZE_BYTE_LIMIT, json_int, json_list, pack_bits, rows_to_bitstrings
+from .imagespace import MATERIALIZE_BYTE_LIMIT, json_field, pack_bits, rows_to_bitstrings
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _float_array(values, what: str) -> np.ndarray:
     nest of numbers."""
     try:
         return np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidSpecError(f"{what} must be a rectangular array of numbers") from None
 
 
@@ -105,7 +105,7 @@ class LinearModel:
         object.__setattr__(self, "weights", weights)
         try:
             object.__setattr__(self, "bias", float(self.bias))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidSpecError("linear bias must be a number") from None
         if weights.shape != (self.width * self.height,):
             raise InvalidSpecError(
@@ -595,7 +595,7 @@ def model_to_json(model: Model) -> dict:
 def _pixel_set(level: dict, key: str) -> frozenset:
     """A rule level's JSON pixel list as a set. A list or object entry cannot
     be hashed, so it is refused here; RuleModel checks the other entries."""
-    pixels = json_list(level, key, "rule level")
+    pixels = json_field(level, key, "rule level", list)
     for i in pixels:
         if isinstance(i, (list, dict)):
             raise InvalidSpecError(f"pixel index {i!r} is not an integer")
@@ -603,23 +603,25 @@ def _pixel_set(level: dict, key: str) -> frozenset:
 
 
 def model_from_json(doc: dict) -> Model:
-    try:
-        width, height = (json_int(doc, key, "model") for key in ("width", "height"))
-        kind = doc.get("kind")
-        if kind == "rule":
-            levels = tuple(
-                RuleLevel(_pixel_set(lv, "ones_required"), _pixel_set(lv, "zeros_required"))
-                for lv in json_list(doc, "levels", "model")
+    width, height = (json_field(doc, key, "model", int) for key in ("width", "height"))
+    kind = doc.get("kind")
+    if kind == "rule":
+        levels = tuple(
+            RuleLevel(_pixel_set(lv, "ones_required"), _pixel_set(lv, "zeros_required"))
+            for lv in json_field(doc, "levels", "model", list)
+        )
+        return RuleModel(width, height, levels)
+    if kind == "linear":
+        weights, bias = (json_field(doc, key, "model") for key in ("weights", "bias"))
+        return LinearModel(width, height, weights, bias)
+    if kind == "neural":
+        layers = tuple(
+            NeuralLayer(
+                json_field(lv, "weights", "neural layer", list),
+                json_field(lv, "bias", "neural layer"),
+                json_field(lv, "activation", "neural layer"),
             )
-            return RuleModel(width, height, levels)
-        if kind == "linear":
-            return LinearModel(width, height, doc["weights"], doc["bias"])
-        if kind == "neural":
-            layers = tuple(
-                NeuralLayer(json_list(lv, "weights", "neural layer"), lv["bias"], lv["activation"])
-                for lv in json_list(doc, "layers", "model")
-            )
-            return NeuralModel(width, height, layers)
-    except KeyError as missing:
-        raise InvalidSpecError(f"model document missing key {missing}") from None
+            for lv in json_field(doc, "layers", "model", list)
+        )
+        return NeuralModel(width, height, layers)
     raise InvalidSpecError(f"unknown model kind {kind!r}")

@@ -95,17 +95,24 @@ def _rule_levels(model: RuleModel, pixels: int, codes: Sequence[int]) -> list:
     ]
 
 
+def _codes(spec: ImageSpaceSpec, *models: Model) -> list[int]:
+    """The space's image codes from _iterate_space, enumerated only once
+    each of the models is known to label the space's grid."""
+    for model in models:
+        if not isinstance(model, (RuleModel, LinearModel, NeuralModel)):
+            raise InvalidConfigError(f"unknown model type {type(model).__name__}")
+        if (model.width, model.height) != (spec.width, spec.height):
+            raise InvalidConfigError(
+                f"oracle: a {model.width}x{model.height} model cannot label "
+                f"the {spec.width}x{spec.height} space"
+            )
+    return list(_iterate_space(spec))
+
+
 def _scalar_levels(model: Model, spec: ImageSpaceSpec, codes: list[int]) -> list[list[bool]]:
     """Per-level labels of every image in ``codes``, one list per level,
     computed without the vectorized path. ``codes`` is the space's
-    enumeration as _iterate_space yields it."""
-    if not isinstance(model, (RuleModel, LinearModel, NeuralModel)):
-        raise InvalidConfigError(f"unknown model type {type(model).__name__}")
-    if (model.width, model.height) != (spec.width, spec.height):
-        raise InvalidConfigError(
-            f"oracle: a {model.width}x{model.height} model cannot label "
-            f"the {spec.width}x{spec.height} space"
-        )
+    enumeration as _codes returns it."""
     pixels = spec.num_pixels
     if isinstance(model, RuleModel):
         return [list(labels) for labels in _rule_levels(model, pixels, codes)]
@@ -155,13 +162,13 @@ def _iterate_space(spec: ImageSpaceSpec):
     """Yield the space's image codes in canonical order; own dedup, own loop."""
     pixels = spec.num_pixels
     if spec.mode == "full":
-        size = 1 << pixels
-        if size > ORACLE_SPACE_LIMIT:
+        # 2^pixels > the limit, decided on the exponent before 2^pixels is built
+        if pixels >= ORACLE_SPACE_LIMIT.bit_length():
             raise SpaceTooLargeError(
-                f"oracle guard: full {spec.width}x{spec.height} space has {size} images, "
+                f"oracle guard: full {spec.width}x{spec.height} space has 2^{pixels} images, "
                 f"limit is {ORACLE_SPACE_LIMIT}"
             )
-        yield from range(size)
+        yield from range(1 << pixels)
         return
     bases = [int(base, 2) for base in spec.base_images]
     bit = _pixel_bits(pixels)
@@ -229,7 +236,7 @@ def brute_force_breakdown(
     ``keep_images`` disagreement images are retained (first in enumeration
     order); pass 0 to keep none.
     """
-    codes = list(_iterate_space(spec))
+    codes = _codes(spec, model_a, model_b)
     return _breakdown(
         spec, codes, _scalar_levels(model_a, spec, codes), _scalar_levels(model_b, spec, codes),
         keep_images,
@@ -258,7 +265,7 @@ def exhaustive_fixed_point(
         raise AbstractionMismatchError(
             "exhaustive interpretation updates every level and needs matched level counts"
         )
-    codes = list(_iterate_space(spec))
+    codes = _codes(spec, model_a, model_b)
     labels_b = _scalar_levels(model_b, spec, codes)
     matrix = space_matrix(spec)
     columns, reference = pack_columns(matrix), pack_bits(level_label_matrix(model_b, matrix))

@@ -137,6 +137,38 @@ class TestInterpret:
         assert f"{key} must be a finite real number" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_objective_overflow_exits_2_without_output(self, tmp_path, capsys):
+        # lambda is finite, but lambda times the query count is not
+        out = tmp_path / "out"
+        assert main(["interpret", "--fixture", "fig1b", "--lambda", "1e308",
+                     "--max-queries", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: objective J overflows: lambda 1e+308 times 3 queries"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, text, message", [
+        (["lambda"], "1" + "0" * 400, "lambda must be a finite real number"),
+        (["model_b", "levels", 0, "ones_required", 0], "1" + "0" * 400,
+         "pixel index 1000"),
+        (["model_a", "bias"], "1" + "0" * 400, "linear bias must be a number"),
+        (["model_a", "weights", 0], "1" + "0" * 400, "linear weights must be a rectangular"),
+        (["max_queries"], "1" * 5000, "Exceeds the limit (4300 digits)"),
+    ], ids=["lambda", "pixel", "bias", "weight", "5000-digits"])
+    def test_huge_json_integer_exits_2(self, tmp_path, capsys, path, text, message):
+        # an integer past float range, or past the digits int() takes
+        doc = linear_run_spec()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@raw"
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc).replace('"@raw"', text))
+        out = tmp_path / "out"
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
+
     def test_integer_lambda_echoes_as_float(self, tmp_path):
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps({"fixture": "fig2-diagonal", "lambda": 1}))
@@ -409,6 +441,40 @@ class TestOracle:
         space = spec_to_json(ImageSpaceSpec(2, 2, "full"))
         assert self.run_oracle_files(tmp_path, {"model_a": model, "model_b": model}, space) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "oracle.json").exists()
+
+
+    @pytest.mark.parametrize("command", ["interpret", "oracle"])
+    @pytest.mark.parametrize("width", [10**6, 10**30], ids=["1e6", "1e30"])
+    def test_huge_full_space_exits_3_with_one_typed_line(self, tmp_path, capsys, command, width):
+        # the guards compare the pixel count before anything holds 2^pixels
+        rule = model_to_json(RuleModel(width, 1, (RuleLevel.of(ones=[0]),)))
+        space = spec_to_json(ImageSpaceSpec(width, 1, "full"))
+        out = tmp_path / "out"
+        if command == "oracle":
+            (tmp_path / "models.json").write_text(json.dumps({"model_a": rule, "model_b": rule}))
+            (tmp_path / "space.json").write_text(json.dumps(space))
+            argv = ["--models", str(tmp_path / "models.json"),
+                    "--space", str(tmp_path / "space.json")]
+            guard = f"oracle guard: full {width}x1 space has 2^{width} images"
+        else:
+            doc = {"space": space, "model_a": rule, "model_b": rule, "updater": "rule_minimal_edit"}
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            argv = ["--spec", str(tmp_path / "run.json")]
+            guard = f"materialization guard: the {width}x1 full space needs 2^"
+        assert main([command, *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {guard}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [(4, 5), (5, 5)])
+    def test_oracle_checks_the_grid_before_enumerating(self, tmp_path, capsys, size):
+        # a 5x5 full space is past the oracle's guard, but the grid is the fault
+        rule = model_to_json(RuleModel(2, 2, (RuleLevel.of(ones=[0]),)))
+        space = spec_to_json(ImageSpaceSpec(*size, "full"))
+        assert self.run_oracle_files(tmp_path, {"model_a": rule, "model_b": rule}, space) == 2
+        message = f"error: oracle: a 2x2 model cannot label the {size[0]}x{size[1]} space"
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not (tmp_path / "oracle.json").exists()
 
 

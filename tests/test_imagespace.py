@@ -165,6 +165,16 @@ class TestEnumeration:
         with pytest.raises(SpaceTooLargeError, match="4x6 full"):
             space_matrix(full_spec(4, 6))
 
+    @pytest.mark.parametrize("width, log2_bytes", [
+        (10**6, 1000019.9), (10**30, 1e30), (10**400, "inf"),
+    ], ids=["1e6", "1e30", "1e400"])
+    def test_full_guard_never_builds_2_to_the_pixels(self, width, log2_bytes):
+        # the guard adds logs: 2^(10^30) cannot be built, and past float
+        # range the log is inf
+        with pytest.raises(SpaceTooLargeError) as err:
+            space_matrix(full_spec(width, 1))
+        assert f"full space needs 2^{float(log2_bytes):.1f} bytes" in str(err.value)
+
     def test_radius_past_pixels_is_the_whole_ball(self):
         huge = envelope(2, 2, "0110", radius=10**9)
         assert envelope_size_bound(huge) == 16
@@ -210,7 +220,7 @@ class TestMaterializeGuard:
         # the guard's estimate bounds what materializing really allocates,
         # and is not a loose overestimate of it either
         spec = GUARDED_SPACES[name]()
-        estimate = imagespace._materialize_bytes(spec)
+        estimate = 2 ** imagespace._materialize_log2_bytes(spec)
         tracemalloc.start()
         try:
             space_matrix(spec)
@@ -224,6 +234,12 @@ class TestSpecValidation:
     def test_envelope_requires_bases(self):
         with pytest.raises(InvalidSpecError):
             ImageSpaceSpec(2, 2, "envelope", (), flip_radius=1)
+
+    def test_one_bitstring_is_not_the_base_images(self):
+        # a str would split into its characters, each then "not a 4-bit string"
+        message = "^base_images must be bitstrings, got one: '0100'$"
+        with pytest.raises(InvalidSpecError, match=message):
+            ImageSpaceSpec(2, 2, "envelope", "0100", 1)
 
     def test_base_dimensions_must_match(self):
         with pytest.raises(InvalidSpecError):

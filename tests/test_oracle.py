@@ -68,6 +68,13 @@ class TestBruteForceBreakdown:
         with pytest.raises(InvalidConfigError, match="2x2 model cannot label the 3x3 space"):
             brute_force_breakdown(model, other, ImageSpaceSpec(3, 3, "full"))
 
+    def test_model_grid_is_checked_before_the_space_is_enumerated(self):
+        # a full 5x5 space is past the oracle's guard; the grid is the fault
+        model = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
+        for search in (brute_force_breakdown, exhaustive_fixed_point):
+            with pytest.raises(InvalidConfigError, match="2x2 model cannot label the 5x5"):
+                search(model, model, ImageSpaceSpec(5, 5, "full"))
+
     def test_radius_past_pixels_is_the_whole_ball(self):
         spec = ImageSpaceSpec(2, 2, "envelope", ("1000",), flip_radius=10**9)
         model_a = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
