@@ -159,7 +159,7 @@ def _demo_static(fixture, args, out_dir: Path) -> list[str]:
     )
     _write_report(report, out_dir)
     h0 = report.initial_entropy.total
-    lines = [
+    return [
         f"fixture {fixture.name}: {fixture.description}",
         f"initial entropy h = {h0:.4f} bits "
         f"(disagreements {list(report.initial_entropy.disagreement_counts)} "
@@ -168,7 +168,6 @@ def _demo_static(fixture, args, out_dir: Path) -> list[str]:
         f"H_final = {(report.steps[-1].entropy_after.total if report.steps else h0):.3f}",
         f"termination = {report.termination} after {len(report.steps)} queries",
     ]
-    return lines
 
 
 def _demo_eval_squares(args, out_dir: Path) -> list[str]:
@@ -188,25 +187,18 @@ def _demo_eval_squares(args, out_dir: Path) -> list[str]:
             f"({report.termination})"
         )
     reached = sum(1 for r in reports if r.final_interpretability >= 0.99)
-    lines.append(
+    lines += [
         f"{reached}/{args.seeds} seeds reached I >= 0.99 "
-        f"within {reports[0].config.max_queries} queries"
-    )
-    lines.append(
+        f"within {reports[0].config.max_queries} queries",
         f"confidence epsilon = {reports[0].epsilon.display} "
-        f"(log2 = {reports[0].epsilon.log2_epsilon:.3f})"
-    )
+        f"(log2 = {reports[0].epsilon.log2_epsilon:.3f})",
+    ]
     # Mean trajectory: runs shorter than the longest are padded with their
     # final interpretability.
     horizon = max((len(r.steps) for r in reports), default=0)
     mean_rows = ["t,mean_I_t"]
     for t in range(1, horizon + 1):
-        values = []
-        for r in reports:
-            if len(r.steps) >= t:
-                values.append(r.steps[t - 1].i_t)
-            else:
-                values.append(r.final_interpretability)
+        values = [r.steps[t - 1].i_t if len(r.steps) >= t else r.final_interpretability for r in reports]
         mean_rows.append(f"{t},{sum(values) / len(values)!r}")
     _write_lines(out_dir / "mean_trajectory.csv", mean_rows)
     return lines

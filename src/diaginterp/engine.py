@@ -1,16 +1,16 @@
 """The interpretation engine: query a disagreement, update the known model,
 re-measure the disagreement entropy, repeat.
 
-A run materializes the evaluation space once as a matrix, packs its pixel
-columns into 64-bit words, and labels it with the black box once, packed the
-same way: image i is bit i. After every update it relabels the space with the
-known model, once: a rule model as ANDs of packed columns, a linear model by
-packing its labels. The levels it compares are every level in diagnostic
-mode and the diagnosis level in epsilon mode. Their XOR gives the step's
-entropy breakdown (popcounts) and the query region: the OR of the compared
-levels. Queries are picked by bit position, so each costs words, not rows.
-A queried image stays a matrix row, which rule_update and a retrain take as
-it is; a step record reports it as its bitstring.
+A run materializes the evaluation space once as a matrix and, for a rule
+known model, packs its pixel columns into 64-bit words. It labels the space
+with the black box once, and after every update with the known model, once,
+both through level_label_matrix: packed 64-bit words, image i is bit i. The
+levels it compares are every level in diagnostic mode and the diagnosis level
+in epsilon mode. Their XOR gives the step's entropy breakdown (popcounts) and
+the query region: the OR of the compared levels. Queries are picked by bit
+position, so each costs words, not rows. A queried image stays a matrix row,
+which rule_update and a retrain take as it is; a step record reports it as
+its bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -50,7 +50,6 @@ from .imagespace import (
     bitstrings_to_rows,
     is_bitstring,
     json_field,
-    pack_bits,
     rows_to_bitstrings,
     space_matrix,
     spec_from_json,
@@ -70,13 +69,13 @@ from .models import (
     LinearModel,
     Model,
     RuleModel,
+    check_training,
     level_label_matrix,
     linear_update,
     model_from_json,
     model_to_json,
     num_levels,
     pack_columns,
-    rule_bits,
     rule_update,
 )
 
@@ -138,6 +137,8 @@ class EngineConfig:
             raise InvalidConfigError(f"lambda cannot be negative, got {self.lam}")
         if self.stall_patience < 1:
             raise InvalidConfigError("stall patience must be at least 1")
+        # checked here, whatever the known model, so a run never stops at its first retrain
+        check_training(self.retrain_epochs, self.retrain_learning_rate)
         if self.base_dataset is not None:
             rows, labels = self.base_dataset
             if np.shape(rows) != (len(labels), self.space.num_pixels):
@@ -240,7 +241,7 @@ class _Run:
         self.config = config
         self.matrix = space_matrix(config.space)
         self.columns = pack_columns(self.matrix) if isinstance(config.model_a, RuleModel) else None
-        self.b_bits = pack_bits(level_label_matrix(config.model_b, self.matrix))
+        self.b_bits = level_label_matrix(config.model_b, self.matrix, self.columns)
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
         self.initial = self.breakdown
@@ -251,10 +252,7 @@ class _Run:
 
     def _set_model(self, model: Model) -> None:
         self.model = model
-        if isinstance(model, RuleModel):
-            self.a_bits = rule_bits(model.levels, self.columns)
-        else:
-            self.a_bits = pack_bits(level_label_matrix(model, self.matrix))
+        self.a_bits = level_label_matrix(model, self.matrix, self.columns)
         rows = disagreement_rows(self.a_bits, self.b_bits, self.config.mode == "epsilon")
         counts = np.bitwise_count(rows).sum(axis=1)
         self.breakdown = EntropyBreakdown.from_counts(counts, self.matrix.shape[0])

@@ -122,8 +122,7 @@ def _build_fig1c() -> Fixture:
     space = ImageSpaceSpec(GRID_4, GRID_4, "full")
     model_a = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0, 1]),))
     weights = np.zeros(GRID_4 * GRID_4)
-    weights[0] = 1.0
-    weights[1] = 1.0
+    weights[:2] = 1.0  # pixels 0 and 1: a linear OR
     model_b = LinearModel(GRID_4, GRID_4, weights, -0.5)
     return Fixture(
         name="fig1c",

@@ -72,17 +72,13 @@ class ImageSpaceSpec:
             raise InvalidSpecError(f"mode must be 'full' or 'envelope', got {self.mode!r}")
         if self.flip_radius < 0:
             raise InvalidSpecError(f"flip_radius must be nonnegative, got {self.flip_radius}")
-        if self.mode == "full":
-            if self.base_images or self.flip_radius:
-                raise InvalidSpecError("full mode takes no base images or flip radius")
-        else:
-            if not self.base_images:
-                raise InvalidSpecError("envelope mode requires at least one base image")
-            for text in self.base_images:
-                if not is_bitstring(text, self.num_pixels):
-                    raise InvalidSpecError(
-                        f"base image {text!r} is not a {self.num_pixels}-bit string"
-                    )
+        if self.mode == "full" and (self.base_images or self.flip_radius):
+            raise InvalidSpecError("full mode takes no base images or flip radius")
+        if self.mode == "envelope" and not self.base_images:
+            raise InvalidSpecError("envelope mode requires at least one base image")
+        for text in self.base_images:
+            if not is_bitstring(text, self.num_pixels):
+                raise InvalidSpecError(f"base image {text!r} is not a {self.num_pixels}-bit string")
 
     @property
     def num_pixels(self) -> int:

@@ -99,8 +99,8 @@ def check_comparable(
 
 def disagreement_rows(labels_a: np.ndarray, labels_b: np.ndarray, top_only: bool) -> np.ndarray:
     """Where two labellings disagree, one row per compared level: the
-    diagnosis level alone when ``top_only``, every level otherwise. The rows
-    are an XOR, so 0/1 labels and their packed bits (pack_bits) both work."""
+    diagnosis level alone when ``top_only``, every level otherwise: the XOR of
+    their packed words (level_label_matrix)."""
     if top_only:
         return labels_a[-1:] ^ labels_b[-1:]
     return labels_a ^ labels_b

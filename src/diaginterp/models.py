@@ -12,8 +12,8 @@ passes them buffers it makes once. The perceptron keeps integer mistake
 counts, so its scores are exact. Real-valued labels take one fixed block of
 float rows at a time, never a float copy of the whole space.
 
-Rule labels are computed on packed bits: the space's pixel columns packed
-into 64-bit words (pack_columns), a level's labels the AND of its columns
+Every model labels a space as packed bits, 64-bit words (level_label_matrix).
+A rule level's are the AND of the space's packed pixel columns (pack_columns)
 and masked complements (rule_bits). rule_update scores every candidate edit
 on the same words, as popcounts over one (candidates, words) array.
 
@@ -254,15 +254,14 @@ def rule_bits(levels: Sequence[RuleLevel], columns: np.ndarray) -> np.ndarray:
 _LABEL_BLOCK = 1024
 
 
-def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
-    """Per-level labels for a whole enumerated space; shape (K, n_images).
-
-    A rule model is labelled on packed bits (rule_bits). A linear or neural
-    model scores one block of _LABEL_BLOCK rows at a time, cast to float64,
-    so its working memory does not grow with the space."""
+def level_label_matrix(model: Model, matrix: np.ndarray, columns=None) -> np.ndarray:
+    """Per-level labels for a whole enumerated space as packed bits (pack_bits),
+    one row of words per level. A rule model is rule_bits over ``columns``,
+    the matrix's pack_columns, which are packed here unless passed. A linear
+    or neural model scores one block of _LABEL_BLOCK float64 rows at a time,
+    so its working memory does not grow with the space, and packs once."""
     if isinstance(model, RuleModel):
-        bits = rule_bits(model.levels, pack_columns(matrix)).view(np.uint8)
-        return np.unpackbits(bits, axis=1, count=matrix.shape[0], bitorder="little")
+        return rule_bits(model.levels, pack_columns(matrix) if columns is None else columns)
     if not isinstance(model, (LinearModel, NeuralModel)):
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
     out = np.empty((1, matrix.shape[0]), dtype=np.uint8)
@@ -273,7 +272,7 @@ def level_label_matrix(model: Model, matrix: np.ndarray) -> np.ndarray:
             out[0, block] = rows @ model.weights + model.bias > 0.0
         else:
             out[0, block] = neural_forward(model, rows) > 0.5
-    return out
+    return pack_bits(out)
 
 
 def predict(model: Model, bits: Sequence[int]) -> tuple[int, ...]:
@@ -281,8 +280,8 @@ def predict(model: Model, bits: Sequence[int]) -> tuple[int, ...]:
     pixels = model.width * model.height
     if isinstance(bits, str) or len(bits) != pixels:  # a bitstring's characters are not pixels
         raise InvalidInputError(f"expected an image of {pixels} 0/1 pixels, got {bits!r}")
-    row = np.array([bits], dtype=np.uint8)
-    return tuple(level_label_matrix(model, row)[:, 0].tolist())
+    # one image: each level's only word is its label
+    return tuple(level_label_matrix(model, np.array([bits], dtype=np.uint8))[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def rule_update(
     at every level, using the fewest constraint insertions/removals per level.
 
     ``columns`` is the evaluation space's pack_columns and ``reference_bits``
-    the reference's packed labels over it (pack_bits of level_label_matrix),
-    one row per level of ``model``; the caller aligns another level count.
+    the reference's labels over it (level_label_matrix), one row of words per
+    level of ``model``; the caller aligns another level count.
 
     For a level that must flip 0 -> 1 the edit is forced: keep only the
     constraints the image meets. A level that must flip 1 -> 0 gets one
@@ -380,6 +379,14 @@ def rule_update(
 # ---------------------------------------------------------------------------
 
 
+def check_training(epochs: int, learning_rate: float) -> None:
+    """Refuse training for fewer than one epoch or at a rate that is not a positive finite real."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
+    if epochs < 1:
+        raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
+
+
 def _training_arrays(X, y, pixels: int) -> tuple[np.ndarray, np.ndarray]:
     """Float64 copies of a training set: n > 0 rows ``X`` of ``pixels`` 0/1
     pixels each, and n 0/1 labels ``y``."""
@@ -415,10 +422,7 @@ def train_linear(
     5,800 examples) each mistake computes its row from the signed rows
     instead, so memory stays O(n * pixels).
     """
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
-    if epochs < 1:
-        raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
+    check_training(epochs, learning_rate)
     X, y = _training_arrays(X, y, width * height)
     n = len(X)
     # A column of ones carries the bias: the last count is the bias count.
@@ -527,10 +531,7 @@ def train_neural(
     epoch runs the two passes into buffers made once here and steps by
     ``grad *= rate; theta -= grad``, the same IEEE operations as
     ``w - rate * dw``. The net is validated once, at the end."""
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
-    if epochs < 1:
-        raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
+    check_training(epochs, learning_rate)
     X, y = _training_arrays(X, y, width * height)
     init = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
     (theta, layers), (grad, grads) = _flat_layers(init), _flat_layers(init)
@@ -545,7 +546,8 @@ def train_neural(
 def training_accuracy(model: Model, X, y) -> float:
     """The share of the rows ``X`` whose diagnosis label is their label in ``y``."""
     X, y = _training_arrays(X, y, model.width * model.height)
-    return float(np.mean(level_label_matrix(model, X)[-1] == y))
+    wrong = np.bitwise_count(level_label_matrix(model, X)[-1] ^ pack_bits(y[None] == 1.0)).sum()
+    return (len(y) - int(wrong)) / len(y)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +604,18 @@ def _pixel_set(level: dict, key: str) -> frozenset:
     return frozenset(pixels)
 
 
+def _numbers(doc: dict, key: str, what: str, kind: type = object):
+    """json_field's ``doc[key]``: a JSON number, or lists of them. A string or a
+    bool is refused, which np.array and float() would read as a number."""
+    nest = [value := json_field(doc, key, what, kind)]
+    while nest:
+        if isinstance(item := nest.pop(), list):
+            nest.extend(reversed(item))  # so the first bad item is named
+        elif isinstance(item, (str, bool)):
+            raise InvalidSpecError(f"{what} {key} holds {item!r}, not a number")
+    return value
+
+
 def model_from_json(doc: dict) -> Model:
     width, height = (json_field(doc, key, "model", int) for key in ("width", "height"))
     kind = doc.get("kind")
@@ -612,13 +626,13 @@ def model_from_json(doc: dict) -> Model:
         )
         return RuleModel(width, height, levels)
     if kind == "linear":
-        weights, bias = (json_field(doc, key, "model") for key in ("weights", "bias"))
+        weights, bias = (_numbers(doc, key, "model") for key in ("weights", "bias"))
         return LinearModel(width, height, weights, bias)
     if kind == "neural":
         layers = tuple(
             NeuralLayer(
-                json_field(lv, "weights", "neural layer", list),
-                json_field(lv, "bias", "neural layer"),
+                _numbers(lv, "weights", "neural layer", list),
+                _numbers(lv, "bias", "neural layer"),
                 json_field(lv, "activation", "neural layer"),
             )
             for lv in json_field(doc, "layers", "model", list)

@@ -6,7 +6,7 @@ its own per-model labellers. It deliberately shares no counting or
 enumeration code with the vectorized paths it is used to validate; entropies
 are always recomputed from integer counts. The one exception is the input of
 the minimal-edit updater that the fixed-point search drives: like the engine,
-it hands rule_update the space's packed columns and the reference's packed labels.
+it hands rule_update the space's packed columns and level_label_matrix's words.
 
 An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import ImageSpaceSpec, pack_bits, space_matrix
+from .imagespace import ImageSpaceSpec, space_matrix
 from .models import (
     LinearModel,
     Model,
@@ -268,7 +268,8 @@ def exhaustive_fixed_point(
     codes = _codes(spec, model_a, model_b)
     labels_b = _scalar_levels(model_b, spec, codes)
     matrix = space_matrix(spec)
-    columns, reference = pack_columns(matrix), pack_bits(level_label_matrix(model_b, matrix))
+    columns = pack_columns(matrix)
+    reference = level_label_matrix(model_b, matrix, columns)
     current = model_a
     initial = _breakdown(
         spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP

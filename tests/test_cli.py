@@ -137,6 +137,18 @@ class TestInterpret:
         assert f"{key} must be a finite real number" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_bad_retrain_settings_exit_2_before_any_retrain(self, tmp_path, capsys):
+        # with no query there is no retrain, so only the config can refuse them
+        bad = {"retrain_learning_rate": -1, "retrain_epochs": 0, "max_queries": 0}
+        doc = linear_run_spec() | bad
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: learning rate must be a positive finite real, got -1.0"
+        ]
+        assert not (tmp_path / "report.json").exists()
+
     def test_objective_overflow_exits_2_without_output(self, tmp_path, capsys):
         # lambda is finite, but lambda times the query count is not
         out = tmp_path / "out"
@@ -443,6 +455,33 @@ class TestOracle:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "oracle.json").exists()
 
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["weights"], ["1", "0", "0", "-1"], "model weights holds '1', not a number"),
+        (["weights", 2], True, "model weights holds True, not a number"),
+        (["bias"], "0.5", "model bias holds '0.5', not a number"),
+        (["bias"], True, "model bias holds True, not a number"),
+        (["layers", 0, "weights", 1, 2], "0.25", "neural layer weights holds '0.25', not a number"),
+        (["layers", 1, "weights", 0], [False], "neural layer weights holds False, not a number"),
+        (["layers", 0, "bias", 1], "0", "neural layer bias holds '0', not a number"),
+        (["layers", 1, "bias"], [True], "neural layer bias holds True, not a number"),
+    ], ids=["linear-weights-str", "linear-weight-bool", "linear-bias-str", "linear-bias-bool",
+            "layer-weight-str", "layer-weight-bool", "layer-bias-str", "layer-bias-bool"])
+    def test_model_parameter_that_is_not_a_json_number_exits_2(
+        self, tmp_path, capsys, path, value, message
+    ):
+        # np.array and float() read "1" and true as numbers; the reader does not
+        linear = model_to_json(LinearModel(2, 2, np.array([1.0, 0.0, 0.0, -1.0]), 0.5))
+        net = model_to_json(init_neural([4, 3, 1], 2, 2, rng_seed=0))
+        model = net if path[0] == "layers" else linear
+        doc = model
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+        space = spec_to_json(ImageSpaceSpec(2, 2, "full"))
+        assert self.run_oracle_files(tmp_path, {"model_a": model, "model_b": model}, space) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "oracle.json").exists()
 
     @pytest.mark.parametrize("command", ["interpret", "oracle"])
     @pytest.mark.parametrize("width", [10**6, 10**30], ids=["1e6", "1e30"])

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -203,15 +204,23 @@ class TestRunInterpretation:
         with pytest.raises(InvalidConfigError, match="rule or linear"):
             replace(config, model_a=net)
 
-    @pytest.mark.parametrize("field", ["lam", "retrain_learning_rate"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # the config also refuses a retrain rate that train_linear would refuse
+    @pytest.mark.parametrize("value, field", [
+        *product([float("nan"), float("inf")], ["lam", "retrain_learning_rate"]),
+        (0.0, "retrain_learning_rate"),
+        (-1.0, "retrain_learning_rate"),
+    ])
     def test_non_finite_parameters_rejected(self, field, value):
         config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
         with pytest.raises(InvalidConfigError):
             replace(config, **{field: value})
 
-    @pytest.mark.parametrize("field", ["max_queries", "rng_seed", "stall_patience", "retrain_epochs"])
-    @pytest.mark.parametrize("value", [2.7, "3", True])
+    # ... and retrain epochs that train_linear would refuse
+    @pytest.mark.parametrize("value, field", [
+        *product([2.7, "3", True], ["max_queries", "rng_seed", "stall_patience", "retrain_epochs"]),
+        (0, "retrain_epochs"),
+        (-1, "retrain_epochs"),
+    ])
     def test_non_integer_counts_rejected(self, field, value):
         config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
         with pytest.raises(InvalidConfigError):

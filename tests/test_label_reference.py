@@ -2,9 +2,10 @@
 
 The copy below (``one_shot_labels``) casts the whole matrix to float64 and
 scores it in one expression. ``diaginterp.models.level_label_matrix`` scores
-linear models and nets one block of ``_LABEL_BLOCK`` rows at a time; it must
-give the same labels, byte for byte. The property shrinks the block to 1-7
-rows, so a space of two rows or more spans several blocks.
+linear models and nets one block of ``_LABEL_BLOCK`` rows at a time and packs
+the labels into 64-bit words; it must give the copy's labels packed by
+``pack_bits``, word for word, with every padding bit 0. The property shrinks
+the block to 1-7 rows, so a space of two rows or more spans several blocks.
 
 The property is derandomized and keeps no example database, so every run
 checks the same examples.
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import diaginterp.models as models
-from diaginterp.imagespace import ImageSpaceSpec, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
 from diaginterp.models import (
     LinearModel,
     NeuralLayer,
@@ -75,9 +76,12 @@ def test_blocked_labels_match_one_shot_copy(seed, block):
         model = random_deep_net(rng, width, height)
     with mock.patch.object(models, "_LABEL_BLOCK", min(block, max(1, len(matrix) - 1))):
         labels = level_label_matrix(model, matrix)
-    expected = one_shot_labels(model, matrix)
+    expected = pack_bits(one_shot_labels(model, matrix))
     assert labels.dtype == expected.dtype and labels.shape == expected.shape
     assert np.array_equal(labels, expected)
+    # the bits past the last image, read without pack_bits, are all 0
+    padding = np.unpackbits(labels.view(np.uint8), axis=1, bitorder="little")[:, len(matrix):]
+    assert not padding.any()
 
 
 def test_full_4x4_space_in_default_blocks_matches_one_shot_copy():
@@ -86,5 +90,5 @@ def test_full_4x4_space_in_default_blocks_matches_one_shot_copy():
     rng = np.random.default_rng(11)
     for model in (random_linear(rng, 4, 4), init_neural([16, 64, 1], 4, 4, rng_seed=11)):
         labels = level_label_matrix(model, matrix)
-        assert 0 < labels.sum() < len(matrix)
-        assert np.array_equal(labels, one_shot_labels(model, matrix))
+        assert 0 < np.bitwise_count(labels).sum() < len(matrix)
+        assert np.array_equal(labels, pack_bits(one_shot_labels(model, matrix)))

@@ -8,7 +8,7 @@ from diaginterp.errors import (
     InvalidInputError,
     InvalidSpecError,
 )
-from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, space_matrix
 from diaginterp.models import (
     LinearModel,
     NeuralModel,
@@ -51,13 +51,8 @@ def diagonal_rule():
 def update_toward(model, image, target, spec, reference):
     """rule_update scored against ``reference`` over the space ``spec``."""
     matrix = space_matrix(spec)
-    return rule_update(
-        model,
-        image,
-        target,
-        pack_columns(matrix),
-        pack_bits(level_label_matrix(reference, matrix)),
-    )
+    columns = pack_columns(matrix)
+    return rule_update(model, image, target, columns, level_label_matrix(reference, matrix, columns))
 
 
 def training_set(width, height, *examples):
@@ -483,6 +478,14 @@ class TestSerialization:
         doc = {"kind": "linear", "width": 2, "height": 2, "weights": weights, "bias": bias}
         with pytest.raises(InvalidSpecError):
             model_from_json(doc)
+
+    def test_json_ints_read_as_float_parameters(self):
+        ints = {"kind": "linear", "width": 2, "height": 2, "weights": [1, 0, 0, -1], "bias": 0}
+        model = model_from_json(ints)
+        assert model.weights.tolist() == [1.0, 0.0, 0.0, -1.0] and model.bias == 0.0
+        net = model_to_json(init_neural([4, 3, 1], 2, 2, rng_seed=0))
+        net["layers"][1]["bias"] = [1]
+        assert model_from_json(net).layers[1].bias.tolist() == [1.0]
 
     @pytest.mark.parametrize("key", ["ones_required", "zeros_required"])
     @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None])

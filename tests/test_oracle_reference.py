@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import diaginterp.oracle as oracle
 from diaginterp.cli import main
 from diaginterp.errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, space_matrix
 from diaginterp.models import (
     LinearModel,
     Model,
@@ -183,7 +183,8 @@ def exhaustive_fixed_point(
             "exhaustive interpretation updates every level and needs matched level counts"
         )
     matrix = space_matrix(spec)
-    columns, reference = pack_columns(matrix), pack_bits(level_label_matrix(model_b, matrix))
+    columns = pack_columns(matrix)
+    reference = level_label_matrix(model_b, matrix, columns)
     current = model_a
     result = brute_force_breakdown(current, model_b, spec)
     if result.total_entropy == 0.0:

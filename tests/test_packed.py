@@ -2,11 +2,11 @@
 
 A run keeps its labels, disagreements and query region as little-endian
 uint64 words (``imagespace.pack_bits``, ``models.pack_columns``,
-``models.rule_bits``, ``metrics.disagreement_rows``) and picks queries by
-bit position (``engine._nth_bit``, ``engine._rank``). On generated full
-spaces and envelopes up to 3x3, whose row counts are rarely a multiple of
-64, and on one-row radius-0 envelopes, each must give what the uint8 arrays
-give.
+``models.rule_bits``, ``models.level_label_matrix``,
+``metrics.disagreement_rows``) and picks queries by bit position
+(``engine._nth_bit``, ``engine._rank``). On generated full spaces and
+envelopes up to 3x3, whose row counts are rarely a multiple of 64, and on
+one-row radius-0 envelopes, each must give what the uint8 arrays give.
 
 The property is derandomized and keeps no example database, so every run
 checks the same examples.
@@ -75,13 +75,26 @@ def test_packed_rule_path_matches_the_uint8_arrays(seed):
     labels = rule_bits(model.levels, columns)
     expected = np.array([_rule_level_labels(level, matrix) for level in model.levels])
     assert np.array_equal(unpack(labels, n), expected)
-    assert np.array_equal(level_label_matrix(model, matrix), expected)
+    assert np.array_equal(level_label_matrix(model, matrix), labels)
     # padding bits stay 0
     assert int(np.bitwise_count(labels).sum()) == int(expected.sum())
 
-    ref_labels = level_label_matrix(reference, matrix)
-    ref_bits = pack_bits(ref_labels)
-    assert np.array_equal(unpack(ref_bits, n), ref_labels)
+    # Columns a caller shares give the labels that packing the matrix gives;
+    # a real-valued reference ignores them. The row count is not a multiple
+    # of 64, so the last word has padding.
+    part = matrix[: n - (n % 64 == 0)]
+    assert len(part) % 64
+    shared = pack_columns(part)
+    part_bits = level_label_matrix(model, part, shared)
+    assert np.array_equal(part_bits, level_label_matrix(model, part))
+    assert int(np.bitwise_count(part_bits).sum()) == int(expected[:, : len(part)].sum())
+    assert np.array_equal(
+        level_label_matrix(reference, part, shared), level_label_matrix(reference, part)
+    )
+
+    ref_bits = level_label_matrix(reference, matrix, columns)
+    ref_labels = unpack(ref_bits, n)
+    assert np.array_equal(pack_bits(ref_labels), ref_bits)
     top_only = bool(rng.integers(0, 2))
     rows = disagreement_rows(labels, ref_bits, top_only)
     plain = disagreement_rows(expected.astype(np.uint8), ref_labels, top_only)

@@ -5,9 +5,9 @@ labeller ``_rule_level_labels``) scores a blocking edit on a free pixel in
 one loop and, on a fully pinned level, builds a swapped ``RuleLevel`` per
 candidate and relabels the whole space for each.
 ``diaginterp.models.rule_update`` scores every blocking candidate with one
-expression on packed bits; given the same space and reference labels,
-packed, it must return the same model, or raise the same error type, on
-generated inputs.
+expression on packed bits; given the same space and the reference's labels
+as words (level_label_matrix), and the copy given them unpacked, it must
+return the same model, or raise the same error type, on generated inputs.
 
 The property is derandomized and keeps no example database, so every run
 checks the same examples.
@@ -164,9 +164,9 @@ def random_level(rng, image: tuple[int, ...], width: int, height: int) -> RuleLe
 def random_update(rng):
     """An update's inputs: a full space up to 3x3 or an envelope of radius
     0-2, a 1-3 level rule model, an image of the space or any image, any
-    target (now and then of the wrong length), and reference labels from a
-    rule model or a random 0/1 matrix (now and then of the wrong level
-    count)."""
+    target (now and then of the wrong length), and reference labels as
+    packed words, from a rule model or a random 0/1 matrix (now and then of
+    the wrong level count)."""
     width, height = random_grid(rng)
     matrix = space_matrix(random_space(rng, width, height))
     if rng.integers(0, 2):
@@ -183,7 +183,7 @@ def random_update(rng):
     if rng.integers(0, 2):
         reference = level_label_matrix(random_rule(rng, width, height, ref_levels), matrix)
     else:
-        reference = rng.integers(0, 2, (ref_levels, len(matrix))).astype(np.uint8)
+        reference = pack_bits(rng.integers(0, 2, (ref_levels, len(matrix))).astype(np.uint8))
     return model, image, target, matrix, reference
 
 
@@ -197,7 +197,9 @@ def outcome(update, args):
 @PROPERTY_SETTINGS
 @given(SEEDS)
 def test_rule_update_matches_two_path_copy(seed):
-    args = random_update(np.random.default_rng(seed))
-    model, image, target, matrix, reference = args
-    packed = (model, image, target, pack_columns(matrix), pack_bits(reference))
-    assert outcome(models.rule_update, packed) == outcome(rule_update, args)
+    model, image, target, matrix, reference = random_update(np.random.default_rng(seed))
+    labels = np.unpackbits(reference.view(np.uint8), axis=1, count=len(matrix), bitorder="little")
+    packed = (model, image, target, pack_columns(matrix), reference)
+    assert outcome(models.rule_update, packed) == outcome(
+        rule_update, (model, image, target, matrix, labels)
+    )

@@ -16,6 +16,7 @@ from diaginterp.imagespace import space_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_OP = ROOT / "perfbench" / "traced_op.py"
+CHECK = ROOT / "perfbench" / "check.py"
 
 
 def traced_layer_functions() -> dict:
@@ -43,6 +44,23 @@ def test_traced_layer_functions_exist():
     assert missing == []
 
 
+def test_checker_imports_exist():
+    # check.py imports some names that no src caller uses (disagreement_breakdown);
+    # deleting one would pass every other test and break every benchmark run
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(CHECK.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("diaginterp")
+        for alias in node.names
+    ]
+    assert ("diaginterp.metrics", "disagreement_breakdown") in imported
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
 
 def traced_label_spans(tmp_path, *argv) -> list:
     """Run a CLI command under traced_op.py; return the (span name,
@@ -66,6 +84,11 @@ def test_traced_run_records_label_spans(tmp_path):
     # the wrapper reads the labelled matrix's row count from its second argument
     rows = len(space_matrix(build_fixture("fig2-diagonal").space))
     assert {"images": rows} in [attributes for _, attributes in spans]
+    # the engine labels the black box, the known model, and the known model
+    # again after each step, all through level_label_matrix
+    steps = len(json.loads((tmp_path / "out" / "report.json").read_text())["steps"])
+    assert steps == 3
+    assert [name for name, _ in spans] == ["models.level_label_matrix[rule]"] * (2 + steps)
 
 
 def test_traced_eval_squares_run_labels_the_envelope_with_the_net(tmp_path):
