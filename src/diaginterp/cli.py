@@ -35,6 +35,7 @@ from .engine import (
     SETTING_KEYS,
     EngineConfig,
     Report,
+    admits_complete_run,
     check_integer,
     config_from_json,
     run_complete_interpretation,
@@ -45,7 +46,7 @@ from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
 from .fixtures import build_fixture
 from .imagespace import json_field, spec_from_json
 from .metrics import raw_interpretability
-from .models import RuleModel, model_from_json, num_levels
+from .models import model_from_json
 from .oracle import brute_force_breakdown, exhaustive_fixed_point
 
 EXIT_OK = 0
@@ -66,7 +67,7 @@ def _load_json(path: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except OSError as err:
         raise DiagInterpError(f"cannot read {path}: {err}") from None
-    except ValueError as err:  # bad JSON at a line and column, non-UTF-8 text, a huge int
+    except (ValueError, RecursionError) as err:  # bad JSON, non-UTF-8, a huge int, deep nesting
         raise DiagInterpError(f"malformed JSON in {path}: {err}") from None
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
@@ -125,11 +126,7 @@ def _cmd_oracle(args) -> int:
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")
-    has_fixed_point = (
-        isinstance(model_a, RuleModel)
-        and space.mode == "full"
-        and num_levels(model_a) == num_levels(model_b)
-    )
+    has_fixed_point = admits_complete_run(model_a, model_b, space)
     if has_fixed_point:
         # the search's starting breakdown is the pair's breakdown
         _, fixed, result = exhaustive_fixed_point(model_a, model_b, space)
@@ -154,9 +151,8 @@ def _cmd_oracle(args) -> int:
 
 def _demo_static(fixture, args, out_dir: Path) -> list[str]:
     config = fixture.engine_config(**_overrides(args))
-    report = (
-        run_complete_interpretation(config) if fixture.complete else run_interpretation(config)
-    )
+    complete = admits_complete_run(config.model_a, config.model_b, config.space)
+    report = run_complete_interpretation(config) if complete else run_interpretation(config)
     _write_report(report, out_dir)
     h0 = report.initial_entropy.total
     return [

@@ -6,11 +6,11 @@ known model, packs its pixel columns into 64-bit words. It labels the space
 with the black box once, and after every update with the known model, once,
 both through level_label_matrix: packed 64-bit words, image i is bit i. The
 levels it compares are every level in diagnostic mode and the diagnosis level
-in epsilon mode. Their XOR gives the step's entropy breakdown (popcounts) and
-the query region: the OR of the compared levels. Queries are picked by bit
-position, so each costs words, not rows. A queried image stays a matrix row,
-which rule_update and a retrain take as it is; a step record reports it as
-its bitstring.
+in epsilon mode; metrics.disagreement measures them, giving the step's entropy
+breakdown (popcounts of their XOR) and the query region (the OR of the
+compared levels). Queries are picked by bit position, so each costs words, not
+rows. A queried image stays a matrix row, which rule_update and a retrain
+take as it is; a step record reports it as its bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -24,8 +24,11 @@ the trajectory stalls or cycles, or the query budget runs out;
 the whole trajectory and are deterministic functions of the configuration,
 seed included.
 
-Two entry points share that setup, the step record and the report; each has
-its own query selection and termination rules:
+Two entry points share that setup, the step and the report. Every step is
+``_Run.update``: rule_update on the run's columns for a rule known model, or a
+retrain on the base dataset plus every image queried so far, seeded from the
+run's rng after the query's draw. Each has its own query selection and
+termination rules:
 
 * run_interpretation -- the budgeted, seeded loop: a uniform draw from the
   query region (diagnostic or single-level epsilon mode, rule-edit or
@@ -33,7 +36,8 @@ its own query selection and termination rules:
 * run_complete_interpretation -- exhaustive, unbudgeted querying of a full
   space in enumeration order with the rule updater, stopping at zero entropy,
   at a fixed point where a whole pass leaves the entropy unchanged, or at a
-  cycle, when a pass ends on a model an earlier pass started or ended with.
+  cycle, when a pass ends on a model an earlier pass started or ended with;
+  admits_complete_run says which pairs it takes.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .metrics import (
     EntropyBreakdown,
     check_comparable,
     confidence_epsilon,
-    disagreement_rows,
+    disagreement,
     interpretability,
     objective,
     raw_interpretability,
@@ -233,14 +237,16 @@ def _rank(words: np.ndarray, position: int) -> int:
 
 class _Run:
     """What both entry points share: the space matrix, its packed columns (for
-    a rule model) and the black box's packed labels, computed once; the known
-    model with its packed labels, the disagreement they leave, and the step
-    records so far."""
+    a rule model) and the black box's packed labels, computed once; the rng
+    and a retrain's training set; the known model with its packed labels, the
+    disagreement they leave, and the step records so far."""
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
+        self.rng = np.random.default_rng(config.rng_seed)
         self.matrix = space_matrix(config.space)
         self.columns = pack_columns(self.matrix) if isinstance(config.model_a, RuleModel) else None
+        self.training = config.base_dataset  # (rows, labels), a row more per retrain
         self.b_bits = level_label_matrix(config.model_b, self.matrix, self.columns)
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
@@ -253,11 +259,9 @@ class _Run:
     def _set_model(self, model: Model) -> None:
         self.model = model
         self.a_bits = level_label_matrix(model, self.matrix, self.columns)
-        rows = disagreement_rows(self.a_bits, self.b_bits, self.config.mode == "epsilon")
-        counts = np.bitwise_count(rows).sum(axis=1)
-        self.breakdown = EntropyBreakdown.from_counts(counts, self.matrix.shape[0])
-        # The query region, one bit per image, and its size.
-        self.region = np.bitwise_or.reduce(rows, axis=0)
+        self.breakdown, self.region = disagreement(
+            self.a_bits, self.b_bits, self.config.mode == "epsilon", self.matrix.shape[0]
+        )
         self.region_size = int(np.bitwise_count(self.region).sum())
 
     def zero_entropy_termination(self) -> str:
@@ -265,17 +269,19 @@ class _Run:
         level disagrees on every image, ``no_disagreement`` when none does."""
         return TERM_NO_DISAGREEMENT if self.region_size == 0 else TERM_ENTROPY_ZERO
 
-    def target(self, idx: int) -> np.ndarray:
-        """The black box's (aligned) labels of image ``idx``, one per level."""
-        return self.b_bits[:, idx >> 6] >> (idx & 63) & 1
-
-    def rule_step(self, idx: int) -> StepRecord:
-        """Update the rule model toward the black box on image ``idx``."""
-        row, target = self.matrix[idx], self.target(idx)
-        return self.record(idx, rule_update(self.model, row, target, self.columns, self.b_bits))
-
-    def record(self, idx: int, model: Model) -> StepRecord:
-        """Adopt the model updated on image ``idx``, re-measure, and append the step."""
+    def update(self, idx: int) -> StepRecord:
+        """Update the known model toward the black box's (aligned) labels of
+        image ``idx`` (a rule edit, or a retrain with the image added to the
+        training set), re-measure, and append the step."""
+        row, target = self.matrix[idx], self.b_bits[:, idx >> 6] >> (idx & 63) & 1
+        if self.columns is not None:
+            model = rule_update(self.model, row, target, self.columns, self.b_bits)
+        else:
+            rows, labels = self.training
+            self.training = np.vstack([rows, row]), np.append(labels, target[-1])
+            epochs, rate = self.config.retrain_epochs, self.config.retrain_learning_rate
+            seed = int(self.rng.integers(0, 2**31))
+            model = linear_update(self.model, *self.training, epochs, rate, seed)
         self._set_model(model)
         h0 = self.initial.total
         i_t = interpretability(h0, self.breakdown.total)
@@ -316,32 +322,25 @@ def run_interpretation(config: EngineConfig) -> Report:
     if run.initial.total == 0.0:
         return run.report(run.zero_entropy_termination())
 
-    rng = np.random.default_rng(config.rng_seed)
-    queried: list[int] = []
     zero_delta_run = 0
     for _ in range(config.max_queries):
-        idx = _nth_bit(run.region, int(rng.integers(0, run.region_size)))
-        if config.updater == RULE_UPDATER:
-            step = run.rule_step(idx)
-        else:
-            queried.append(idx)
-            retrain_seed = int(rng.integers(0, 2**31))
-            rows, labels = config.base_dataset
-            model = linear_update(
-                config.model_a,
-                np.concatenate([rows, run.matrix[queried]]),
-                np.concatenate([labels, [run.target(i)[-1] for i in queried]]),
-                config.retrain_epochs,
-                config.retrain_learning_rate,
-                retrain_seed,
-            )
-            step = run.record(idx, model)
+        step = run.update(_nth_bit(run.region, int(run.rng.integers(0, run.region_size))))
         if step.entropy_after.total == 0.0:
             return run.report(TERM_ENTROPY_ZERO)
         zero_delta_run = zero_delta_run + 1 if step.delta_i_t == 0.0 else 0
         if zero_delta_run >= config.stall_patience:
             return run.report(TERM_STALLED)
     return run.report(TERM_BUDGET)
+
+
+def admits_complete_run(model_a: Model, model_b: Model, space: ImageSpaceSpec) -> bool:
+    """Whether a pair gets complete interpretation: a rule known model with
+    as many levels as the black box, over a full space."""
+    return (
+        isinstance(model_a, RuleModel)
+        and num_levels(model_a) == num_levels(model_b)
+        and space.mode == "full"
+    )
 
 
 def run_complete_interpretation(config: EngineConfig) -> Report:
@@ -377,7 +376,7 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
         # k indexes the next region image at or after ``position``
         while (k := _rank(run.region, position)) < run.region_size:
             idx = _nth_bit(run.region, k)
-            if run.rule_step(idx).entropy_after.total == 0.0:
+            if run.update(idx).entropy_after.total == 0.0:
                 return run.report(TERM_ENTROPY_ZERO, pass_counts)
             position = idx + 1
         entropy_now = run.steps[-1].entropy_after.total

@@ -15,7 +15,8 @@ reproduce the package's reference numbers end to end.
   known model, and single-level interpretation runs over the full
   base-plus-flip envelope.
 
-Every generator is deterministic in its seed.
+Every generator is deterministic in its seed. One table maps each name to its
+builder; engine.admits_complete_run, not a fixture flag, picks complete runs.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class Fixture:
     model_b: Model
     mode: str
     max_queries: int
-    complete: bool = False
     base_dataset: tuple[np.ndarray, np.ndarray] | None = None
     black_box_train_accuracy: float | None = None
     known_model_train_accuracy: float | None = None
@@ -83,23 +83,17 @@ class Fixture:
 
 
 def fixture_names() -> list[str]:
-    return ["fig1b", "fig1c", "fig2-diagonal", "eval-squares"]
+    return list(_BUILDERS)
 
 
 def build_fixture(name: str, seed: int = 0) -> Fixture:
     if seed < 0:
         raise InvalidConfigError(f"fixture seed cannot be negative, got {seed}")
-    if name == "fig1b":
-        return _build_fig1b()
-    if name == "fig1c":
-        return _build_fig1c()
-    if name == "fig2-diagonal":
-        return _build_fig2_diagonal()
-    if name == "eval-squares":
-        return _build_eval_squares(seed)
-    raise InvalidConfigError(
-        f"unknown fixture {name!r}; valid names: {', '.join(fixture_names())}"
-    )
+    if name not in _BUILDERS:
+        raise InvalidConfigError(
+            f"unknown fixture {name!r}; valid names: {', '.join(fixture_names())}"
+        )
+    return _BUILDERS[name](seed)
 
 
 def _build_fig1b() -> Fixture:
@@ -114,7 +108,6 @@ def _build_fig1b() -> Fixture:
         model_b=model_b,
         mode="diagnostic",
         max_queries=64,
-        complete=True,
     )
 
 
@@ -132,7 +125,6 @@ def _build_fig1c() -> Fixture:
         model_b=model_b,
         mode="diagnostic",
         max_queries=64,
-        complete=True,
     )
 
 
@@ -244,3 +236,12 @@ def _build_eval_squares(seed: int) -> Fixture:
         black_box_train_accuracy=training_accuracy(black_box, rows, labels),
         known_model_train_accuracy=training_accuracy(known, rows, labels),
     )
+
+
+# Each fixture's builder, by name, in listing order; only eval-squares is seeded.
+_BUILDERS = {
+    "fig1b": lambda seed: _build_fig1b(),
+    "fig1c": lambda seed: _build_fig1c(),
+    "fig2-diagonal": lambda seed: _build_fig2_diagonal(),
+    "eval-squares": _build_eval_squares,
+}

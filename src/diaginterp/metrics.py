@@ -12,7 +12,8 @@ Entropy is measured in bits throughout. Disagreement rates are formed from
 exact integer counts before any float arithmetic happens.
 
 This module owns the comparison policy: which levels two models are compared
-on, every level or (``top_only``) the diagnosis level alone.
+on, every level or (``top_only``) the diagnosis level alone, and the one
+measure of where they disagree, ``disagreement``, which every count uses.
 """
 
 from __future__ import annotations
@@ -97,13 +98,16 @@ def check_comparable(
         )
 
 
-def disagreement_rows(labels_a: np.ndarray, labels_b: np.ndarray, top_only: bool) -> np.ndarray:
-    """Where two labellings disagree, one row per compared level: the
-    diagnosis level alone when ``top_only``, every level otherwise: the XOR of
-    their packed words (level_label_matrix)."""
-    if top_only:
-        return labels_a[-1:] ^ labels_b[-1:]
-    return labels_a ^ labels_b
+def disagreement(
+    labels_a: np.ndarray, labels_b: np.ndarray, top_only: bool, sample_size: int
+) -> tuple[EntropyBreakdown, np.ndarray]:
+    """Two labellings' disagreement over ``sample_size`` images, on the
+    diagnosis level alone when ``top_only``, else on every level: its breakdown
+    and the query region, the OR of the compared levels' XORs. Labels are one
+    row per level, packed words (level_label_matrix) or one 0/1 byte per image."""
+    rows = labels_a[-1:] ^ labels_b[-1:] if top_only else labels_a ^ labels_b
+    counts = np.bitwise_count(rows).sum(axis=1)
+    return EntropyBreakdown.from_counts(counts, sample_size), np.bitwise_or.reduce(rows, axis=0)
 
 
 def disagreement_breakdown(
@@ -121,10 +125,8 @@ def disagreement_breakdown(
     """
     check_comparable(model_a, model_b, spec.width, spec.height, top_only)
     matrix = space_matrix(spec)
-    rows = disagreement_rows(
-        level_label_matrix(model_a, matrix), level_label_matrix(model_b, matrix), top_only
-    )
-    return EntropyBreakdown.from_counts(np.bitwise_count(rows).sum(axis=1), matrix.shape[0])
+    labels_a, labels_b = level_label_matrix(model_a, matrix), level_label_matrix(model_b, matrix)
+    return disagreement(labels_a, labels_b, top_only, matrix.shape[0])[0]
 
 
 def raw_interpretability(h_initial: float, h_final: float) -> float:

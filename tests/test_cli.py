@@ -30,6 +30,10 @@ def linear_run_spec(rows=("0" * 16,), labels=(0,), **settings):
     return config_to_json(replace(config, model_a=model_a, base_dataset=base))
 
 
+# A base dataset for linear_run_spec: both diagonals and one off-diagonal image.
+RETRAIN_ROWS = ["1000010000100001", "0001001001001000", "1100000000000000"]
+
+
 class TestInterpret:
     def test_fixture_run_writes_report_and_trajectory(self, tmp_path):
         code = main(["interpret", "--fixture", "fig2-diagonal", "--seed", "7",
@@ -224,8 +228,7 @@ class TestInterpret:
 
     def test_spec_driven_retrain_writes_the_api_report(self, tmp_path):
         # a linear known model retrained on its base dataset plus each query
-        rows = ["1000010000100001", "0001001001001000", "1100000000000000"]
-        doc = linear_run_spec(rows, [1, 0, 0], max_queries=6)
+        doc = linear_run_spec(RETRAIN_ROWS, [1, 0, 0], max_queries=6)
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(doc))
         assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
@@ -284,6 +287,33 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: fixture seed cannot be negative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", ["models", "space", "spec"])
+def test_too_deeply_nested_json_exits_2(tmp_path, capsys, broken):
+    # valid JSON nested deeper than the parser's recursion limit, in a model,
+    # a space setting or a run setting
+    fx = build_fixture("fig2-diagonal")
+    files = {
+        "models": {"model_a": model_to_json(fx.model_a), "model_b": model_to_json(fx.model_b)},
+        "space": spec_to_json(fx.space),
+        "spec": config_to_json(fx.engine_config(rng_seed=0)),
+    }
+    files[broken][{"models": "model_a", "space": "width", "spec": "lambda"}[broken]] = "@raw"
+    for name, doc in files.items():
+        text = json.dumps(doc).replace('"@raw"', "[" * 100_000 + "]" * 100_000)
+        (tmp_path / f"{name}.json").write_text(text)
+    if broken == "spec":
+        argv = ["interpret", "--spec", str(tmp_path / "spec.json")]
+    else:
+        argv = ["oracle", "--models", str(tmp_path / "models.json"),
+                "--space", str(tmp_path / "space.json")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: malformed JSON in {tmp_path / f'{broken}.json'}: ")
     assert not out.exists()
 
 
@@ -622,6 +652,33 @@ def test_outputs_match_their_golden_digests(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     for name, digest in GOLDEN_OUTPUTS[argv].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of a retrained run's outputs in each mode, taken from the outputs of
+# the version whose run_interpretation retrained the known model itself. At
+# learning rate 1.0 the perceptron's weights are integers, so its labels, and
+# these digests, do not depend on the BLAS build.
+RETRAIN_GOLDEN_OUTPUTS = {
+    "diagnostic": {
+        "report.json": "0fdb605ef20047b4a2cc37163e4146f213b56313a7ca8cfd8de6edc53b8139ed",
+        "trajectory.csv": "73314e062a669b7810e1941468080b527ca2d998e7dfd6eedbe336fa4b0926fe",
+    },
+    "epsilon": {
+        "report.json": "9e91b84a7d39fb386f8d32079fc1d38a100a5eb98f11f963ed41967ac8369946",
+        "trajectory.csv": "73314e062a669b7810e1941468080b527ca2d998e7dfd6eedbe336fa4b0926fe",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", RETRAIN_GOLDEN_OUTPUTS)
+def test_retrain_outputs_match_their_golden_digests(tmp_path, mode):
+    doc = linear_run_spec(RETRAIN_ROWS, [1, 0, 0], max_queries=6, mode=mode)
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 0
+    for name, digest in RETRAIN_GOLDEN_OUTPUTS[mode].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestBlasThreads:

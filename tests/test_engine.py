@@ -7,6 +7,7 @@ import pytest
 
 from diaginterp.engine import (
     EngineConfig,
+    admits_complete_run,
     config_from_json,
     config_to_json,
     run_complete_interpretation,
@@ -386,6 +387,33 @@ class TestRunCompleteInterpretation:
         fx = build_fixture("fig2-diagonal")
         with pytest.raises(InvalidConfigError):
             run_complete_interpretation(fx.engine_config(rng_seed=0))
+
+    @pytest.mark.parametrize("case", ["rule pair", "envelope", "linear known model",
+                                      "level mismatch"])
+    def test_admits_complete_run_is_what_the_complete_run_takes(self, case):
+        # demo and oracle pick complete runs by the predicate; the complete
+        # run's own guards refuse exactly the pairs it does not admit
+        settings = {
+            "space": ImageSpaceSpec(2, 2, "full"),
+            "model_a": rule(ones=[0], grid=(2, 2)),
+            "model_b": rule(ones=[1], grid=(2, 2)),
+        }
+        if case == "envelope":
+            settings["space"] = ImageSpaceSpec(2, 2, "envelope", ("0110",), 1)
+        elif case == "linear known model":
+            settings["model_a"] = LinearModel(2, 2, np.zeros(4), 0.0)
+            settings["base_dataset"] = np.zeros((1, 4), dtype=np.uint8), np.zeros(1, dtype=np.uint8)
+        elif case == "level mismatch":
+            settings["model_a"] = RuleModel(2, 2, (RuleLevel.of(ones=[3]), RuleLevel.of(ones=[0])))
+            settings["mode"] = "epsilon"
+        config = EngineConfig(**settings)
+        admitted = admits_complete_run(config.model_a, config.model_b, config.space)
+        assert admitted == (case == "rule pair")
+        if admitted:
+            assert run_complete_interpretation(config).termination == "entropy_zero"
+        else:
+            with pytest.raises((InvalidConfigError, AbstractionMismatchError)):
+                run_complete_interpretation(config)
 
     def test_final_model_agrees_everywhere_when_expressible(self):
         fx = build_fixture("fig1b")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from diaginterp.engine import admits_complete_run
 from diaginterp.errors import InvalidConfigError
 from diaginterp.fixtures import (
     build_fixture,
@@ -19,6 +20,14 @@ from diaginterp.models import model_to_json, num_levels, predict
 class TestCatalog:
     def test_names(self):
         assert fixture_names() == ["fig1b", "fig1c", "fig2-diagonal", "eval-squares"]
+
+    def test_the_full_space_rule_pairs_admit_complete_runs(self):
+        # demo runs complete interpretation on exactly these fixtures
+        fixtures = [build_fixture(name) for name in fixture_names()]
+        admitted = [
+            fx.name for fx in fixtures if admits_complete_run(fx.model_a, fx.model_b, fx.space)
+        ]
+        assert admitted == ["fig1b", "fig1c"]
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(InvalidConfigError, match="fig2-diagonal"):

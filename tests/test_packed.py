@@ -3,7 +3,7 @@
 A run keeps its labels, disagreements and query region as little-endian
 uint64 words (``imagespace.pack_bits``, ``models.pack_columns``,
 ``models.rule_bits``, ``models.level_label_matrix``,
-``metrics.disagreement_rows``) and picks queries by bit position
+``metrics.disagreement``) and picks queries by bit position
 (``engine._nth_bit``, ``engine._rank``). On generated full spaces and
 envelopes up to 3x3, whose row counts are rarely a multiple of 64, and on
 one-row radius-0 envelopes, each must give what the uint8 arrays give.
@@ -24,7 +24,7 @@ from diaginterp.engine import (
     run_interpretation,
 )
 from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
-from diaginterp.metrics import disagreement_rows
+from diaginterp.metrics import EntropyBreakdown, disagreement
 from diaginterp.models import (
     RuleLevel,
     RuleModel,
@@ -96,12 +96,13 @@ def test_packed_rule_path_matches_the_uint8_arrays(seed):
     ref_labels = unpack(ref_bits, n)
     assert np.array_equal(pack_bits(ref_labels), ref_bits)
     top_only = bool(rng.integers(0, 2))
-    rows = disagreement_rows(labels, ref_bits, top_only)
-    plain = disagreement_rows(expected.astype(np.uint8), ref_labels, top_only)
-    assert np.array_equal(np.bitwise_count(rows).sum(axis=1), plain.sum(axis=1))
-
-    region = np.bitwise_or.reduce(rows, axis=0)
-    assert np.array_equal(unpack(region, n), plain.any(axis=0))
+    breakdown, region = disagreement(labels, ref_bits, top_only, n)
+    plain, plain_region = disagreement(expected.astype(np.uint8), ref_labels, top_only, n)
+    # the compared levels' disagreements, from the unpacked labels
+    differ = (expected != ref_labels)[-1:] if top_only else expected != ref_labels
+    assert breakdown == plain == EntropyBreakdown.from_counts(differ.sum(axis=1), n)
+    assert np.array_equal(unpack(region, n), differ.any(axis=0))
+    assert np.array_equal(plain_region, differ.any(axis=0))
     check_bit_search(region, n)
     check_bit_search(pack_bits(rng.random((1, n)) < rng.random())[0], n)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import space_matrix
+from test_cli import RETRAIN_ROWS, linear_run_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_OP = ROOT / "perfbench" / "traced_op.py"
@@ -62,9 +63,9 @@ def test_checker_imports_exist():
     assert missing == []
 
 
-def traced_label_spans(tmp_path, *argv) -> list:
+def traced_spans(tmp_path, *argv) -> list:
     """Run a CLI command under traced_op.py; return the (span name,
-    attributes) of its level_label_matrix spans."""
+    attributes) of every span, in the order they opened."""
     spans_path = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -75,7 +76,14 @@ def traced_label_spans(tmp_path, *argv) -> list:
     return [
         (name, attributes)
         for name, _, _, _, _, attributes in json.loads(spans_path.read_text())["spans"]
-        if name.startswith("models.level_label_matrix[")
+    ]
+
+
+def traced_label_spans(tmp_path, *argv) -> list:
+    """traced_spans of a CLI command, its level_label_matrix spans only."""
+    return [
+        span for span in traced_spans(tmp_path, *argv)
+        if span[0].startswith("models.level_label_matrix[")
     ]
 
 
@@ -97,3 +105,14 @@ def test_traced_eval_squares_run_labels_the_envelope_with_the_net(tmp_path):
     spans = traced_label_spans(tmp_path, "demo", "--fixture", "eval-squares", "--seeds", "1")
     rows = len(space_matrix(build_fixture("eval-squares").space))
     assert ("models.level_label_matrix[neural]", {"images": rows}) in spans
+
+
+def test_traced_retrain_run_records_one_linear_update_per_step(tmp_path):
+    # models.linear_update_calls counts these spans: a retrained run calls
+    # linear_update once per query, and nothing else does
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps(linear_run_spec(RETRAIN_ROWS, [1, 0, 0], max_queries=6)))
+    names = [name for name, _ in traced_spans(tmp_path, "interpret", "--spec", str(spec_path))]
+    steps = len(json.loads((tmp_path / "out" / "report.json").read_text())["steps"])
+    assert steps == 6
+    assert names.count("models.linear_update") == steps
