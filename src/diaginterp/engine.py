@@ -1,16 +1,21 @@
 """The interpretation engine: query a disagreement, update the known model,
 re-measure the disagreement entropy, repeat.
 
-A run materializes the evaluation space once as a matrix and, for a rule
-known model, packs its pixel columns into 64-bit words. It labels the space
-with the black box once, and after every update with the known model, once,
-both through level_label_matrix: packed 64-bit words, image i is bit i. The
-levels it compares are every level in diagnostic mode and the diagnosis level
-in epsilon mode; metrics.disagreement measures them, giving the step's entropy
-breakdown (popcounts of their XOR) and the query region (the OR of the
-compared levels). Queries are picked by bit position, so each costs words, not
-rows. A queried image stays a matrix row, which rule_update and a retrain
-take as it is; a step record reports it as its bitstring.
+A run reads the evaluation space's rows through space_rows: an envelope is
+materialized once as a matrix, a full space's rows are decoded from their
+image codes only where the run needs them (a queried image, and the row
+blocks a linear or neural model labels). When either model is a rule model,
+the run packs the pixel columns into 64-bit words once: full_columns builds a
+full space's from bit patterns, pack_columns packs an envelope's matrix. It
+labels the space with the black box once, and after every update with the
+known model, once, both through level_label_matrix: packed 64-bit words,
+image i is bit i. The levels it compares are every level in diagnostic mode
+and the diagnosis level in epsilon mode; metrics.disagreement measures them,
+giving the step's entropy breakdown (popcounts of their XOR) and the query
+region (the OR of the compared levels). Queries are picked by bit position,
+so each costs words, not rows. A queried image is a 0/1 row, which
+rule_update and a retrain take as it is; a step record reports it as its
+bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -45,6 +50,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +58,11 @@ from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
     ImageSpaceSpec,
     bitstrings_to_rows,
+    full_columns,
     is_bitstring,
     json_field,
     rows_to_bitstrings,
-    space_matrix,
+    space_rows,
     spec_from_json,
     spec_to_json,
 )
@@ -236,18 +243,21 @@ def _rank(words: np.ndarray, position: int) -> int:
 
 
 class _Run:
-    """What both entry points share: the space matrix, its packed columns (for
-    a rule model) and the black box's packed labels, computed once; the rng
-    and a retrain's training set; the known model with its packed labels, the
-    disagreement they leave, and the step records so far."""
+    """What both entry points share: the space's rows (space_rows), its packed
+    columns (when either model is a rule model) and the black box's packed
+    labels, computed once; the rng and a retrain's training set; the known
+    model with its packed labels, the disagreement they leave, and the step
+    records so far."""
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.rng = np.random.default_rng(config.rng_seed)
-        self.matrix = space_matrix(config.space)
-        self.columns = pack_columns(self.matrix) if isinstance(config.model_a, RuleModel) else None
+        self.rows = space_rows(config.space)
+        self.columns = None
+        if isinstance(config.model_a, RuleModel) or isinstance(config.model_b, RuleModel):
+            full = config.space.mode == "full"
+            self.columns = full_columns(self.rows.shape[1]) if full else pack_columns(self.rows)
         self.training = config.base_dataset  # (rows, labels), a row more per retrain
-        self.b_bits = level_label_matrix(config.model_b, self.matrix, self.columns)
+        self.b_bits = level_label_matrix(config.model_b, self.rows, self.columns)
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
         self.initial = self.breakdown
@@ -258,11 +268,17 @@ class _Run:
 
     def _set_model(self, model: Model) -> None:
         self.model = model
-        self.a_bits = level_label_matrix(model, self.matrix, self.columns)
+        self.a_bits = level_label_matrix(model, self.rows, self.columns)
         self.breakdown, self.region = disagreement(
-            self.a_bits, self.b_bits, self.config.mode == "epsilon", self.matrix.shape[0]
+            self.a_bits, self.b_bits, self.config.mode == "epsilon", self.rows.shape[0]
         )
         self.region_size = int(np.bitwise_count(self.region).sum())
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The run's rng, made at its first draw: a complete run draws
+        nothing, so it never loads numpy.random."""
+        return np.random.default_rng(self.config.rng_seed)
 
     def zero_entropy_termination(self) -> str:
         """How a run at zero initial entropy ends: ``entropy_zero`` when some
@@ -273,8 +289,8 @@ class _Run:
         """Update the known model toward the black box's (aligned) labels of
         image ``idx`` (a rule edit, or a retrain with the image added to the
         training set), re-measure, and append the step."""
-        row, target = self.matrix[idx], self.b_bits[:, idx >> 6] >> (idx & 63) & 1
-        if self.columns is not None:
+        row, target = self.rows[idx], self.b_bits[:, idx >> 6] >> (idx & 63) & 1
+        if self.config.updater == RULE_UPDATER:
             model = rule_update(self.model, row, target, self.columns, self.b_bits)
         else:
             rows, labels = self.training
@@ -286,7 +302,7 @@ class _Run:
         h0 = self.initial.total
         i_t = interpretability(h0, self.breakdown.total)
         prev = self.steps[-1].i_t if self.steps else 0.0
-        query = rows_to_bitstrings(self.matrix[idx : idx + 1])[0]
+        query = rows_to_bitstrings(row[None])[0]
         step = StepRecord(len(self.steps) + 1, query, self.breakdown, float(i_t), float(i_t - prev))
         self.steps.append(step)
         return step
@@ -297,7 +313,7 @@ class _Run:
         final = self.steps[-1].i_t if self.steps else raw_final
         epsilon = None
         if config.mode == "epsilon":
-            epsilon = confidence_epsilon(self.matrix.shape[0], config.space.num_pixels)
+            epsilon = confidence_epsilon(self.rows.shape[0], config.space.num_pixels)
         return Report(
             initial_entropy=self.initial,
             steps=tuple(self.steps),

@@ -11,10 +11,17 @@ bitstring of '0'/'1' characters; bitstrings_to_rows and rows_to_bitstrings
 convert between the two forms. A set's size is a plain int, the matrix's row
 count; a full space's 2^pixels is never built as a number.
 
-space_matrix refuses, before allocating, a set whose materialization would
-peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows for a full space, or
-envelope_size_bound candidate rows (repeats included) for an envelope, times
-the materializer's working bytes per row.
+A full space needs no matrix: image k is image code k, so code_rows decodes
+any range of rows, and FullSpaceRows (what space_rows gives a run) decodes
+rows only when they are indexed. Its packed pixel columns are fixed bit
+patterns, which full_columns builds directly.
+
+check_materialize refuses, before anything is allocated, a set whose
+materialization would peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows
+for a full space, or envelope_size_bound candidate rows (repeats included) for
+an envelope, times the materializer's working bytes per row. space_matrix and
+space_rows both call it, so a full space that a run never materializes is
+refused as if it were.
 
 Enumeration order is part of the contract:
 
@@ -40,8 +47,8 @@ import numpy as np
 
 from .errors import InvalidSpecError, SpaceTooLargeError
 
-# space_matrix refuses a set whose materialization needs more working memory
-# than this. A full 4x6 space needs 448 MiB and is refused; 4x5 needs 24 MiB.
+# check_materialize refuses a set whose materialization needs more working
+# memory than this. A full 4x6 space needs 448 MiB and is refused; 4x5 needs 24 MiB.
 MATERIALIZE_BYTE_LIMIT = 256 << 20
 
 @dataclass(frozen=True)
@@ -122,18 +129,34 @@ def space_matrix(spec: ImageSpaceSpec) -> np.ndarray:
     """The enumerated space as a read-only (n_images, n_pixels) uint8 matrix.
 
     Row order matches enumerate_space. Raises SpaceTooLargeError, before
-    allocating anything, when materializing the space would need more than
-    MATERIALIZE_BYTE_LIMIT bytes.
+    allocating anything, as check_materialize does.
     """
+    check_materialize(spec)
+    matrix = _materialize_full(spec) if spec.mode == "full" else _materialize_envelope(spec)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def space_rows(spec: ImageSpaceSpec):
+    """The space's rows as a run reads them: an envelope's space_matrix, or a
+    full space's FullSpaceRows, which holds no matrix. Both take int and
+    slice indices and have the matrix's ``shape``. Raises SpaceTooLargeError
+    as check_materialize does."""
+    if spec.mode != "full":
+        return space_matrix(spec)
+    check_materialize(spec)
+    return FullSpaceRows(spec.num_pixels)
+
+
+def check_materialize(spec: ImageSpaceSpec) -> None:
+    """Raise SpaceTooLargeError when materializing ``spec`` would need more
+    than MATERIALIZE_BYTE_LIMIT bytes of working memory."""
     log2_needed = _materialize_log2_bytes(spec)
     if log2_needed > math.log2(MATERIALIZE_BYTE_LIMIT):
         raise SpaceTooLargeError(
             f"materialization guard: the {spec.width}x{spec.height} {spec.mode} space needs "
             f"2^{log2_needed:.1f} bytes, limit is 2^{math.log2(MATERIALIZE_BYTE_LIMIT):.1f}"
         )
-    matrix = _materialize_full(spec) if spec.mode == "full" else _materialize_envelope(spec)
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _materialize_log2_bytes(spec: ImageSpaceSpec) -> float:
@@ -152,13 +175,56 @@ def _materialize_log2_bytes(spec: ImageSpaceSpec) -> float:
     return math.log2(envelope_size_bound(spec) * (pixels + 2 * key + max(3 * key + 17, pixels + 8)))
 
 
+def code_rows(codes: range, pixels: int) -> np.ndarray:
+    """The full space's rows of a range of image codes: code k's row is its
+    ``pixels`` binary digits, pixel 0 the top bit, as uint8."""
+    # Each code is shifted so pixel 0 is the top bit of a big-endian uint32
+    # (the guard keeps pixels far below 32) that unpacks into the row.
+    shift = 32 - pixels
+    shifted = np.arange(codes.start << shift, codes.stop << shift, codes.step << shift, dtype=">u4")
+    return np.unpackbits(shifted.view(np.uint8).reshape(-1, 4), axis=1, count=pixels)
+
+
 def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
-    pixels = spec.num_pixels
-    # Image k is code k, shifted so pixel 0 is the top bit of a big-endian
-    # uint32 (the guard keeps pixels far below 32) that unpacks into the row.
-    codes = np.arange(1 << pixels, dtype=">u4")
-    codes <<= 32 - pixels
-    return np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=pixels)
+    return code_rows(range(1 << spec.num_pixels), spec.num_pixels)
+
+
+class FullSpaceRows:
+    """A full space's rows, decoded from their image codes by code_rows when
+    indexed: an int or a slice index gives what the same index of
+    space_matrix gives, without holding the matrix. ``shape`` is the
+    matrix's."""
+
+    def __init__(self, pixels: int) -> None:
+        self.shape = (1 << pixels, pixels)
+
+    def __getitem__(self, index):
+        codes = range(self.shape[0])[index]
+        if isinstance(codes, range):
+            return code_rows(codes, self.shape[1])
+        return code_rows(range(codes, codes + 1), self.shape[1])[0]
+
+
+def full_columns(pixels: int) -> np.ndarray:
+    """pack_columns of the full space of ``pixels`` pixels, built from bit
+    patterns alone: pixel j's column, over image codes, is 2^s zeros then 2^s
+    ones, repeated, for s = pixels - 1 - j; the last row is all ones. Bits past
+    the 2^pixels images are 0."""
+    size = 1 << pixels
+    columns = np.empty((pixels + 1, -(-size // 64)), dtype=np.uint64)
+    for j in range(pixels):
+        shift = pixels - 1 - j
+        if shift >= 6:
+            # a half period is 2^(s-6) whole words: all zeros, then all ones
+            halves = columns[j].reshape(-1, 2, 1 << (shift - 6))
+            halves[:, 0], halves[:, 1] = 0, ~np.uint64(0)
+        else:
+            # every word repeats the same 64-bit pattern
+            columns[j] = sum(1 << b for b in range(64) if b >> shift & 1)
+    columns[-1] = ~np.uint64(0)
+    if size < 64:
+        columns &= np.uint64((1 << size) - 1)
+    return columns
 
 
 def _materialize_envelope(spec: ImageSpaceSpec) -> np.ndarray:

@@ -13,8 +13,9 @@ counts, so its scores are exact. Real-valued labels take one fixed block of
 float rows at a time, never a float copy of the whole space.
 
 Every model labels a space as packed bits, 64-bit words (level_label_matrix).
-A rule level's are the AND of the space's packed pixel columns (pack_columns)
-and masked complements (rule_bits). rule_update scores every candidate edit
+A rule level's are the AND of the space's packed pixel columns (pack_columns,
+or imagespace.full_columns for a full space) and masked complements
+(rule_bits). rule_update scores every candidate edit
 on the same words, as popcounts over one (candidates, words) array.
 
 Every training routine takes a 0/1 row matrix, its 0/1 labels and the grid,
@@ -254,12 +255,14 @@ def rule_bits(levels: Sequence[RuleLevel], columns: np.ndarray) -> np.ndarray:
 _LABEL_BLOCK = 1024
 
 
-def level_label_matrix(model: Model, matrix: np.ndarray, columns=None) -> np.ndarray:
+def level_label_matrix(model: Model, matrix, columns=None) -> np.ndarray:
     """Per-level labels for a whole enumerated space as packed bits (pack_bits),
-    one row of words per level. A rule model is rule_bits over ``columns``,
-    the matrix's pack_columns, which are packed here unless passed. A linear
-    or neural model scores one block of _LABEL_BLOCK float64 rows at a time,
-    so its working memory does not grow with the space, and packs once."""
+    one row of words per level. ``matrix`` is the space's rows: a 0/1 matrix,
+    or anything with its ``shape`` and slices, such as imagespace's
+    FullSpaceRows. A rule model is rule_bits over ``columns``, the matrix's
+    pack_columns, which are packed here unless passed. A linear or neural
+    model scores one block of _LABEL_BLOCK float64 rows at a time, so its
+    working memory does not grow with the space, and packs once."""
     if isinstance(model, RuleModel):
         return rule_bits(model.levels, pack_columns(matrix) if columns is None else columns)
     if not isinstance(model, (LinearModel, NeuralModel)):
@@ -348,7 +351,8 @@ def rule_update(
         pinned = level.ones_required | level.zeros_required
         free = [j for j in range(pixels) if j not in pinned]
         candidates = free or list(range(pixels))
-        differ = columns[candidates] ^ flips[candidates, None]
+        differ = columns[candidates]
+        differ ^= flips[candidates, None]
         if free:
             allowed = rule_bits([level], columns)[0]
         else:
@@ -358,7 +362,9 @@ def rule_update(
                 twos |= ones & row
                 ones |= row
             allowed = ones & ~twos & columns[-1]
-        scores = np.bitwise_count((differ & allowed) ^ reference_bits[k]).sum(axis=1)
+        differ &= allowed  # in place, like the XOR: a 4x5 space's differ is 2.6 MiB
+        differ ^= reference_bits[k]
+        scores = np.bitwise_count(differ).sum(axis=1)
         j = candidates[int(np.argmin(scores))]
         if bits[j]:
             new_levels[k] = RuleLevel(level.ones_required - {j}, level.zeros_required | {j})

@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+from diaginterp import imagespace, models
 from diaginterp.engine import (
     EngineConfig,
+    _Run,
     admits_complete_run,
     config_from_json,
     config_to_json,
@@ -27,7 +30,7 @@ from diaginterp.models import (
     model_from_json,
     predict,
 )
-from diaginterp.oracle import exhaustive_fixed_point
+from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 
 
 def rule(ones=(), zeros=(), grid=(4, 4)):
@@ -455,6 +458,80 @@ def random_rule_model(rng, levels):
         n_ones, n_zeros = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         made.append(RuleLevel.of(ones=pixels[:n_ones], zeros=pixels[n_ones : n_ones + n_zeros]))
     return RuleModel(3, 3, tuple(made))
+
+
+def linear(rng, grid):
+    return LinearModel(grid[0], grid[1], rng.normal(size=grid[0] * grid[1]), float(rng.normal()))
+
+
+def full_pair(known, black_box, grid, seed):
+    """A full-space run of a ``known`` model against a ``black_box``, each
+    "rule" or "linear"; a linear known model gets a two-row base dataset."""
+    rng = np.random.default_rng(seed)
+    pixels = grid[0] * grid[1]
+
+    def make(kind):
+        if kind == "linear":
+            return linear(rng, grid)
+        marks = rng.integers(0, 4, pixels)
+        return rule(np.flatnonzero(marks == 0).tolist(), np.flatnonzero(marks == 1).tolist(), grid)
+
+    model_a, model_b = make(known), make(black_box)
+    base = None
+    if known == "linear":
+        base = rng.integers(0, 2, (2, pixels)).astype(np.uint8), np.array([0, 1], dtype=np.uint8)
+    return EngineConfig(space=ImageSpaceSpec(*grid, "full"), model_a=model_a, model_b=model_b,
+                        max_queries=12, stall_patience=12, rng_seed=seed, base_dataset=base)
+
+
+FAMILY_PAIRS = [("rule", "rule"), ("rule", "linear"), ("linear", "rule"), ("linear", "linear")]
+
+
+class TestFullSpaceRun:
+    """A full-space run holds no row matrix: its rows are decoded from image
+    codes and a rule model's columns built from bit patterns."""
+
+    @pytest.mark.parametrize("known, black_box", FAMILY_PAIRS)
+    def test_run_builds_no_matrix_and_packs_no_columns(self, monkeypatch, known, black_box):
+        def refuse(*args):
+            raise AssertionError("a full-space run materialized its matrix")
+
+        for module, name in ((imagespace, "space_matrix"), (models, "pack_columns")):
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("pack_columns", "space_matrix"):
+            monkeypatch.setattr(f"diaginterp.engine.{name}", refuse, raising=False)
+        report = run_interpretation(full_pair(known, black_box, (3, 4), seed=5))
+        assert report.steps
+
+    def test_rule_pair_on_3x6_stays_small(self):
+        config = EngineConfig(space=ImageSpaceSpec(3, 6, "full"), model_a=rule([0, 7], [3], (3, 6)),
+                              model_b=rule([1, 2], [5], (3, 6)))
+        picks = np.random.default_rng(0).integers(0, 2**18, 16).tolist()
+        tracemalloc.start()
+        try:
+            run = _Run(config)
+            for idx in picks:
+                run.update(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2^18 x 18 matrix alone would take 4.5 MiB
+        assert len(run.steps) == 16
+        assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("known, black_box", FAMILY_PAIRS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_breakdowns_match_brute_force(self, known, black_box, seed):
+        config = full_pair(known, black_box, [(3, 3), (2, 5), (3, 4), (1, 4)][seed], seed)
+        report = run_interpretation(config)
+        final = report.steps[-1].entropy_after if report.steps else report.initial_entropy
+        for model, breakdown in ((config.model_a, report.initial_entropy),
+                                 (report.final_model, final)):
+            truth = brute_force_breakdown(model, config.model_b, config.space, keep_images=0)
+            assert breakdown.disagreement_counts == truth.disagreement_counts
+            assert breakdown.sample_size == truth.sample_size
+            assert breakdown.per_level == truth.per_level_entropy
+            assert breakdown.total == truth.total_entropy
 
 
 class TestReportSerialization:

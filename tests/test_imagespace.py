@@ -7,16 +7,20 @@ from diaginterp import imagespace
 from diaginterp.errors import InvalidSpecError, SpaceTooLargeError
 from diaginterp.fixtures import diagonal_images, two_squares_bases
 from diaginterp.imagespace import (
+    FullSpaceRows,
     ImageSpaceSpec,
     bitstrings_to_rows,
     enumerate_space,
     envelope_size_bound,
+    full_columns,
     rows_to_bitstrings,
     space_matrix,
+    space_rows,
     spec_from_json,
     spec_to_json,
 )
 from diaginterp.metrics import confidence_epsilon
+from diaginterp.models import pack_columns
 
 
 def full_spec(w, h):
@@ -189,6 +193,47 @@ class TestEnumeration:
     def test_envelope_cardinality_exact(self):
         spec = envelope(4, 4, MAIN, ANTI, radius=1)
         assert space_matrix(spec).shape[0] == 34
+
+
+# every full grid of at most 20 pixels; 1x1 through 1x5 have fewer than 64
+# images, so their one word has padding bits
+SMALL_GRIDS = [(w, h) for w in range(1, 21) for h in range(1, 21) if w * h <= 20]
+
+
+class TestFullSpaceWithoutMatrix:
+    """A full space's columns and rows come from its image codes alone."""
+
+    @pytest.mark.parametrize("width, height", SMALL_GRIDS, ids=[f"{w}x{h}" for w, h in SMALL_GRIDS])
+    def test_full_columns_are_the_packed_matrix(self, width, height):
+        columns = full_columns(width * height)
+        expected = pack_columns(space_matrix(full_spec(width, height)))
+        assert columns.dtype == expected.dtype
+        assert np.array_equal(columns, expected)
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (2, 3), (3, 4), (4, 4)])
+    def test_rows_decode_as_the_matrix_reads(self, width, height):
+        matrix = space_matrix(full_spec(width, height))
+        rows = space_rows(full_spec(width, height))
+        assert isinstance(rows, FullSpaceRows) and rows.shape == matrix.shape
+        n = len(matrix)
+        for index in (0, 1, n // 2, n - 1, -1):
+            assert np.array_equal(rows[index], matrix[index])
+        for index in (slice(None), slice(1, n - 1), slice(3, 3), slice(n // 3, None, 2)):
+            assert np.array_equal(rows[index], matrix[index])
+        with pytest.raises(IndexError):
+            rows[n]
+
+    def test_envelope_rows_are_the_matrix(self):
+        spec = envelope(4, 4, MAIN, ANTI, radius=1)
+        assert np.array_equal(space_rows(spec), space_matrix(spec))
+
+    @pytest.mark.parametrize("spec", [full_spec(4, 6), full_spec(10**6, 1)], ids=["4x6", "1e6x1"])
+    def test_full_rows_share_the_matrix_guard(self, spec):
+        with pytest.raises(SpaceTooLargeError) as matrix_error:
+            space_matrix(spec)
+        with pytest.raises(SpaceTooLargeError) as rows_error:
+            space_rows(spec)
+        assert str(rows_error.value) == str(matrix_error.value)
 
 
 def random_envelope(width, height, bases, radius, seed):
