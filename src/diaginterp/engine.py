@@ -1,21 +1,19 @@
 """The interpretation engine: query a disagreement, update the known model,
 re-measure the disagreement entropy, repeat.
 
-A run reads the evaluation space's rows through space_rows: an envelope is
+A run reads the evaluation space as one imagespace.SpaceRows: an envelope is
 materialized once as a matrix, a full space's rows are decoded from their
 image codes only where the run needs them (a queried image, and the row
-blocks a linear or neural model labels). When either model is a rule model,
-the run packs the pixel columns into 64-bit words once: full_columns builds a
-full space's from bit patterns, pack_columns packs an envelope's matrix. It
-labels the space with the black box once, and after every update with the
-known model, once, both through level_label_matrix: packed 64-bit words,
-image i is bit i. The levels it compares are every level in diagnostic mode
-and the diagnosis level in epsilon mode; metrics.disagreement measures them,
-giving the step's entropy breakdown (popcounts of their XOR) and the query
-region (the OR of the compared levels). Queries are picked by bit position,
-so each costs words, not rows. A queried image is a 0/1 row, which
-rule_update and a retrain take as it is; a step record reports it as its
-bitstring.
+blocks a linear or neural model labels), and its packed pixel columns are
+built once, at the first rule labelling or rule edit. The run labels the
+space with the black box once, and after every update with the known model,
+once, both through level_label_matrix: packed 64-bit words, image i is bit i.
+The levels it compares are every level in diagnostic mode and the diagnosis
+level in epsilon mode; metrics.disagreement measures them, giving the step's
+entropy breakdown (popcounts of their XOR) and the query region (the OR of
+the compared levels). Queries are picked by bit position, so each costs
+words, not rows. A queried image is a 0/1 row, which rule_update and a
+retrain take as it is; a step record reports it as its bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -30,7 +28,7 @@ the whole trajectory and are deterministic functions of the configuration,
 seed included.
 
 Two entry points share that setup, the step and the report. Every step is
-``_Run.update``: rule_update on the run's columns for a rule known model, or a
+``_Run.update``: rule_update on the space's columns for a rule known model, or a
 retrain on the base dataset plus every image queried so far, seeded from the
 run's rng after the query's draw. Each has its own query selection and
 termination rules:
@@ -57,12 +55,11 @@ import numpy as np
 from .errors import AbstractionMismatchError, InvalidConfigError
 from .imagespace import (
     ImageSpaceSpec,
+    SpaceRows,
     bitstrings_to_rows,
-    full_columns,
     is_bitstring,
     json_field,
     rows_to_bitstrings,
-    space_rows,
     spec_from_json,
     spec_to_json,
 )
@@ -86,7 +83,6 @@ from .models import (
     model_from_json,
     model_to_json,
     num_levels,
-    pack_columns,
     rule_update,
 )
 
@@ -111,7 +107,9 @@ class EngineConfig:
     """One run's settings. The field defaults are the only run-setting
     defaults; ``lam`` and ``retrain_learning_rate`` are stored as floats. The
     updater is not a setting: the known model's family fixes it. A linear
-    known model's ``base_dataset`` is a pair of 0/1 arrays, (rows, labels)."""
+    known model's ``base_dataset`` is a pair of 0/1 arrays, (rows, labels).
+    ``retrain_learning_rate`` is checked and echoed, but a perceptron's
+    retrain takes no rate (train_linear), so it changes no label."""
 
     space: ImageSpaceSpec
     model_a: Model
@@ -243,21 +241,16 @@ def _rank(words: np.ndarray, position: int) -> int:
 
 
 class _Run:
-    """What both entry points share: the space's rows (space_rows), its packed
-    columns (when either model is a rule model) and the black box's packed
-    labels, computed once; the rng and a retrain's training set; the known
-    model with its packed labels, the disagreement they leave, and the step
-    records so far."""
+    """What both entry points share: the space (SpaceRows) and the black
+    box's packed labels, computed once; the rng and a retrain's training set;
+    the known model with its packed labels, the disagreement they leave, and
+    the step records so far."""
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.rows = space_rows(config.space)
-        self.columns = None
-        if isinstance(config.model_a, RuleModel) or isinstance(config.model_b, RuleModel):
-            full = config.space.mode == "full"
-            self.columns = full_columns(self.rows.shape[1]) if full else pack_columns(self.rows)
+        self.rows = SpaceRows(config.space)
         self.training = config.base_dataset  # (rows, labels), a row more per retrain
-        self.b_bits = level_label_matrix(config.model_b, self.rows, self.columns)
+        self.b_bits = level_label_matrix(config.model_b, self.rows)
         self.steps: list[StepRecord] = []
         self._set_model(config.model_a)
         self.initial = self.breakdown
@@ -268,7 +261,7 @@ class _Run:
 
     def _set_model(self, model: Model) -> None:
         self.model = model
-        self.a_bits = level_label_matrix(model, self.rows, self.columns)
+        self.a_bits = level_label_matrix(model, self.rows)
         self.breakdown, self.region = disagreement(
             self.a_bits, self.b_bits, self.config.mode == "epsilon", self.rows.shape[0]
         )
@@ -291,13 +284,12 @@ class _Run:
         training set), re-measure, and append the step."""
         row, target = self.rows[idx], self.b_bits[:, idx >> 6] >> (idx & 63) & 1
         if self.config.updater == RULE_UPDATER:
-            model = rule_update(self.model, row, target, self.columns, self.b_bits)
+            model = rule_update(self.model, row, target, self.rows.columns, self.b_bits)
         else:
             rows, labels = self.training
             self.training = np.vstack([rows, row]), np.append(labels, target[-1])
-            epochs, rate = self.config.retrain_epochs, self.config.retrain_learning_rate
             seed = int(self.rng.integers(0, 2**31))
-            model = linear_update(self.model, *self.training, epochs, rate, seed)
+            model = linear_update(self.model, *self.training, self.config.retrain_epochs, seed)
         self._set_model(model)
         h0 = self.initial.total
         i_t = interpretability(h0, self.breakdown.total)

@@ -51,7 +51,6 @@ NEURAL_ARCHITECTURE = (64, 16, 1)
 NEURAL_EPOCHS = 1500
 NEURAL_LEARNING_RATE = 0.5
 PERCEPTRON_EPOCHS = 100
-PERCEPTRON_LEARNING_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -218,12 +217,7 @@ def _build_eval_squares(seed: int) -> Fixture:
         learning_rate=NEURAL_LEARNING_RATE,
         rng_seed=[seed, 1],
     )
-    known = train_linear(
-        *dataset,
-        epochs=PERCEPTRON_EPOCHS,
-        learning_rate=PERCEPTRON_LEARNING_RATE,
-        rng_seed=[seed, 2],
-    )
+    known = train_linear(*dataset, epochs=PERCEPTRON_EPOCHS, rng_seed=[seed, 2])
     return Fixture(
         name="eval-squares",
         description="8x8 two-squares task: perceptron interprets a small net",

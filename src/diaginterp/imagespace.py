@@ -11,17 +11,19 @@ bitstring of '0'/'1' characters; bitstrings_to_rows and rows_to_bitstrings
 convert between the two forms. A set's size is a plain int, the matrix's row
 count; a full space's 2^pixels is never built as a number.
 
-A full space needs no matrix: image k is image code k, so code_rows decodes
-any range of rows, and FullSpaceRows (what space_rows gives a run) decodes
-rows only when they are indexed. Its packed pixel columns are fixed bit
-patterns, which full_columns builds directly.
+Every reader of a space takes it as one SpaceRows: its rows and its pixel
+columns packed into 64-bit words (pack_columns, the bits rule labels and rule
+edits read). An envelope's are its matrix and the matrix packed. A full space
+needs no matrix: image k is image code k, so code_rows decodes any range of
+rows when they are indexed, and its packed columns are fixed bit patterns,
+which full_columns builds directly.
 
 check_materialize refuses, before anything is allocated, a set whose
 materialization would peak above MATERIALIZE_BYTE_LIMIT bytes: 2^pixels rows
 for a full space, or envelope_size_bound candidate rows (repeats included) for
 an envelope, times the materializer's working bytes per row. space_matrix and
-space_rows both call it, so a full space that a run never materializes is
-refused as if it were.
+SpaceRows both call it, so a full space that is never materialized is refused
+as if it were.
 
 Enumeration order is part of the contract:
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -137,17 +140,6 @@ def space_matrix(spec: ImageSpaceSpec) -> np.ndarray:
     return matrix
 
 
-def space_rows(spec: ImageSpaceSpec):
-    """The space's rows as a run reads them: an envelope's space_matrix, or a
-    full space's FullSpaceRows, which holds no matrix. Both take int and
-    slice indices and have the matrix's ``shape``. Raises SpaceTooLargeError
-    as check_materialize does."""
-    if spec.mode != "full":
-        return space_matrix(spec)
-    check_materialize(spec)
-    return FullSpaceRows(spec.num_pixels)
-
-
 def check_materialize(spec: ImageSpaceSpec) -> None:
     """Raise SpaceTooLargeError when materializing ``spec`` would need more
     than MATERIALIZE_BYTE_LIMIT bytes of working memory."""
@@ -189,20 +181,52 @@ def _materialize_full(spec: ImageSpaceSpec) -> np.ndarray:
     return code_rows(range(1 << spec.num_pixels), spec.num_pixels)
 
 
-class FullSpaceRows:
-    """A full space's rows, decoded from their image codes by code_rows when
-    indexed: an int or a slice index gives what the same index of
-    space_matrix gives, without holding the matrix. ``shape`` is the
-    matrix's."""
+class SpaceRows:
+    """A space's rows and its packed pixel columns, ``columns``, built on first
+    read. Int and slice indices and ``shape`` are space_matrix's. An envelope
+    holds its space_matrix and packs it (pack_columns). A full space passes
+    check_materialize but holds no matrix: code_rows decodes its rows when
+    indexed, and full_columns builds its columns."""
 
-    def __init__(self, pixels: int) -> None:
-        self.shape = (1 << pixels, pixels)
+    def __init__(self, spec: ImageSpaceSpec) -> None:
+        self.matrix = None
+        if spec.mode == "full":
+            check_materialize(spec)
+            self.shape = (1 << spec.num_pixels, spec.num_pixels)
+        else:
+            self.matrix = space_matrix(spec)
+            self.shape = self.matrix.shape
 
     def __getitem__(self, index):
+        if self.matrix is not None:
+            return self.matrix[index]
         codes = range(self.shape[0])[index]
         if isinstance(codes, range):
             return code_rows(codes, self.shape[1])
         return code_rows(range(codes, codes + 1), self.shape[1])[0]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        if self.matrix is None:
+            return full_columns(self.shape[1])
+        return pack_columns(self.matrix)
+
+
+# Rows per block when pack_columns packs a matrix: a contiguous copy of a
+# block's transpose packs 3x faster than the transposed view, and a block,
+# unlike the whole transpose, adds little to a run's peak memory.
+_PACK_BLOCK = 1 << 14
+
+
+def pack_columns(matrix: np.ndarray) -> np.ndarray:
+    """A 0/1 space matrix's columns packed by pack_bits, one row of words per
+    pixel, then one for a column of ones: the bits of the space's rows, which
+    cut a complement down to the space."""
+    blocks = [
+        pack_bits(np.ascontiguousarray(matrix[start : start + _PACK_BLOCK].T, dtype=np.uint8))
+        for start in range(0, len(matrix), _PACK_BLOCK)
+    ]
+    return np.vstack([np.hstack(blocks), pack_bits(np.ones((1, len(matrix)), dtype=np.uint8))])
 
 
 def full_columns(pixels: int) -> np.ndarray:

@@ -14,6 +14,7 @@ exact integer counts before any float arithmetic happens.
 This module owns the comparison policy: which levels two models are compared
 on, every level or (``top_only``) the diagnosis level alone, and the one
 measure of where they disagree, ``disagreement``, which every count uses.
+disagreement_breakdown reads its space as one imagespace.SpaceRows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbstractionMismatchError, DomainError, InvalidConfigError
-from .imagespace import ImageSpaceSpec, space_matrix
+from .imagespace import ImageSpaceSpec, SpaceRows
 from .models import Model, level_label_matrix, num_levels
 
 
@@ -124,9 +125,9 @@ def disagreement_breakdown(
     mismatched families is done.
     """
     check_comparable(model_a, model_b, spec.width, spec.height, top_only)
-    matrix = space_matrix(spec)
-    labels_a, labels_b = level_label_matrix(model_a, matrix), level_label_matrix(model_b, matrix)
-    return disagreement(labels_a, labels_b, top_only, matrix.shape[0])[0]
+    rows = SpaceRows(spec)
+    labels_a, labels_b = level_label_matrix(model_a, rows), level_label_matrix(model_b, rows)
+    return disagreement(labels_a, labels_b, top_only, rows.shape[0])[0]
 
 
 def raw_interpretability(h_initial: float, h_final: float) -> float:

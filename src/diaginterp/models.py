@@ -13,10 +13,10 @@ counts, so its scores are exact. Real-valued labels take one fixed block of
 float rows at a time, never a float copy of the whole space.
 
 Every model labels a space as packed bits, 64-bit words (level_label_matrix).
-A rule level's are the AND of the space's packed pixel columns (pack_columns,
-or imagespace.full_columns for a full space) and masked complements
-(rule_bits). rule_update scores every candidate edit
-on the same words, as popcounts over one (candidates, words) array.
+A rule level's are the AND of the space's packed pixel columns (a SpaceRows'
+``columns``, or pack_columns of a bare matrix) and masked complements
+(rule_bits). rule_update scores every candidate edit on the same words, as
+popcounts over one (candidates, words) array.
 
 Every training routine takes a 0/1 row matrix, its 0/1 labels and the grid,
 and is a deterministic function of its inputs and seed.
@@ -36,7 +36,9 @@ from .errors import (
     InvalidSpecError,
     UnreachableTargetError,
 )
-from .imagespace import MATERIALIZE_BYTE_LIMIT, json_field, pack_bits, rows_to_bitstrings
+from .imagespace import (
+    MATERIALIZE_BYTE_LIMIT, SpaceRows, json_field, pack_bits, pack_columns, rows_to_bitstrings,
+)
 
 
 @dataclass(frozen=True)
@@ -222,23 +224,6 @@ def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
     return _forward(model.layers, np.asarray(inputs, dtype=np.float64))[-1][:, 0]
 
 
-# Rows per block when pack_columns packs a matrix: a contiguous copy of a
-# block's transpose packs 3x faster than the transposed view, and a block,
-# unlike the whole transpose, adds little to a run's peak memory.
-_PACK_BLOCK = 1 << 14
-
-
-def pack_columns(matrix: np.ndarray) -> np.ndarray:
-    """A 0/1 space matrix's columns packed by pack_bits, one row of words per
-    pixel, then one for a column of ones: the bits of the space's rows, which
-    cut a complement down to the space."""
-    blocks = [
-        pack_bits(np.ascontiguousarray(matrix[start : start + _PACK_BLOCK].T, dtype=np.uint8))
-        for start in range(0, len(matrix), _PACK_BLOCK)
-    ]
-    return np.vstack([np.hstack(blocks), pack_bits(np.ones((1, len(matrix)), dtype=np.uint8))])
-
-
 def rule_bits(levels: Sequence[RuleLevel], columns: np.ndarray) -> np.ndarray:
     """Rule levels' labels as packed bits, one row per level, over the space
     of the pack_columns ``columns``: the AND of a level's ones-required
@@ -255,16 +240,16 @@ def rule_bits(levels: Sequence[RuleLevel], columns: np.ndarray) -> np.ndarray:
 _LABEL_BLOCK = 1024
 
 
-def level_label_matrix(model: Model, matrix, columns=None) -> np.ndarray:
+def level_label_matrix(model: Model, matrix) -> np.ndarray:
     """Per-level labels for a whole enumerated space as packed bits (pack_bits),
-    one row of words per level. ``matrix`` is the space's rows: a 0/1 matrix,
-    or anything with its ``shape`` and slices, such as imagespace's
-    FullSpaceRows. A rule model is rule_bits over ``columns``, the matrix's
-    pack_columns, which are packed here unless passed. A linear or neural
-    model scores one block of _LABEL_BLOCK float64 rows at a time, so its
-    working memory does not grow with the space, and packs once."""
+    one row of words per level. ``matrix`` is the space's rows: a SpaceRows,
+    or a bare 0/1 matrix such as a training set. A rule model is rule_bits
+    over a SpaceRows' ``columns``, or over a bare matrix's pack_columns. A
+    linear or neural model scores one block of _LABEL_BLOCK float64 rows at a
+    time, so its working memory does not grow with the space, and packs once."""
     if isinstance(model, RuleModel):
-        return rule_bits(model.levels, pack_columns(matrix) if columns is None else columns)
+        columns = matrix.columns if isinstance(matrix, SpaceRows) else pack_columns(matrix)
+        return rule_bits(model.levels, columns)
     if not isinstance(model, (LinearModel, NeuralModel)):
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
     out = np.empty((1, matrix.shape[0]), dtype=np.uint8)
@@ -385,9 +370,9 @@ def rule_update(
 # ---------------------------------------------------------------------------
 
 
-def check_training(epochs: int, learning_rate: float) -> None:
-    """Refuse training for fewer than one epoch or at a rate that is not a positive finite real."""
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
+def check_training(epochs: int, learning_rate: float | None = None) -> None:
+    """Refuse fewer than one epoch, or a given rate that is not a positive finite real."""
+    if learning_rate is not None and not (math.isfinite(learning_rate) and learning_rate > 0):
         raise InvalidConfigError(f"learning rate must be a positive finite real, got {learning_rate}")
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
@@ -404,9 +389,7 @@ def _training_arrays(X, y, pixels: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def train_linear(
-    X, y, width: int, height: int, epochs: int, learning_rate: float, rng_seed
-) -> LinearModel:
+def train_linear(X, y, width: int, height: int, epochs: int, rng_seed) -> LinearModel:
     """Mistake-driven perceptron training, in exact integer arithmetic.
 
     Weights start at zero; each epoch visits the dataset in a seeded shuffle
@@ -421,14 +404,15 @@ def train_linear(
     0/1, so every Gram entry, score and count is an integer, exact in float64
     under any summation order while it stays below 2^53 in magnitude; the
     mistakes, and so the weights, equal the per-example loop's bit for bit.
-    Which examples are mistakes does not depend on ``learning_rate``: it only
-    scales the returned weights and bias.
+    The weights and bias are those integer counts. A learning rate would
+    change no mistake, only scale them, and scaled weights can round a score
+    of exactly 0 to either side, so there is none.
 
     The Gram matrix takes 8 n^2 bytes; above MATERIALIZE_BYTE_LIMIT (about
     5,800 examples) each mistake computes its row from the signed rows
     instead, so memory stays O(n * pixels).
     """
-    check_training(epochs, learning_rate)
+    check_training(epochs)
     X, y = _training_arrays(X, y, width * height)
     n = len(X)
     # A column of ones carries the bias: the last count is the bias count.
@@ -451,14 +435,12 @@ def train_linear(
             break
     # + 0.0 turns a sum of -0.0 terms into the +0.0 the weights start at
     counts = np.array(mistakes, dtype=np.float64) @ signed + 0.0
-    return LinearModel(width, height, learning_rate * counts[:-1], learning_rate * counts[-1])
+    return LinearModel(width, height, counts[:-1], counts[-1])
 
 
-def linear_update(
-    model: LinearModel, X, y, epochs: int, learning_rate: float, rng_seed
-) -> LinearModel:
+def linear_update(model: LinearModel, X, y, epochs: int, rng_seed) -> LinearModel:
     """Retrain from scratch: train_linear on the model's grid, base rows first."""
-    return train_linear(X, y, model.width, model.height, epochs, learning_rate, rng_seed)
+    return train_linear(X, y, model.width, model.height, epochs, rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ its own per-model labellers. It deliberately shares no counting or
 enumeration code with the vectorized paths it is used to validate; entropies
 are always recomputed from integer counts. The one exception is the input of
 the minimal-edit updater that the fixed-point search drives: like the engine,
-it hands rule_update the space's packed columns and level_label_matrix's words.
+it reads the space as one imagespace.SpaceRows and hands rule_update its
+packed columns and level_label_matrix's words.
 
 An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import ImageSpaceSpec, space_matrix
+from .imagespace import ImageSpaceSpec, SpaceRows
 from .models import (
     LinearModel,
     Model,
@@ -35,7 +36,6 @@ from .models import (
     RuleModel,
     level_label_matrix,
     num_levels,
-    pack_columns,
     rule_update,
 )
 
@@ -267,9 +267,8 @@ def exhaustive_fixed_point(
         )
     codes = _codes(spec, model_a, model_b)
     labels_b = _scalar_levels(model_b, spec, codes)
-    matrix = space_matrix(spec)
-    columns = pack_columns(matrix)
-    reference = level_label_matrix(model_b, matrix, columns)
+    space = SpaceRows(spec)
+    reference = level_label_matrix(model_b, space)
     current = model_a
     initial = _breakdown(
         spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP
@@ -295,7 +294,7 @@ def exhaustive_fixed_point(
                 break
             target = [labels[miss] for labels in labels_b]
             bits = [int(digit) for digit in format(codes[miss], f"0{spec.num_pixels}b")]
-            current = rule_update(current, bits, target, columns, reference)
+            current = rule_update(current, bits, target, space.columns, reference)
             changed = True
         if not changed:
             # a pass with no update ends on the model the last one ended on

@@ -6,7 +6,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from diaginterp import imagespace, models
 from diaginterp.engine import (
     EngineConfig,
     _Run,
@@ -487,21 +486,56 @@ def full_pair(known, black_box, grid, seed):
 FAMILY_PAIRS = [("rule", "rule"), ("rule", "linear"), ("linear", "rule"), ("linear", "linear")]
 
 
+def refuse_matrices(monkeypatch) -> None:
+    """Make every binding of space_matrix, _materialize_full and pack_columns
+    in the package raise, so a reader of a full space that builds its matrix
+    or packs it fails."""
+    def refuse(*args):
+        raise AssertionError("a full space was materialized or packed")
+
+    for module in ("imagespace", "models", "engine", "metrics", "oracle"):
+        for name in ("space_matrix", "_materialize_full", "pack_columns"):
+            monkeypatch.setattr(f"diaginterp.{module}.{name}", refuse, raising=False)
+
+
 class TestFullSpaceRun:
-    """A full-space run holds no row matrix: its rows are decoded from image
-    codes and a rule model's columns built from bit patterns."""
+    """A full space is never materialized: its rows are decoded from image
+    codes and a rule model's columns built from bit patterns, in a run, in
+    disagreement_breakdown and in the oracle's fixed-point search."""
 
     @pytest.mark.parametrize("known, black_box", FAMILY_PAIRS)
     def test_run_builds_no_matrix_and_packs_no_columns(self, monkeypatch, known, black_box):
-        def refuse(*args):
-            raise AssertionError("a full-space run materialized its matrix")
-
-        for module, name in ((imagespace, "space_matrix"), (models, "pack_columns")):
-            monkeypatch.setattr(module, name, refuse)
-        for name in ("pack_columns", "space_matrix"):
-            monkeypatch.setattr(f"diaginterp.engine.{name}", refuse, raising=False)
+        refuse_matrices(monkeypatch)
         report = run_interpretation(full_pair(known, black_box, (3, 4), seed=5))
         assert report.steps
+
+    @pytest.mark.parametrize("known, black_box", FAMILY_PAIRS)
+    def test_breakdown_builds_no_matrix_and_packs_no_columns(self, monkeypatch, known, black_box):
+        config = full_pair(known, black_box, (3, 4), seed=5)
+        truth = brute_force_breakdown(config.model_a, config.model_b, config.space, keep_images=0)
+        refuse_matrices(monkeypatch)
+        breakdown = disagreement_breakdown(config.model_a, config.model_b, config.space)
+        assert breakdown.disagreement_counts == truth.disagreement_counts
+
+    @pytest.mark.parametrize("black_box", ["rule", "linear"])
+    def test_fixed_point_builds_no_matrix_and_packs_no_columns(self, monkeypatch, black_box):
+        config = full_pair("rule", black_box, (3, 3), seed=5)
+        expected = exhaustive_fixed_point(config.model_a, config.model_b, config.space)
+        refuse_matrices(monkeypatch)
+        assert exhaustive_fixed_point(config.model_a, config.model_b, config.space) == expected
+
+    def test_breakdown_of_a_4x5_rule_pair_stays_small(self):
+        spec = ImageSpaceSpec(4, 5, "full")
+        model_a, model_b = rule([0, 7], [3], (4, 5)), rule([1, 2], [5], (4, 5))
+        tracemalloc.start()
+        try:
+            breakdown = disagreement_breakdown(model_a, model_b, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2^20 x 20 matrix alone would take 20 MiB
+        assert breakdown.sample_size == 2**20
+        assert peak < 8 * 2**20
 
     def test_rule_pair_on_3x6_stays_small(self):
         config = EngineConfig(space=ImageSpaceSpec(3, 6, "full"), model_a=rule([0, 7], [3], (3, 6)),

@@ -7,20 +7,19 @@ from diaginterp import imagespace
 from diaginterp.errors import InvalidSpecError, SpaceTooLargeError
 from diaginterp.fixtures import diagonal_images, two_squares_bases
 from diaginterp.imagespace import (
-    FullSpaceRows,
     ImageSpaceSpec,
+    SpaceRows,
     bitstrings_to_rows,
     enumerate_space,
     envelope_size_bound,
     full_columns,
+    pack_columns,
     rows_to_bitstrings,
     space_matrix,
-    space_rows,
     spec_from_json,
     spec_to_json,
 )
 from diaginterp.metrics import confidence_epsilon
-from diaginterp.models import pack_columns
 
 
 def full_spec(w, h):
@@ -200,8 +199,27 @@ class TestEnumeration:
 SMALL_GRIDS = [(w, h) for w in range(1, 21) for h in range(1, 21) if w * h <= 20]
 
 
+def check_reads_as_the_matrix(spec) -> SpaceRows:
+    """SpaceRows(spec) reads as space_matrix(spec): its shape, int and slice
+    indices, and columns, which are the matrix's pack_columns."""
+    matrix, rows = space_matrix(spec), SpaceRows(spec)
+    assert rows.shape == matrix.shape
+    n = len(matrix)
+    for index in (0, 1, n // 2, n - 1, -1):
+        assert np.array_equal(rows[index], matrix[index])
+    for index in (slice(None), slice(1, n - 1), slice(3, 3), slice(n // 3, None, 2)):
+        assert np.array_equal(rows[index], matrix[index])
+    with pytest.raises(IndexError):
+        rows[n]
+    expected = pack_columns(matrix)
+    assert rows.columns.dtype == expected.dtype
+    assert np.array_equal(rows.columns, expected)
+    return rows
+
+
 class TestFullSpaceWithoutMatrix:
-    """A full space's columns and rows come from its image codes alone."""
+    """A full space's columns and rows come from its image codes alone, and
+    an envelope's from its matrix; SpaceRows reads both as the matrix reads."""
 
     @pytest.mark.parametrize("width, height", SMALL_GRIDS, ids=[f"{w}x{h}" for w, h in SMALL_GRIDS])
     def test_full_columns_are_the_packed_matrix(self, width, height):
@@ -212,27 +230,23 @@ class TestFullSpaceWithoutMatrix:
 
     @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (2, 3), (3, 4), (4, 4)])
     def test_rows_decode_as_the_matrix_reads(self, width, height):
-        matrix = space_matrix(full_spec(width, height))
-        rows = space_rows(full_spec(width, height))
-        assert isinstance(rows, FullSpaceRows) and rows.shape == matrix.shape
-        n = len(matrix)
-        for index in (0, 1, n // 2, n - 1, -1):
-            assert np.array_equal(rows[index], matrix[index])
-        for index in (slice(None), slice(1, n - 1), slice(3, 3), slice(n // 3, None, 2)):
-            assert np.array_equal(rows[index], matrix[index])
-        with pytest.raises(IndexError):
-            rows[n]
+        assert check_reads_as_the_matrix(full_spec(width, height)).matrix is None
 
     def test_envelope_rows_are_the_matrix(self):
-        spec = envelope(4, 4, MAIN, ANTI, radius=1)
-        assert np.array_equal(space_rows(spec), space_matrix(spec))
+        # 34 images in one partial word; 780 images of 64 pixels; two images
+        for spec in (envelope(4, 4, MAIN, ANTI, radius=1),
+                     envelope(8, 8, *rows_to_bitstrings(two_squares_bases()[0][:12]), radius=1),
+                     envelope(2, 2, "0110", "1001", radius=0)):
+            rows = check_reads_as_the_matrix(spec)
+            assert np.array_equal(rows.matrix, space_matrix(spec))
+            assert not rows.matrix.flags.writeable
 
     @pytest.mark.parametrize("spec", [full_spec(4, 6), full_spec(10**6, 1)], ids=["4x6", "1e6x1"])
     def test_full_rows_share_the_matrix_guard(self, spec):
         with pytest.raises(SpaceTooLargeError) as matrix_error:
             space_matrix(spec)
         with pytest.raises(SpaceTooLargeError) as rows_error:
-            space_rows(spec)
+            SpaceRows(spec)
         assert str(rows_error.value) == str(matrix_error.value)
 
 

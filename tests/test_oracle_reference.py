@@ -184,7 +184,7 @@ def exhaustive_fixed_point(
         )
     matrix = space_matrix(spec)
     columns = pack_columns(matrix)
-    reference = level_label_matrix(model_b, matrix, columns)
+    reference = level_label_matrix(model_b, matrix)
     current = model_a
     result = brute_force_breakdown(current, model_b, spec)
     if result.total_entropy == 0.0:

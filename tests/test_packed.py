@@ -1,8 +1,8 @@
 """The packed-bit rule path against the uint8 forms it replaced.
 
 A run keeps its labels, disagreements and query region as little-endian
-uint64 words (``imagespace.pack_bits``, ``models.pack_columns``,
-``models.rule_bits``, ``models.level_label_matrix``,
+uint64 words (``imagespace.pack_bits``, ``imagespace.pack_columns``,
+``imagespace.SpaceRows``, ``models.rule_bits``, ``models.level_label_matrix``,
 ``metrics.disagreement``) and picks queries by bit position
 (``engine._nth_bit``, ``engine._rank``). On generated full spaces and
 envelopes up to 3x3, whose row counts are rarely a multiple of 64, and on
@@ -23,15 +23,9 @@ from diaginterp.engine import (
     run_complete_interpretation,
     run_interpretation,
 )
-from diaginterp.imagespace import ImageSpaceSpec, pack_bits, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, SpaceRows, pack_bits, pack_columns, space_matrix
 from diaginterp.metrics import EntropyBreakdown, disagreement
-from diaginterp.models import (
-    RuleLevel,
-    RuleModel,
-    level_label_matrix,
-    pack_columns,
-    rule_bits,
-)
+from diaginterp.models import RuleLevel, RuleModel, level_label_matrix, rule_bits
 from test_properties import random_grid, random_image, random_model, random_rule, random_space
 from test_rule_update_reference import _rule_level_labels
 
@@ -79,20 +73,20 @@ def test_packed_rule_path_matches_the_uint8_arrays(seed):
     # padding bits stay 0
     assert int(np.bitwise_count(labels).sum()) == int(expected.sum())
 
-    # Columns a caller shares give the labels that packing the matrix gives;
-    # a real-valued reference ignores them. The row count is not a multiple
-    # of 64, so the last word has padding.
+    # Labels on a SpaceRows, whose columns every labelling shares, equal the
+    # labels on its bare matrix, for a real-valued reference too.
+    rows = SpaceRows(space)
+    assert np.array_equal(level_label_matrix(model, rows), labels)
+    ref_bits = level_label_matrix(reference, rows)
+    assert np.array_equal(ref_bits, level_label_matrix(reference, matrix))
+    # A bare matrix whose row count is not a multiple of 64 is packed with
+    # padding in its last word, which stays 0.
     part = matrix[: n - (n % 64 == 0)]
     assert len(part) % 64
-    shared = pack_columns(part)
-    part_bits = level_label_matrix(model, part, shared)
-    assert np.array_equal(part_bits, level_label_matrix(model, part))
+    part_bits = level_label_matrix(model, part)
+    assert np.array_equal(part_bits, rule_bits(model.levels, pack_columns(part)))
     assert int(np.bitwise_count(part_bits).sum()) == int(expected[:, : len(part)].sum())
-    assert np.array_equal(
-        level_label_matrix(reference, part, shared), level_label_matrix(reference, part)
-    )
 
-    ref_bits = level_label_matrix(reference, matrix, columns)
     ref_labels = unpack(ref_bits, n)
     assert np.array_equal(pack_bits(ref_labels), ref_bits)
     top_only = bool(rng.integers(0, 2))

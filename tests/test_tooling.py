@@ -116,3 +116,12 @@ def test_traced_retrain_run_records_one_linear_update_per_step(tmp_path):
     steps = len(json.loads((tmp_path / "out" / "report.json").read_text())["steps"])
     assert steps == 6
     assert names.count("models.linear_update") == steps
+
+
+def test_traced_oracle_labels_a_full_space_without_its_matrix(tmp_path):
+    # traced_spans asserts the traced run exits 0. The fixed-point search
+    # labels fig1c's linear black box over its SpaceRows, whose shape the
+    # wrapper reads, and never builds the 4x4 space's matrix.
+    spans = traced_spans(tmp_path, "oracle", "--fixture", "fig1c")
+    assert ("models.level_label_matrix[linear]", {"images": 2**16}) in spans
+    assert "imagespace.space_matrix" not in [name for name, _ in spans]

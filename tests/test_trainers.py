@@ -5,7 +5,9 @@ loops.
 one score per visited example, with the weights moved by
 ``learning_rate * (label - prediction)`` at every mistake. Whenever every
 integer multiple of the rate is exact in float64 (1.0, 0.5, 2.0, 3.0, ...)
-that loop is itself exact, and ``train_linear`` must equal it bit for bit.
+that loop is itself exact, and the rate times ``train_linear``'s integer
+counts must equal it bit for bit. A retrain run's report, which the rate
+cannot change, must then be the same at any rate but for the echoed rate.
 
 ``reference_train_neural`` is full-batch gradient descent that builds a
 validated ``NeuralModel`` every epoch and takes its gradients from a forward
@@ -18,24 +20,28 @@ checks the same examples.
 """
 
 import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diaginterp import models
+from diaginterp.cli import main
+from diaginterp.engine import EngineConfig, config_to_json
 from diaginterp.fixtures import build_fixture
-from diaginterp.imagespace import pack_bits
+from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.models import (
+    LinearModel,
     NeuralLayer,
     NeuralModel,
     _sigmoid,
     bce_gradients,
     init_neural,
-    level_label_matrix,
     train_linear,
     train_neural,
 )
+from test_properties import random_model
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -148,10 +154,10 @@ def exact_bits(a, b) -> bool:
 def test_train_linear_equals_the_per_example_loop(seed, rate, epochs):
     rng = np.random.default_rng(seed)
     dataset = random_dataset(rng)
-    model = train_linear(*dataset, epochs, rate, rng_seed=seed)
+    model = train_linear(*dataset, epochs, rng_seed=seed)
     w, b = reference_train_linear(*dataset, epochs, rate, rng_seed=seed)
-    assert exact_bits(model.weights, w)
-    assert exact_bits(model.bias, b)
+    assert exact_bits(rate * model.weights, w)
+    assert exact_bits(rate * model.bias, b)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
@@ -163,7 +169,7 @@ def test_train_linear_equals_the_per_example_loop_on_larger_sets(noise):
     scores = rows @ rng.normal(size=64)
     labels = (scores > np.median(scores)) ^ (rng.random(800) < noise)
     dataset = rows, labels.astype(np.uint8), 8, 8
-    model = train_linear(*dataset, 12, 1.0, rng_seed=5)
+    model = train_linear(*dataset, 12, rng_seed=5)
     w, b = reference_train_linear(*dataset, 12, 1.0, rng_seed=5)
     assert exact_bits(model.weights, w)
     assert exact_bits(model.bias, b)
@@ -177,23 +183,36 @@ def test_train_linear_over_the_gram_budget_equals_the_per_example_loop(noise, mo
     test_train_linear_equals_the_per_example_loop_on_larger_sets(noise)
 
 
-@PROPERTY_SETTINGS
-@given(SEEDS, st.integers(min_value=1, max_value=50))
-def test_rate_only_scales_the_weights(seed, epochs):
-    # The mistakes, and so the integer counts, do not depend on the rate: at
-    # 0.1 the weights are 0.1 times the rate-1.0 ones, and every row whose
-    # rate-1.0 score is nonzero keeps its label. A row scoring exactly 0 may
-    # round either way once the weights are scaled by 0.1.
+def retrain_run_spec(seed: int, rate: float) -> dict:
+    """A run spec over the full space of a random grid of up to 3x3: a
+    zero-weight perceptron, retrained for 20 epochs on a random base dataset
+    plus its queries, against a random one-level black box, at ``rate``."""
     rng = np.random.default_rng(seed)
-    dataset = random_dataset(rng)
-    one = train_linear(*dataset, epochs, 1.0, rng_seed=seed)
-    tenth = train_linear(*dataset, epochs, 0.1, rng_seed=seed)
-    assert exact_bits(tenth.weights, 0.1 * one.weights)
-    assert exact_bits(tenth.bias, 0.1 * one.bias)
-    rows = dataset[0]
-    decided = pack_bits((rows @ one.weights + one.bias != 0.0)[None])
-    differ = level_label_matrix(tenth, rows) ^ level_label_matrix(one, rows)
-    assert not (differ & decided).any()
+    rows, labels, width, height = random_dataset(rng, max_side=3, max_examples=12)
+    return config_to_json(EngineConfig(
+        space=ImageSpaceSpec(width, height, "full"),
+        model_a=LinearModel(width, height, np.zeros(width * height), 0.0),
+        model_b=random_model(rng, width, height, 1),
+        base_dataset=(rows, labels),
+        max_queries=10, stall_patience=10, rng_seed=seed, retrain_epochs=20,
+        retrain_learning_rate=rate,
+    ))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_retrain_reports_do_not_depend_on_the_rate(tmp_path, seed):
+    # Weights scaled by 0.1 round some integer scores of exactly 0 above 0, so
+    # a perceptron whose weights were rate times its counts labelled, queried
+    # and reported differently at 0.1 on seeds 0, 5, 7, 9 and 10 here.
+    reports = []
+    for rate in (0.1, 1.0):
+        spec_path, out = tmp_path / f"run-{rate}.json", tmp_path / f"out-{rate}"
+        spec_path.write_text(json.dumps(retrain_run_spec(seed, rate)))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_text())
+    echoed = '"retrain_learning_rate": 0.1,'
+    assert reports[0].count(echoed) == 1
+    assert reports[0].replace(echoed, '"retrain_learning_rate": 1.0,') == reports[1]
 
 
 @functools.cache
