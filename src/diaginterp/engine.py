@@ -40,7 +40,7 @@ termination rules:
   space in enumeration order with the rule updater, stopping at zero entropy,
   at a fixed point where a whole pass leaves the entropy unchanged, or at a
   cycle, when a pass ends on a model an earlier pass started or ended with;
-  admits_complete_run says which pairs it takes.
+  admits_complete_run says which pairs it takes; it refuses the rest.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AbstractionMismatchError, InvalidConfigError
+from .errors import InvalidConfigError
 from .imagespace import (
     ImageSpaceSpec,
     SpaceRows,
@@ -361,13 +361,10 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     (``cycle``). The updater is deterministic and a grid has finitely many
     rule models, so one of the three always happens.
     """
-    if config.space.mode != "full":
-        raise InvalidConfigError("complete interpretation runs over a full space")
-    if config.updater != RULE_UPDATER:
-        raise InvalidConfigError("complete interpretation edits a rule model")
-    if num_levels(config.model_a) != num_levels(config.model_b):
-        raise AbstractionMismatchError(
-            "complete interpretation updates every level and needs matched level counts"
+    if not admits_complete_run(config.model_a, config.model_b, config.space):
+        raise InvalidConfigError(
+            "complete interpretation needs a rule known model with as many levels "
+            "as the black box, over a full space"
         )
 
     run = _Run(config)

@@ -288,7 +288,7 @@ def rule_update(
     at every level, using the fewest constraint insertions/removals per level.
 
     ``columns`` is the evaluation space's pack_columns and ``reference_bits``
-    the reference's labels over it (level_label_matrix), one row of words per
+    the reference's labels over it (level_label_matrix's layout), one row per
     level of ``model``; the caller aligns another level count.
 
     For a level that must flip 0 -> 1 the edit is forced: keep only the

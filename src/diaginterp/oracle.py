@@ -4,10 +4,11 @@ complete-interpretation fixed points.
 Everything here recounts from scratch with straight-line scalar loops and
 its own per-model labellers. It deliberately shares no counting or
 enumeration code with the vectorized paths it is used to validate; entropies
-are always recomputed from integer counts. The one exception is the input of
-the minimal-edit updater that the fixed-point search drives: like the engine,
-it reads the space as one imagespace.SpaceRows and hands rule_update its
-packed columns and level_label_matrix's words.
+are always recomputed from integer counts. The one exception is the
+minimal-edit updater that the fixed-point search drives, models.rule_update,
+with its packed inputs: the full space's columns from imagespace.full_columns,
+and the black box's labels from this module's labeller, packed with
+imagespace.pack_bits.
 
 An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
@@ -28,16 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AbstractionMismatchError, InvalidConfigError, SpaceTooLargeError
-from .imagespace import ImageSpaceSpec, SpaceRows
-from .models import (
-    LinearModel,
-    Model,
-    NeuralModel,
-    RuleModel,
-    level_label_matrix,
-    num_levels,
-    rule_update,
-)
+from .imagespace import ImageSpaceSpec, full_columns, pack_bits
+from .models import LinearModel, Model, NeuralModel, RuleModel, num_levels, rule_update
 
 ORACLE_SPACE_LIMIT = 1 << 20
 
@@ -267,8 +260,12 @@ def exhaustive_fixed_point(
         )
     codes = _codes(spec, model_a, model_b)
     labels_b = _scalar_levels(model_b, spec, codes)
-    space = SpaceRows(spec)
-    reference = level_label_matrix(model_b, space)
+    # rule_update's inputs: the space's packed columns, and the black box's
+    # labels packed level by level, one row of words each
+    columns = full_columns(spec.num_pixels)
+    reference = np.vstack(
+        [pack_bits(np.frombuffer(bytes(labels), np.uint8)[None]) for labels in labels_b]
+    )
     current = model_a
     initial = _breakdown(
         spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP
@@ -294,7 +291,7 @@ def exhaustive_fixed_point(
                 break
             target = [labels[miss] for labels in labels_b]
             bits = [int(digit) for digit in format(codes[miss], f"0{spec.num_pixels}b")]
-            current = rule_update(current, bits, target, space.columns, reference)
+            current = rule_update(current, bits, target, columns, reference)
             changed = True
         if not changed:
             # a pass with no update ends on the model the last one ended on

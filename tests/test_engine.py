@@ -394,7 +394,7 @@ class TestRunCompleteInterpretation:
                                       "level mismatch"])
     def test_admits_complete_run_is_what_the_complete_run_takes(self, case):
         # demo and oracle pick complete runs by the predicate; the complete
-        # run's own guards refuse exactly the pairs it does not admit
+        # run refuses exactly the pairs it does not admit, with one error
         settings = {
             "space": ImageSpaceSpec(2, 2, "full"),
             "model_a": rule(ones=[0], grid=(2, 2)),
@@ -414,7 +414,7 @@ class TestRunCompleteInterpretation:
         if admitted:
             assert run_complete_interpretation(config).termination == "entropy_zero"
         else:
-            with pytest.raises((InvalidConfigError, AbstractionMismatchError)):
+            with pytest.raises(InvalidConfigError, match="complete interpretation needs"):
                 run_complete_interpretation(config)
 
     def test_final_model_agrees_everywhere_when_expressible(self):

@@ -1,7 +1,9 @@
 """The traced benchmark (perfbench/traced_op.py) wraps package functions by
 name and reads their positional arguments; every name it wraps must still
 exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
-without any test noticing."""
+without any test noticing. Two source checks ride along, since the project has
+no linter: what the oracle borrows from the fast paths, and that no module keeps
+a stale import."""
 
 import ast
 import importlib
@@ -18,6 +20,7 @@ from test_cli import RETRAIN_ROWS, linear_run_spec
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_OP = ROOT / "perfbench" / "traced_op.py"
 CHECK = ROOT / "perfbench" / "check.py"
+SRC = ROOT / "src" / "diaginterp"
 
 
 def traced_layer_functions() -> dict:
@@ -118,10 +121,50 @@ def test_traced_retrain_run_records_one_linear_update_per_step(tmp_path):
     assert names.count("models.linear_update") == steps
 
 
-def test_traced_oracle_labels_a_full_space_without_its_matrix(tmp_path):
+def test_traced_oracle_labels_its_black_box_only_with_its_own_labeller(tmp_path):
     # traced_spans asserts the traced run exits 0. The fixed-point search
-    # labels fig1c's linear black box over its SpaceRows, whose shape the
-    # wrapper reads, and never builds the 4x4 space's matrix.
-    spans = traced_spans(tmp_path, "oracle", "--fixture", "fig1c")
-    assert ("models.level_label_matrix[linear]", {"images": 2**16}) in spans
+    # labels fig1c's linear black box with the oracle's scalar labeller alone,
+    # and builds neither the 4x4 space's matrix nor a level_label_matrix.
+    names = [name for name, _ in traced_spans(tmp_path, "oracle", "--fixture", "fig1c")]
+    assert not [name for name in names if name.startswith("models.level_label_matrix")]
+    assert "imagespace.space_matrix" not in names
+
+
+def test_traced_complete_run_labels_a_full_space_without_its_matrix(tmp_path):
+    # The complete run labels fig1c's linear black box once, over its
+    # SpaceRows, whose shape the wrapper reads, and never builds the matrix.
+    spans = traced_spans(tmp_path, "demo", "--fixture", "fig1c")
+    assert spans.count(("models.level_label_matrix[linear]", {"images": 2**16})) == 1
     assert "imagespace.space_matrix" not in [name for name, _ in spans]
+
+
+def test_oracle_borrows_only_the_updater_and_its_packed_inputs():
+    # The oracle checks the fast paths, so it labels, counts and enumerates on
+    # its own; it borrows rule_update and the two builders of its inputs.
+    imported: dict = {}
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert imported == {
+        "errors": {"AbstractionMismatchError", "InvalidConfigError", "SpaceTooLargeError"},
+        "imagespace": {"ImageSpaceSpec", "full_columns", "pack_bits"},
+        "models": {"LinearModel", "Model", "NeuralModel", "RuleModel", "num_levels",
+                   "rule_update"},
+    }
+
+
+def test_every_from_import_in_the_package_is_used():
+    # no linter runs on the package; a name left imported after its last use
+    # goes would otherwise stay unnoticed
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                stale += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                ]
+    assert stale == []
