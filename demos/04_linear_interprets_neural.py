@@ -12,12 +12,13 @@ all 2^64 possible images.
 
 from diaginterp.engine import run_interpretation
 from diaginterp.fixtures import build_fixture
+from diaginterp.models import training_accuracy
 
 fx = build_fixture("eval-squares", seed=0)
 print(f"evaluation envelope: {len(fx.space.base_images)} base images "
       f"plus one-pixel flips")
 print(f"black-box training accuracy: {fx.black_box_train_accuracy:.3f}")
-print(f"known-model training accuracy: {fx.known_model_train_accuracy:.3f}")
+print(f"known-model training accuracy: {training_accuracy(fx.model_a, *fx.base_dataset):.3f}")
 
 report = run_interpretation(fx.engine_config(rng_seed=0))
 d0 = report.initial_entropy.disagreement_counts[0]

@@ -19,6 +19,7 @@ a given command line.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -251,6 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command in ``argv``. Without one this is the process entry (the
+    console script, ``python -m``): gc.freeze keeps the import heap out of
+    every collection, the interpreter's teardown included."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +164,7 @@ class EngineConfig:
             )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     query: str  # the queried image's bitstring
     entropy_after: EntropyBreakdown
@@ -181,8 +181,7 @@ class StepRecord:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     initial_entropy: EntropyBreakdown
     steps: tuple[StepRecord, ...]
     final_interpretability: float
@@ -192,7 +191,7 @@ class Report:
     config: EngineConfig
     epsilon: Confidence | None = None
     pass_disagreements: tuple[int, ...] | None = None
-    final_model: Model | None = field(repr=False, default=None)
+    final_model: Model | None = None
 
     def to_json(self) -> dict:
         doc = {

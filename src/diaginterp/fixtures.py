@@ -21,7 +21,7 @@ builder; engine.admits_complete_run, not a fixture flag, picks complete runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ NEURAL_LEARNING_RATE = 0.5
 PERCEPTRON_EPOCHS = 100
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     space: ImageSpaceSpec
@@ -64,7 +63,6 @@ class Fixture:
     max_queries: int
     base_dataset: tuple[np.ndarray, np.ndarray] | None = None
     black_box_train_accuracy: float | None = None
-    known_model_train_accuracy: float | None = None
 
     def engine_config(self, **settings) -> EngineConfig:
         """The fixture's run: its space, models, mode, query budget and base
@@ -228,7 +226,6 @@ def _build_eval_squares(seed: int) -> Fixture:
         max_queries=10,
         base_dataset=(rows, labels),
         black_box_train_accuracy=training_accuracy(black_box, rows, labels),
-        known_model_train_accuracy=training_accuracy(known, rows, labels),
     )
 
 

@@ -42,7 +42,7 @@ golden-sequence tests and seeded sampling reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -66,7 +66,7 @@ class ImageSpaceSpec:
     width: int
     height: int
     mode: str
-    base_images: tuple[str, ...] = field(default=())
+    base_images: tuple[str, ...] = ()
     flip_radius: int = 0
 
     def __post_init__(self) -> None:

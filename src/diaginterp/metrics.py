@@ -20,7 +20,7 @@ disagreement_breakdown reads its space as one imagespace.SpaceRows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def binary_entropy(f: float) -> float:
     return -f * math.log2(f) - (1.0 - f) * math.log2(1.0 - f)
 
 
-@dataclass(frozen=True)
-class EntropyBreakdown:
+class EntropyBreakdown(NamedTuple):
     """Per-level disagreement entropies and their sum.
 
     ``disagreement_counts`` and ``sample_size`` keep the exact integers the
@@ -148,8 +147,7 @@ def interpretability(h_initial: float, h_final: float) -> float:
     return max(raw_interpretability(h_initial, h_final), 0.0)
 
 
-@dataclass(frozen=True)
-class Confidence:
+class Confidence(NamedTuple):
     """Coverage of the evaluation subset relative to the full image space,
     as log2(|S|) - log2(|full|), plus a scientific-notation rendering."""
 

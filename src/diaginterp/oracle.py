@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +37,7 @@ ORACLE_SPACE_LIMIT = 1 << 20
 DEFAULT_IMAGE_KEEP = 4096
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     disagreement_counts: tuple[int, ...]
     sample_size: int
     per_level_entropy: tuple[float, ...]

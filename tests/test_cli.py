@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -706,3 +707,27 @@ class TestBlasThreads:
     def test_package_import_leaves_numpy_unimported(self):
         code = "import sys, diaginterp; print('numpy' in sys.modules)"
         assert self.fresh_python(code) == "False"
+
+
+class TestProcessEntry:
+    """main() with no argv is the process entry, and freezes the import heap
+    so the interpreter's teardown does not walk it; main(argv) called in
+    process leaves the collector as it found it."""
+
+    def test_in_process_main_leaves_the_collector_as_it_was(self, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["demo", "--fixture", "fig1b", "--out", str(tmp_path)]) == 0
+        assert main(["interpret", "--fixture", "nope", "--out", str(tmp_path)]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_process_entry_freezes_the_import_heap(self, tmp_path):
+        argv = ["diaginterp", "demo", "--fixture", "fig1b", "--out", str(tmp_path)]
+        code = (
+            "import gc, sys; from diaginterp.cli import main; "
+            f"sys.argv = {argv!r}; "
+            "frozen = gc.get_freeze_count(); code = main(); "
+            "print(frozen, code, gc.get_freeze_count() > 0, gc.isenabled())"
+        )
+        # the last line, after the demo's summary
+        assert TestBlasThreads.fresh_python(code).splitlines()[-1] == "0 0 True True"
+        assert (tmp_path / "summary.txt").exists()

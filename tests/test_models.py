@@ -257,7 +257,7 @@ class TestTrainLinear:
         from diaginterp.fixtures import build_fixture
 
         fx = build_fixture("eval-squares", seed=0)
-        assert fx.known_model_train_accuracy == 1.0
+        assert training_accuracy(fx.model_a, *fx.base_dataset) == 1.0
 
     def test_same_seed_identical_weights(self):
         dataset = self.one_pixel_dataset()

@@ -185,6 +185,29 @@ def test_budgeted_run_final_counts_match_brute_force(seed, mode, linear):
 
 @PROPERTY_SETTINGS
 @given(SEEDS)
+def test_every_step_counts_match_brute_force(seed):
+    # A seeded run with budget t is the first t steps of the run with a larger
+    # budget, so the budget-t run's final model is step t's model, and the
+    # oracle recounts every step from scratch; in both modes, edited and
+    # retrained known models alike.
+    for mode in ("diagnostic", "epsilon"):
+        config = replace(random_config(np.random.default_rng(seed), mode), max_queries=8)
+        steps = run_interpretation(config).steps
+        for t, step in enumerate(steps, 1):
+            prefix = run_interpretation(replace(config, max_queries=t))
+            assert prefix.steps == steps[:t]
+            oracle = brute_force_breakdown(
+                prefix.final_model, config.model_b, config.space, keep_images=0
+            )
+            # epsilon mode compares the diagnosis level only
+            levels = slice(None) if mode == "diagnostic" else slice(-1, None)
+            assert step.entropy_after.disagreement_counts == oracle.disagreement_counts[levels]
+            assert step.entropy_after.per_level == oracle.per_level_entropy[levels]
+            assert step.entropy_after.sample_size == oracle.sample_size
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
 def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
     rng = np.random.default_rng(seed)
     width, height = random_grid(rng)

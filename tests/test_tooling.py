@@ -1,9 +1,9 @@
 """The traced benchmark (perfbench/traced_op.py) wraps package functions by
 name and reads their positional arguments; every name it wraps must still
 exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
-without any test noticing. Two source checks ride along, since the project has
-no linter: what the oracle borrows from the fast paths, and that no module keeps
-a stale import."""
+without any test noticing. Three source checks ride along, since the project has
+no linter: what the oracle borrows from the fast paths, that no module keeps a
+stale import, and which classes may be dataclasses."""
 
 import ast
 import importlib
@@ -168,3 +168,32 @@ def test_every_from_import_in_the_package_is_used():
                     if (alias.asname or alias.name) not in used
                 ]
     assert stale == []
+
+
+def test_only_checked_classes_are_dataclasses():
+    # Building a dataclass compiles its generated methods at every import; a
+    # class pays that only when its __post_init__ checks or normalizes its
+    # fields. A plain record, fields and methods alone, is a NamedTuple.
+    unchecked, records, plain = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            name = f"{path.name}: {node.name}"
+            dataclass = any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list
+            )
+            methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+            if dataclass and "__post_init__" not in methods:
+                unchecked.append(name)
+            if [ast.unparse(base) for base in node.bases] == ["NamedTuple"]:
+                records.append(name)
+            elif not dataclass and any(isinstance(n, ast.AnnAssign) for n in node.body):
+                plain.append(name)
+    assert unchecked == []
+    assert plain == []
+    assert records == [
+        "engine.py: StepRecord", "engine.py: Report", "fixtures.py: Fixture",
+        "metrics.py: EntropyBreakdown", "metrics.py: Confidence", "models.py: NeuralLayer",
+        "oracle.py: OracleResult",
+    ]
