@@ -127,7 +127,8 @@ def _cmd_oracle(args) -> int:
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")
-    has_fixed_point = admits_complete_run(model_a, model_b, space)
+    # the fixed point compares every level, as a diagnostic-mode run does
+    has_fixed_point = admits_complete_run(model_a, model_b, space, "diagnostic")
     if has_fixed_point:
         # the search's starting breakdown is the pair's breakdown
         _, fixed, result = exhaustive_fixed_point(model_a, model_b, space)
@@ -152,7 +153,7 @@ def _cmd_oracle(args) -> int:
 
 def _demo_static(fixture, args, out_dir: Path) -> list[str]:
     config = fixture.engine_config(**_overrides(args))
-    complete = admits_complete_run(config.model_a, config.model_b, config.space)
+    complete = admits_complete_run(config.model_a, config.model_b, config.space, config.mode)
     report = run_complete_interpretation(config) if complete else run_interpretation(config)
     _write_report(report, out_dir)
     h0 = report.initial_entropy.total

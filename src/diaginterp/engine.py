@@ -40,7 +40,7 @@ termination rules:
   space in enumeration order with the rule updater, stopping at zero entropy,
   at a fixed point where a whole pass leaves the entropy unchanged, or at a
   cycle, when a pass ends on a model an earlier pass started or ended with;
-  admits_complete_run says which pairs it takes; it refuses the rest.
+  admits_complete_run says which diagnostic runs it takes; it refuses the rest.
 """
 
 from __future__ import annotations
@@ -340,13 +340,15 @@ def run_interpretation(config: EngineConfig) -> Report:
     return run.report(TERM_BUDGET)
 
 
-def admits_complete_run(model_a: Model, model_b: Model, space: ImageSpaceSpec) -> bool:
-    """Whether a pair gets complete interpretation: a rule known model with
-    as many levels as the black box, over a full space."""
+def admits_complete_run(model_a: Model, model_b: Model, space: ImageSpaceSpec, mode: str) -> bool:
+    """Whether a run gets complete interpretation: a rule known model with as
+    many levels as the black box, over a full space, in diagnostic mode, which
+    compares every level, as its reference exhaustive_fixed_point does."""
     return (
         isinstance(model_a, RuleModel)
         and num_levels(model_a) == num_levels(model_b)
         and space.mode == "full"
+        and mode == "diagnostic"
     )
 
 
@@ -360,10 +362,10 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
     (``cycle``). The updater is deterministic and a grid has finitely many
     rule models, so one of the three always happens.
     """
-    if not admits_complete_run(config.model_a, config.model_b, config.space):
+    if not admits_complete_run(config.model_a, config.model_b, config.space, config.mode):
         raise InvalidConfigError(
             "complete interpretation needs a rule known model with as many levels "
-            "as the black box, over a full space"
+            "as the black box, over a full space, in diagnostic mode"
         )
 
     run = _Run(config)

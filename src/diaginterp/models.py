@@ -7,8 +7,8 @@ the diagnosis label. Rule models may have any number of levels; the
 real-valued families are single-level.
 
 A net has one forward and one backward pass, ``_forward`` and ``_backward``;
-labelling, the gradients and the training epochs all run them, and training
-passes them buffers it makes once. The perceptron keeps integer mistake
+labelling runs the first, and training, whose hidden layers are relu, runs
+both into buffers it makes once. The perceptron keeps integer mistake
 counts, so its scores are exact. Real-valued labels take one fixed block of
 float rows at a time, never a float copy of the whole space.
 
@@ -201,8 +201,8 @@ def _forward(layers: Sequence[NeuralLayer], X: np.ndarray, out=None) -> list[np.
 
 
 def _backward(layers, activations, y, grads) -> None:
-    """The net's backward pass: bce_loss's gradients into ``grads``. Each of a
-    forward pass's ``activations`` but the batch is overwritten by its delta."""
+    """A relu net's backward pass: the cross-entropy's gradients into ``grads``.
+    Each of a forward pass's ``activations`` but the batch becomes its delta."""
     # Sigmoid + cross-entropy collapse to (p - y)/n at the output.
     delta = np.subtract(activations[-1], y[:, None], out=activations[-1])
     delta /= len(y)
@@ -210,13 +210,9 @@ def _backward(layers, activations, y, grads) -> None:
         np.matmul(activations[k].T, delta, out=grads[k][0])
         np.add.reduce(delta, axis=0, out=grads[k][1])
         if k > 0:
-            # Both derivatives read off the activation before its delta: a relu
-            # unit's is positive iff its input is; a sigmoid unit's is s in s(1-s).
-            a = activations[k]
-            factors = [a > 0.0] if layers[k - 1].activation == "relu" else [a.copy(), 1.0 - a]
-            delta = np.matmul(delta, layers[k].weights.T, out=a)
-            for factor in factors:
-                delta *= factor
+            positive = activations[k] > 0.0  # relu's derivative, read before the delta
+            delta = np.matmul(delta, layers[k].weights.T, out=activations[k])
+            delta *= positive
 
 
 def neural_forward(model: NeuralModel, inputs: np.ndarray) -> np.ndarray:
@@ -453,10 +449,9 @@ def init_neural(
     width: int,
     height: int,
     rng_seed,
-    hidden_activation: str = "relu",
 ) -> NeuralModel:
-    """Fresh net with uniform(-r, r) weights, r = sqrt(6/(fan_in+fan_out)),
-    and zero biases."""
+    """Fresh net of relu hidden layers and one sigmoid output unit, with
+    uniform(-r, r) weights, r = sqrt(6/(fan_in+fan_out)), and zero biases."""
     sizes = [int(s) for s in architecture]
     if len(sizes) < 2:
         raise InvalidConfigError("architecture needs at least input and output sizes")
@@ -473,22 +468,9 @@ def init_neural(
     for depth, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         r = math.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-r, r, size=(fan_in, fan_out))
-        activation = "sigmoid" if depth == len(sizes) - 2 else hidden_activation
+        activation = "sigmoid" if depth == len(sizes) - 2 else "relu"
         layers.append(NeuralLayer(weights, np.zeros(fan_out), activation))
     return NeuralModel(width, height, tuple(layers))
-
-
-def bce_loss(model: NeuralModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy of the net's output probabilities."""
-    p = np.clip(neural_forward(model, X), 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def bce_gradients(model: NeuralModel, X: np.ndarray, y: np.ndarray):
-    """Backpropagated gradients of bce_loss; one (dW, db) pair per layer."""
-    grads = [(np.empty_like(weights), np.empty_like(bias)) for weights, bias, _ in model.layers]
-    _backward(model.layers, _forward(model.layers, X), np.asarray(y, dtype=np.float64), grads)
-    return grads
 
 
 def _flat_layers(layers: Sequence[NeuralLayer]) -> tuple[np.ndarray, list[NeuralLayer]]:
@@ -512,7 +494,6 @@ def train_neural(
     epochs: int,
     learning_rate: float,
     rng_seed,
-    hidden_activation: str = "relu",
 ) -> NeuralModel:
     """Full-batch gradient descent on binary cross-entropy. The layers are
     views of one flat parameter vector and their gradients of another; each
@@ -521,7 +502,7 @@ def train_neural(
     ``w - rate * dw``. The net is validated once, at the end."""
     check_training(epochs, learning_rate)
     X, y = _training_arrays(X, y, width * height)
-    init = init_neural(architecture, width, height, rng_seed, hidden_activation).layers
+    init = init_neural(architecture, width, height, rng_seed).layers
     (theta, layers), (grad, grads) = _flat_layers(init), _flat_layers(init)
     activations = [np.empty((len(X), len(bias))) for _, bias, _ in init]
     for _ in range(epochs):

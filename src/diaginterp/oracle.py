@@ -33,6 +33,10 @@ from .models import LinearModel, Model, NeuralModel, RuleModel, num_levels, rule
 
 ORACLE_SPACE_LIMIT = 1 << 20
 
+# Images the fixed-point search may scan in all: each update scans the whole
+# space, so a full 4x4 space gets 32,768 updates and 4x5 2,048.
+ORACLE_SCAN_LIMIT = 1 << 31
+
 # Disagreement images kept in a result, at most.
 DEFAULT_IMAGE_KEEP = 4096
 
@@ -244,7 +248,7 @@ def exhaustive_fixed_point(
     Returns the resulting model, its breakdown (no images kept) and the
     starting pair's breakdown, which is brute_force_breakdown(model_a,
     model_b, spec) with its default images kept. The space is enumerated and
-    the black box labelled once, for the whole search.
+    the black box labelled once, for a search that ORACLE_SCAN_LIMIT bounds.
 
     This is the reference answer for the engine's complete-interpretation run.
     """
@@ -272,10 +276,12 @@ def exhaustive_fixed_point(
         # nothing left to interpret: the start is the fixed point
         return current, initial, initial
     result = initial
+    budget = ORACLE_SCAN_LIMIT // len(codes)
+    updates = 0
     # The model at the start and at the end of each pass so far.
     seen = {current}
     while True:
-        changed = False
+        pass_start = updates
         miss = -1
         while True:
             # The next image, in enumeration order, that the current model
@@ -287,11 +293,16 @@ def exhaustive_fixed_point(
             miss = next(compress(count(start), _misses(mine, rest)), None)
             if miss is None:
                 break
+            if updates == budget:
+                raise SpaceTooLargeError(
+                    f"oracle guard: the fixed-point search needs over {budget} updates of "
+                    f"2^{spec.num_pixels} images; the limit is {ORACLE_SCAN_LIMIT} image scans"
+                )
             target = [labels[miss] for labels in labels_b]
             bits = [int(digit) for digit in format(codes[miss], f"0{spec.num_pixels}b")]
             current = rule_update(current, bits, target, columns, reference)
-            changed = True
-        if not changed:
+            updates += 1
+        if updates == pass_start:
             # a pass with no update ends on the model the last one ended on
             return current, result, initial
         entropy_before = result.total_entropy

@@ -13,8 +13,9 @@ from diaginterp.engine import run_complete_interpretation, run_interpretation
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.metrics import binary_entropy, confidence_epsilon, disagreement_breakdown
-from diaginterp.models import RuleLevel, RuleModel, bce_gradients, bce_loss, init_neural
+from diaginterp.models import RuleLevel, RuleModel, init_neural
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
+from test_trainers import bce_loss, reference_bce_gradients
 
 
 def _passed(number, message):
@@ -172,8 +173,8 @@ def test_criterion_7_numerical_properties(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.integers(0, 2, size=(5, 4)).astype(float)
     y = rng.integers(0, 2, size=5).astype(float)
-    model = init_neural([4, 3, 1], width=2, height=2, rng_seed=7, hidden_activation="sigmoid")
-    grads = bce_gradients(model, X, y)
+    model = init_neural([4, 3, 1], width=2, height=2, rng_seed=7)
+    grads = reference_bce_gradients(model, X, y)
     h = 1e-5
     worst = 0.0
     for k, layer in enumerate(model.layers):

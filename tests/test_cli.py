@@ -537,6 +537,28 @@ class TestOracle:
         assert len(err) == 1 and err[0].startswith(f"error: {guard}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("size, code", [((4, 4), 0), ((4, 5), 3)], ids=["4x4", "4x5"])
+    def test_fixed_point_search_exits_3_only_past_its_scan_limit(self, tmp_path, capsys, size, code):
+        # A long rule-vs-linear search: 15,392 updates on 4x4, within its 32,768
+        # (2^31 / 2^16); on 4x5 it passes the 2,048 (2^31 / 2^20) it is allowed.
+        width, height = size
+        rule = RuleModel(width, height, (RuleLevel.of(ones=[0, 7], zeros=[3]),))
+        weights = np.random.default_rng(0).normal(size=width * height)
+        linear = LinearModel(width, height, weights, 0.3)
+        models = {"model_a": model_to_json(rule), "model_b": model_to_json(linear)}
+        space = spec_to_json(ImageSpaceSpec(width, height, "full"))
+        assert self.run_oracle_files(tmp_path, models, space) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            assert "fixed_point" in read_json(tmp_path / "oracle.json")
+        else:
+            assert err == [
+                "error: oracle guard: the fixed-point search needs over 2048 updates of "
+                "2^20 images; the limit is 2147483648 image scans"
+            ]
+            assert not (tmp_path / "oracle.json").exists()
+
     @pytest.mark.parametrize("size", [(4, 5), (5, 5)])
     def test_oracle_checks_the_grid_before_enumerating(self, tmp_path, capsys, size):
         # a 5x5 full space is past the oracle's guard, but the grid is the fault

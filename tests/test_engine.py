@@ -391,7 +391,7 @@ class TestRunCompleteInterpretation:
             run_complete_interpretation(fx.engine_config(rng_seed=0))
 
     @pytest.mark.parametrize("case", ["rule pair", "envelope", "linear known model",
-                                      "level mismatch"])
+                                      "level mismatch", "epsilon rule pair"])
     def test_admits_complete_run_is_what_the_complete_run_takes(self, case):
         # demo and oracle pick complete runs by the predicate; the complete
         # run refuses exactly the pairs it does not admit, with one error
@@ -408,14 +408,33 @@ class TestRunCompleteInterpretation:
         elif case == "level mismatch":
             settings["model_a"] = RuleModel(2, 2, (RuleLevel.of(ones=[3]), RuleLevel.of(ones=[0])))
             settings["mode"] = "epsilon"
+        elif case == "epsilon rule pair":
+            settings["mode"] = "epsilon"
         config = EngineConfig(**settings)
-        admitted = admits_complete_run(config.model_a, config.model_b, config.space)
+        admitted = admits_complete_run(config.model_a, config.model_b, config.space, config.mode)
         assert admitted == (case == "rule pair")
         if admitted:
             assert run_complete_interpretation(config).termination == "entropy_zero"
         else:
             with pytest.raises(InvalidConfigError, match="complete interpretation needs"):
                 run_complete_interpretation(config)
+
+    def test_epsilon_mode_is_refused_where_its_run_would_miss_the_fixed_point(self):
+        # An epsilon-mode complete run would query only the diagnosis level's
+        # disagreements and stop after 2 steps at entropy 0, on a model other
+        # than the oracle's, whose search queries a miss at any level. The
+        # diagnostic run takes 5 steps and reaches the oracle's model.
+        space = ImageSpaceSpec(3, 3, "full")
+        model_a = RuleModel(3, 3, (RuleLevel.of(ones=[0]), RuleLevel.of(ones=[1, 2])))
+        model_b = RuleModel(
+            3, 3, (RuleLevel.of(ones=[4], zeros=[0]), RuleLevel.of(ones=[1], zeros=[8]))
+        )
+        config = EngineConfig(space=space, model_a=model_a, model_b=model_b)
+        report = run_complete_interpretation(config)
+        assert (report.termination, len(report.steps)) == ("entropy_zero", 5)
+        assert report.final_model == exhaustive_fixed_point(model_a, model_b, space)[0]
+        with pytest.raises(InvalidConfigError, match="in diagnostic mode"):
+            run_complete_interpretation(replace(config, mode="epsilon"))
 
     def test_final_model_agrees_everywhere_when_expressible(self):
         fx = build_fixture("fig1b")

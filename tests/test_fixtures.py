@@ -25,7 +25,9 @@ class TestCatalog:
         # demo runs complete interpretation on exactly these fixtures
         fixtures = [build_fixture(name) for name in fixture_names()]
         admitted = [
-            fx.name for fx in fixtures if admits_complete_run(fx.model_a, fx.model_b, fx.space)
+            fx.name
+            for fx in fixtures
+            if admits_complete_run(fx.model_a, fx.model_b, fx.space, fx.mode)
         ]
         assert admitted == ["fig1b", "fig1c"]
 

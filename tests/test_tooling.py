@@ -1,9 +1,10 @@
 """The traced benchmark (perfbench/traced_op.py) wraps package functions by
 name and reads their positional arguments; every name it wraps must still
 exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
-without any test noticing. Three source checks ride along, since the project has
+without any test noticing. Four source checks ride along, since the project has
 no linter: what the oracle borrows from the fast paths, that no module keeps a
-stale import, and which classes may be dataclasses."""
+stale import, that code outside the tests reads every public name, and which
+classes may be dataclasses."""
 
 import ast
 import importlib
@@ -168,6 +169,30 @@ def test_every_from_import_in_the_package_is_used():
                     if (alias.asname or alias.name) not in used
                 ]
     assert stale == []
+
+
+def test_every_public_name_in_the_package_is_used():
+    # A public top-level name that no package module, benchmark script or demo
+    # reads is dead code, however many tests call it: a test that needs it as
+    # a reference keeps its own copy. The tracer reads its names as strings.
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.name}: {name}" for name in names if not name.startswith("_")]
+    used = {name for names in traced_layer_functions().values() for name in names}
+    for path in [*SRC.glob("*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [entry for entry in defined if entry.split(": ")[1] not in used] == []
 
 
 def test_only_checked_classes_are_dataclasses():
