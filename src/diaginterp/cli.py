@@ -55,12 +55,21 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file and its directory: an --out that cannot hold it is a bad input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise DiagInterpError(f"cannot write {path}: {err}") from None
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -76,7 +85,6 @@ def _load_json(path: str) -> dict:
 
 
 def _write_report(report: Report, out_dir: Path, stem: str = "report") -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / f"{stem}.json", report.to_json())
     _write_lines(out_dir / f"{stem.replace('report', 'trajectory')}.csv", trajectory_rows(report))
 
@@ -141,9 +149,7 @@ def _cmd_oracle(args) -> int:
             "fixed_point_entropy": fixed.total_entropy,
             "interpretability": raw_interpretability(result.total_entropy, fixed.total_entropy),
         }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "oracle.json", doc)
+    _write_json(Path(args.out) / "oracle.json", doc)
     print(
         f"disagreements {list(result.disagreement_counts)} of {result.sample_size}, "
         f"total entropy {result.total_entropy:.6f}"

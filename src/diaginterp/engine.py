@@ -12,8 +12,8 @@ The levels it compares are every level in diagnostic mode and the diagnosis
 level in epsilon mode; metrics.disagreement measures them, giving the step's
 entropy breakdown (popcounts of their XOR) and the query region (the OR of
 the compared levels). Queries are picked by bit position, so each costs
-words, not rows. A queried image is a 0/1 row, which rule_update and a
-retrain take as it is; a step record reports it as its bitstring.
+words, not rows. rule_update reads a queried image from the packed space by
+its index; a retrain adds its 0/1 row, and a step record its bitstring.
 
 When the level counts differ (epsilon mode), the black box's labels are
 aligned once per run: the known model's initial labels stand in below the
@@ -281,12 +281,13 @@ class _Run:
         """Update the known model toward the black box's (aligned) labels of
         image ``idx`` (a rule edit, or a retrain with the image added to the
         training set), re-measure, and append the step."""
-        row, target = self.rows[idx], self.b_bits[:, idx >> 6] >> (idx & 63) & 1
+        row = self.rows[idx]
         if self.config.updater == RULE_UPDATER:
-            model = rule_update(self.model, row, target, self.rows.columns, self.b_bits)
+            model = rule_update(self.model, idx, self.rows.columns, self.b_bits)
         else:
             rows, labels = self.training
-            self.training = np.vstack([rows, row]), np.append(labels, target[-1])
+            label = self.b_bits[-1, idx >> 6] >> (idx & 63) & 1
+            self.training = np.vstack([rows, row]), np.append(labels, label)
             seed = int(self.rng.integers(0, 2**31))
             model = linear_update(self.model, *self.training, self.config.retrain_epochs, seed)
         self._set_model(model)

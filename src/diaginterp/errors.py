@@ -27,7 +27,3 @@ class DomainError(DiagInterpError):
 
 class AbstractionMismatchError(DiagInterpError):
     """Two models that must share prediction levels do not."""
-
-
-class UnreachableTargetError(DiagInterpError):
-    """No constraint edit can force the requested label on a rule level."""

@@ -30,15 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    InvalidSpecError,
-    UnreachableTargetError,
-)
-from .imagespace import (
-    MATERIALIZE_BYTE_LIMIT, SpaceRows, json_field, pack_bits, pack_columns, rows_to_bitstrings,
-)
+from .errors import InvalidConfigError, InvalidInputError, InvalidSpecError
+from .imagespace import MATERIALIZE_BYTE_LIMIT, SpaceRows, json_field, pack_bits, pack_columns
 
 
 @dataclass(frozen=True)
@@ -114,8 +107,10 @@ class LinearModel:
             raise InvalidSpecError(
                 f"expected {self.width * self.height} weights, got shape {weights.shape}"
             )
-        if not (np.all(np.isfinite(weights)) and math.isfinite(self.bias)):
-            raise InvalidSpecError("linear model parameters must be finite")
+        with np.errstate(over="ignore"):  # |w.x + b| <= sum |w| + |b| for 0/1 pixels x
+            bound = np.abs(weights).sum() + abs(self.bias)
+        if not math.isfinite(bound):  # a parameter is not finite, or a score can overflow
+            raise InvalidSpecError(f"linear model scores are unbounded: sum |w| + |b| is {bound}")
         weights.setflags(write=False)
 
 
@@ -143,6 +138,7 @@ class NeuralModel:
             raise InvalidSpecError("a neural model needs at least one layer")
         layers = []
         fan_in = self.width * self.height
+        bound = np.ones(fan_in)  # on the inputs' magnitudes: a pixel is 0 or 1
         for weights, bias, activation in self.layers:
             weights = _float_array(weights, "layer weights")
             bias = _float_array(bias, "layer bias")
@@ -156,8 +152,11 @@ class NeuralModel:
                 )
             if activation not in ("relu", "sigmoid"):
                 raise InvalidSpecError(f"unknown activation {activation!r}")
-            if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-                raise InvalidSpecError("neural parameters must be finite")
+            with np.errstate(all="ignore"):  # |W|^T bound + |b| bounds the layer's scores
+                bound = bound @ np.abs(weights) + np.abs(bias)
+            if not np.all(np.isfinite(bound)):
+                raise InvalidSpecError(f"neural model scores are unbounded: {bound.max()}")
+            bound = bound if activation == "relu" else np.ones_like(bound)  # sigmoids stay below 1
             weights.setflags(write=False)
             bias.setflags(write=False)
             layers.append(NeuralLayer(weights, bias, activation))
@@ -274,18 +273,16 @@ def predict(model: Model, bits: Sequence[int]) -> tuple[int, ...]:
 
 
 def rule_update(
-    model: RuleModel,
-    bits: Sequence[int],
-    target: Sequence[int],
-    columns: np.ndarray,
-    reference_bits: np.ndarray,
+    model: RuleModel, index: int, columns: np.ndarray, reference_bits: np.ndarray
 ) -> RuleModel:
-    """Edit the model so its labels of the 0/1 pixels ``bits`` equal ``target``
+    """Edit the model so its labels of image ``index`` equal the reference's
     at every level, using the fewest constraint insertions/removals per level.
 
     ``columns`` is the evaluation space's pack_columns and ``reference_bits``
     the reference's labels over it (level_label_matrix's layout), one row per
-    level of ``model``; the caller aligns another level count.
+    level of ``model``; the caller aligns another level count. The image is
+    read from them: its pixels are bit ``index`` of each pixel column, and its
+    targets bit ``index`` of each reference level.
 
     For a level that must flip 0 -> 1 the edit is forced: keep only the
     constraints the image meets. A level that must flip 1 -> 0 gets one
@@ -297,26 +294,24 @@ def rule_update(
     reference labels, all candidates at once as one (candidates, words)
     array, and the lowest score wins, ties going to the lowest pixel index.
     """
-    if len(target) != len(model.levels):
-        raise InvalidInputError(
-            f"target has {len(target)} levels, model has {len(model.levels)}"
-        )
     if reference_bits.shape[0] != len(model.levels):
         raise InvalidInputError(
             f"reference labels have {reference_bits.shape[0]} levels, "
             f"model has {len(model.levels)}"
         )
-
+    word, shift = index >> 6, index & 63
+    if index < 0 or word >= columns.shape[1] or not columns[-1, word] >> shift & 1:
+        raise InvalidInputError(f"image {index} is not in the space")
     pixels = model.width * model.height
-    if isinstance(bits, str) or len(bits) != pixels:  # a bitstring's characters are not pixels
-        raise InvalidInputError(f"expected an image of {pixels} 0/1 pixels, got {bits!r}")
+    bits = columns[:-1, word] >> shift & 1
+    target = reference_bits[:, word] >> shift & 1
     on = frozenset(np.flatnonzero(bits).tolist())
 
     def label(level: RuleLevel) -> int:  # the level's label of the image
         return int(level.ones_required <= on and not level.zeros_required & on)
 
     # column j ^ flips[j] marks the rows that differ from the image at pixel j
-    flips = (-np.array(bits, dtype=np.int64)).view(np.uint64)
+    flips = -bits
     new_levels = list(model.levels)
     for k, level in enumerate(model.levels):
         want = int(target[k])
@@ -351,14 +346,7 @@ def rule_update(
             new_levels[k] = RuleLevel(level.ones_required - {j}, level.zeros_required | {j})
         else:
             new_levels[k] = RuleLevel(level.ones_required | {j}, level.zeros_required - {j})
-
-    updated = RuleModel(model.width, model.height, tuple(new_levels))
-    if [label(level) for level in new_levels] != [int(t) for t in target]:
-        raise UnreachableTargetError(
-            f"no constraint edit reaches target {tuple(target)} on image "
-            f"{rows_to_bitstrings([bits])[0]}"
-        )
-    return updated
+    return RuleModel(model.width, model.height, tuple(new_levels))
 
 
 # ---------------------------------------------------------------------------

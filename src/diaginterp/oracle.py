@@ -14,8 +14,8 @@ An image here is a Python int, its code: its base-2 digits, padded to the
 pixel count, are the row-major bits, so pixel 0 is the most significant bit
 and a full space in canonical order is ``range(2**pixels)``. Each public call
 enumerates the space once, through _iterate_space, and labels the black box
-once. A kept disagreement image is its code's digits, a bitstring, and the
-minimal-edit updater takes those digits as the image's pixels.
+once. A kept disagreement image is its code's digits, a bitstring; the
+minimal-edit updater takes the code itself, the image's index in the space.
 """
 
 from __future__ import annotations
@@ -298,9 +298,7 @@ def exhaustive_fixed_point(
                     f"oracle guard: the fixed-point search needs over {budget} updates of "
                     f"2^{spec.num_pixels} images; the limit is {ORACLE_SCAN_LIMIT} image scans"
                 )
-            target = [labels[miss] for labels in labels_b]
-            bits = [int(digit) for digit in format(codes[miss], f"0{spec.num_pixels}b")]
-            current = rule_update(current, bits, target, columns, reference)
+            current = rule_update(current, miss, columns, reference)
             updates += 1
         if updates == pass_start:
             # a pass with no update ends on the model the last one ended on

@@ -318,6 +318,59 @@ def test_too_deeply_nested_json_exits_2(tmp_path, capsys, broken):
     assert not out.exists()
 
 
+
+# A 2x2 model's score weights whose bound sum |w| + |b| overflows: 1100 and
+# 0011 would score +inf and -inf, and 1111 inf - inf, a NaN.
+OVERFLOWING_WEIGHTS = [1e308, 1e308, -1e308, -1e308]
+OVERFLOW_MESSAGES = {
+    "linear": "linear model scores are unbounded: sum |w| + |b| is inf",
+    "neural": "neural model scores are unbounded: inf",
+}
+
+
+@pytest.mark.parametrize("kind", ["linear", "neural"])
+@pytest.mark.parametrize("command", ["interpret", "oracle"])
+def test_model_whose_scores_can_overflow_exits_2(tmp_path, capsys, command, kind):
+    # the net's hidden layer is the linear model's weight column
+    model_b = {"kind": kind, "width": 2, "height": 2}
+    if kind == "linear":
+        model_b |= {"weights": OVERFLOWING_WEIGHTS, "bias": 0.0}
+    else:
+        model_b["layers"] = [
+            {"weights": [[w] for w in OVERFLOWING_WEIGHTS], "bias": [0.0], "activation": "relu"},
+            {"weights": [[1.0]], "bias": [0.0], "activation": "sigmoid"},
+        ]
+    models = {"model_a": model_to_json(RuleModel(2, 2, (RuleLevel.of(ones=[0]),))),
+              "model_b": model_b}
+    space = spec_to_json(ImageSpaceSpec(2, 2, "full"))
+    if command == "interpret":
+        doc = {"space": space, **models, "updater": "rule_minimal_edit"}
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        argv = ["--spec", str(tmp_path / "run.json")]
+    else:
+        (tmp_path / "models.json").write_text(json.dumps(models))
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        argv = ["--models", str(tmp_path / "models.json"), "--space", str(tmp_path / "space.json")]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {OVERFLOW_MESSAGES[kind]}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, out, fault", [
+    (["interpret", "--fixture", "fig2-diagonal"], "file", "File exists"),
+    (["oracle", "--fixture", "fig1b"], "file", "File exists"),
+    (["demo", "--fixture", "fig1b"], "file/x", "Not a directory"),
+])
+def test_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, argv, out, fault):
+    (tmp_path / "file").write_text("kept\n")
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {tmp_path / out}/") and fault in err[0]
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
 class TestOracle:
     def test_diagonal_fixture_counts(self, tmp_path, capsys):
         assert main(["oracle", "--fixture", "fig2-diagonal", "--out", str(tmp_path)]) == 0

@@ -11,6 +11,7 @@ from diaginterp.errors import (
 from diaginterp.imagespace import ImageSpaceSpec, SpaceRows, space_matrix
 from diaginterp.models import (
     LinearModel,
+    NeuralLayer,
     NeuralModel,
     RuleLevel,
     RuleModel,
@@ -47,10 +48,12 @@ def diagonal_rule():
     return RuleModel(4, 4, (RuleLevel.of(ones=[0, 5, 10, 15]),))
 
 
-def update_toward(model, image, target, spec, reference):
-    """rule_update scored against ``reference`` over the space ``spec``."""
+def update_toward(model, image, spec, reference):
+    """rule_update of ``image``, a 0/1 row of the space ``spec``, toward
+    ``reference``'s labels of that space."""
     space = SpaceRows(spec)
-    return rule_update(model, image, target, space.columns, level_label_matrix(reference, space))
+    index = space_matrix(spec).tolist().index([int(v) for v in image])
+    return rule_update(model, index, space.columns, level_label_matrix(reference, space))
 
 
 def training_set(width, height, *examples):
@@ -85,8 +88,6 @@ class TestPredict:
         model = RuleModel(2, 2, (RuleLevel.of(ones=[0]),))
         with pytest.raises(InvalidInputError, match="got '0101'"):
             predict(model, "0101")
-        with pytest.raises(InvalidInputError, match="got '0101'"):
-            update_toward(model, "0101", (1,), ImageSpaceSpec(2, 2, "full"), model)
 
     def test_linear_ties_break_to_zero(self):
         model = LinearModel(1, 2, np.array([1.0, -1.0]), 0.0)
@@ -149,17 +150,18 @@ class TestRuleUpdate:
         self.model_b = diagonal_rule()
 
     def test_forced_removal_when_target_is_one(self):
-        # A requires pixel 5; the queried image lacks it; the only minimal
-        # edit is removing that constraint
+        # A requires pixel 5; the queried image lacks it, and a reference that
+        # requires pixel 0 alone labels it 1; the only minimal edit is
+        # removing that constraint
         model = RuleModel(4, 4, (RuleLevel.of(ones=[0, 5]),))
         image = with_pixels(16, 0, 10, 15)  # the diagonal less pixel 5
-        updated = update_toward(model, image, (1,), self.space, self.model_b)
+        updated = update_toward(model, image, self.space, self.model_a)
         assert updated.levels[0] == RuleLevel.of(ones=[0])
         assert predict(updated, image) == (1,)
 
     def test_blocking_addition_matches_brute_force_argmin(self):
         image = with_pixels(16, 0, 10, 15)  # A says 1, B says 0
-        updated = update_toward(self.model_a, image, (0,), self.space, self.model_b)
+        updated = update_toward(self.model_a, image, self.space, self.model_b)
 
         # independent argmin: try every legal single addition, count
         # disagreements with B by looping over the envelope
@@ -188,11 +190,12 @@ class TestRuleUpdate:
         for _ in range(25):
             ones = [int(i) for i in rng.choice(9, rng.integers(0, 3), replace=False)]
             model = RuleModel(3, 3, (RuleLevel.of(ones=ones),))
-            reference = RuleModel(3, 3, (RuleLevel.of(ones=[int(rng.integers(0, 9))]),))
             image = images[int(rng.integers(0, len(images)))]
-            current = predict(model, image)
-            target = (1 - current[0],)
-            updated = update_toward(model, image, target, spec, reference)
+            target = (1 - predict(model, image)[0],)
+            # a one-pixel reference that labels the image with the target
+            j = int(rng.integers(0, 9))
+            level = RuleLevel.of(ones=[j]) if image[j] == target[0] else RuleLevel.of(zeros=[j])
+            updated = update_toward(model, image, spec, RuleModel(3, 3, (level,)))
             assert predict(updated, image) == target
 
     def test_multi_level_update(self):
@@ -204,7 +207,7 @@ class TestRuleUpdate:
         )
         spec = ImageSpaceSpec(3, 3, "full")
         image = with_pixels(9, 1, 5)
-        updated = update_toward(model, image, (1, 1), spec, reference)
+        updated = update_toward(model, image, spec, reference)
         assert predict(updated, image) == (1, 1)
 
     def test_fully_pinned_level_uses_swap(self):
@@ -214,7 +217,7 @@ class TestRuleUpdate:
         model = RuleModel(1, 2, (RuleLevel.of(ones=[0], zeros=[1]),))
         spec = ImageSpaceSpec(1, 2, "full")
         reference = RuleModel(1, 2, (RuleLevel.of(ones=[1]),))
-        updated = update_toward(model, image, (0,), spec, reference)
+        updated = update_toward(model, image, spec, reference)
         assert predict(updated, image) == (0,)
         # swapping pixel 1 accepts only "11", which disagrees with the
         # reference on "01" alone; swapping pixel 0 accepts "00" (3 misses)
@@ -225,7 +228,20 @@ class TestRuleUpdate:
         reference = RuleModel(3, 3, (RuleLevel.of(ones=[1]),))
         image = with_pixels(9, 0, 4)
         with pytest.raises(InvalidInputError):
-            update_toward(model, image, (1, 0), ImageSpaceSpec(3, 3, "full"), reference)
+            update_toward(model, image, ImageSpaceSpec(3, 3, "full"), reference)
+
+    @pytest.mark.parametrize("spec, index", [
+        (ImageSpaceSpec(2, 3, "full"), -1),
+        (ImageSpaceSpec(2, 3, "full"), 64),  # its 64 images fill one word
+        (ImageSpaceSpec(2, 3, "envelope", ("101010",), 1), 7),  # 7 images
+        (ImageSpaceSpec(2, 3, "envelope", ("101010",), 1), 63),  # the word's last padding bit
+    ])
+    def test_index_outside_the_space_rejected(self, spec, index):
+        # a padding bit would otherwise read as the all-zeros image
+        model = RuleModel(2, 3, (RuleLevel.of(ones=[0]),))
+        space = SpaceRows(spec)
+        with pytest.raises(InvalidInputError, match=f"image {index} is not in the space"):
+            rule_update(model, index, space.columns, level_label_matrix(model, space))
 
     def test_four_updates_reach_full_envelope_agreement(self):
         current = self.model_a
@@ -237,9 +253,7 @@ class TestRuleUpdate:
         assert len(disagreements) == 4
         for img in disagreements:
             if predict(current, img) != predict(self.model_b, img):
-                current = update_toward(
-                    current, img, predict(self.model_b, img), self.space, self.model_b
-                )
+                current = update_toward(current, img, self.space, self.model_b)
         for img in space_matrix(self.space):
             assert predict(current, img) == predict(self.model_b, img)
 
@@ -393,6 +407,28 @@ class TestTrainingAccuracy:
         for X, y in ((np.zeros((0, 2)), np.zeros(0)), ([[1, 0]], [2]), ([[1, 0, 0]], [1])):
             with pytest.raises(InvalidConfigError):
                 training_accuracy(model, X, y)
+
+
+class TestScoreBound:
+    # Float64's largest finite value is about 1.797e308.
+    def test_linear_model_needs_a_finite_sum_of_magnitudes(self):
+        LinearModel(2, 2, [4e307, -4e307, 4e307, -4e307], 1e307)  # 1.7e308
+        with pytest.raises(InvalidSpecError, match=r"sum \|w\| \+ \|b\| is inf"):
+            LinearModel(2, 2, [4e307, -4e307, 4e307, -4e307], 2e307)  # 1.8e308
+
+    @pytest.mark.parametrize("hidden, accepted", [("sigmoid", True), ("relu", False)])
+    def test_net_bound_passes_through_relus_and_restarts_after_sigmoids(self, hidden, accepted):
+        # the hidden unit's score is at most 1.6e308; a sigmoid squashes it
+        # below 1 and a relu passes it on, to an output score of 3.2e308
+        layers = (
+            NeuralLayer(np.full((4, 1), 4e307), np.zeros(1), hidden),
+            NeuralLayer(np.array([[2.0]]), np.zeros(1), "sigmoid"),
+        )
+        if accepted:
+            NeuralModel(2, 2, layers)
+        else:
+            with pytest.raises(InvalidSpecError, match="scores are unbounded"):
+                NeuralModel(2, 2, layers)
 
 
 def malformed_neural_doc(defect):

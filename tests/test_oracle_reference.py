@@ -195,11 +195,11 @@ def exhaustive_fixed_point(
     seen = {current}
     while True:
         changed = False
-        for bits in _iterate_space(spec):
+        for index, bits in enumerate(_iterate_space(spec)):
             la = _scalar_levels(current, bits)
             lb = _scalar_levels(model_b, bits)
             if la != lb:
-                current = rule_update(current, bits, lb, columns, reference)
+                current = rule_update(current, index, columns, reference)
                 changed = True
         result = brute_force_breakdown(current, model_b, spec)
         if not changed or result.total_entropy == entropy_before or current in seen:
