@@ -11,11 +11,13 @@ The diagonal toy pair needs at most four queries to emulate its target
 exactly.
 """
 
+from dataclasses import replace
+
 from diaginterp.engine import run_interpretation
 from diaginterp.fixtures import build_fixture
 
 fx = build_fixture("fig2-diagonal")
-report = run_interpretation(fx.engine_config(rng_seed=7))
+report = run_interpretation(replace(fx, rng_seed=7))
 
 print(f"initial entropy: {report.initial_entropy.total:.4f} bits")
 print("t  query              I_t      dI_t     H_total")

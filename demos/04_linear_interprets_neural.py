@@ -10,6 +10,8 @@ carries a confidence factor: the evaluated envelope is a vanishing sliver of
 all 2^64 possible images.
 """
 
+from dataclasses import replace
+
 from diaginterp.engine import run_interpretation
 from diaginterp.fixtures import build_fixture
 from diaginterp.models import training_accuracy
@@ -17,10 +19,10 @@ from diaginterp.models import training_accuracy
 fx = build_fixture("eval-squares", seed=0)
 print(f"evaluation envelope: {len(fx.space.base_images)} base images "
       f"plus one-pixel flips")
-print(f"black-box training accuracy: {fx.black_box_train_accuracy:.3f}")
+print(f"black-box training accuracy: {training_accuracy(fx.model_b, *fx.base_dataset):.3f}")
 print(f"known-model training accuracy: {training_accuracy(fx.model_a, *fx.base_dataset):.3f}")
 
-report = run_interpretation(fx.engine_config(rng_seed=0))
+report = run_interpretation(replace(fx, rng_seed=0))
 d0 = report.initial_entropy.disagreement_counts[0]
 print(f"initial disagreement: {d0} of {report.initial_entropy.sample_size} images "
       f"({report.initial_entropy.total:.5f} bits)")

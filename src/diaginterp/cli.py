@@ -44,10 +44,10 @@ from .engine import (
     trajectory_rows,
 )
 from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
-from .fixtures import build_fixture
+from .fixtures import build_fixture, fixture_description
 from .imagespace import json_field, spec_from_json
 from .metrics import raw_interpretability
-from .models import model_from_json
+from .models import model_from_json, training_accuracy
 from .oracle import brute_force_breakdown, exhaustive_fixed_point
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _config_from_args(args) -> EngineConfig:
     # the seed reaches the fixture's generators before EngineConfig checks it
     seed = settings.get("rng_seed", EngineConfig.rng_seed)
     check_integer("rng_seed", seed)
-    return build_fixture(doc["fixture"], seed).engine_config(**settings)
+    return replace(build_fixture(doc["fixture"], seed), **settings)
 
 
 def _cmd_interpret(args) -> int:
@@ -157,14 +157,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _demo_static(fixture, args, out_dir: Path) -> list[str]:
-    config = fixture.engine_config(**_overrides(args))
+def _demo_static(args, out_dir: Path) -> list[str]:
+    config = replace(build_fixture(args.fixture, args.seed), **_overrides(args))
     complete = admits_complete_run(config.model_a, config.model_b, config.space, config.mode)
     report = run_complete_interpretation(config) if complete else run_interpretation(config)
     _write_report(report, out_dir)
     h0 = report.initial_entropy.total
     return [
-        f"fixture {fixture.name}: {fixture.description}",
+        f"fixture {args.fixture}: {fixture_description(args.fixture)}",
         f"initial entropy h = {h0:.4f} bits "
         f"(disagreements {list(report.initial_entropy.disagreement_counts)} "
         f"of {report.initial_entropy.sample_size})",
@@ -181,12 +181,13 @@ def _demo_eval_squares(args, out_dir: Path) -> list[str]:
     reports = []
     lines = ["fixture eval-squares: per-seed interpretation of the trained net"]
     for seed in range(args.seed, args.seed + args.seeds):
-        fixture = build_fixture("eval-squares", seed)
-        report = run_interpretation(fixture.engine_config(**settings | {"rng_seed": seed}))
+        config = build_fixture("eval-squares", seed)
+        report = run_interpretation(replace(config, **settings | {"rng_seed": seed}))
         reports.append(report)
         _write_report(report, out_dir, stem=f"report_seed{seed}")
         lines.append(
-            f"seed {seed}: black-box train acc {fixture.black_box_train_accuracy:.3f}, "
+            f"seed {seed}: black-box train acc "
+            f"{training_accuracy(config.model_b, *config.base_dataset):.3f}, "
             f"I = {report.final_interpretability:.4f} after {len(report.steps)} queries "
             f"({report.termination})"
         )
@@ -213,8 +214,7 @@ def _cmd_demo(args) -> int:
     if args.fixture == "eval-squares":
         lines = _demo_eval_squares(args, out_dir)
     else:
-        fixture = build_fixture(args.fixture, args.seed)
-        lines = _demo_static(fixture, args, out_dir)
+        lines = _demo_static(args, out_dir)
     _write_lines(out_dir / "summary.txt", lines)
     for line in lines:
         print(line)

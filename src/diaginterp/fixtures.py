@@ -15,28 +15,20 @@ reproduce the package's reference numbers end to end.
   known model, and single-level interpretation runs over the full
   base-plus-flip envelope.
 
-Every generator is deterministic in its seed. One table maps each name to its
-builder; engine.admits_complete_run, not a fixture flag, picks complete runs.
+Every generator is deterministic in its seed. A fixture is its run: its
+builder returns the run's EngineConfig. One table maps each name to its
+(description, builder) pair; engine.admits_complete_run, not a fixture flag,
+picks complete runs.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .engine import EngineConfig
 from .errors import InvalidConfigError
 from .imagespace import ImageSpaceSpec, rows_to_bitstrings, unique_rows
-from .models import (
-    LinearModel,
-    Model,
-    RuleLevel,
-    RuleModel,
-    train_linear,
-    train_neural,
-    training_accuracy,
-)
+from .models import LinearModel, RuleLevel, RuleModel, train_linear, train_neural
 
 GRID_4 = 4
 GRID_8 = 8
@@ -53,76 +45,40 @@ NEURAL_LEARNING_RATE = 0.5
 PERCEPTRON_EPOCHS = 100
 
 
-class Fixture(NamedTuple):
-    name: str
-    description: str
-    space: ImageSpaceSpec
-    model_a: Model
-    model_b: Model
-    mode: str
-    max_queries: int
-    base_dataset: tuple[np.ndarray, np.ndarray] | None = None
-    black_box_train_accuracy: float | None = None
-
-    def engine_config(self, **settings) -> EngineConfig:
-        """The fixture's run: its space, models, mode, query budget and base
-        dataset. ``settings`` names EngineConfig fields to set as well (the
-        query budget among them); the rest keep EngineConfig's defaults."""
-        fixed = {
-            "space": self.space,
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "mode": self.mode,
-            "max_queries": self.max_queries,
-            "base_dataset": self.base_dataset,
-        }
-        return EngineConfig(**{**fixed, **settings})
-
-
 def fixture_names() -> list[str]:
     return list(_BUILDERS)
 
 
-def build_fixture(name: str, seed: int = 0) -> Fixture:
+def fixture_description(name: str) -> str:
+    return _BUILDERS[name][0]
+
+
+def build_fixture(name: str, seed: int = 0) -> EngineConfig:
+    """The named fixture's run: its space, models, mode, query budget and
+    base dataset; every other setting keeps EngineConfig's default."""
     if seed < 0:
         raise InvalidConfigError(f"fixture seed cannot be negative, got {seed}")
     if name not in _BUILDERS:
         raise InvalidConfigError(
             f"unknown fixture {name!r}; valid names: {', '.join(fixture_names())}"
         )
-    return _BUILDERS[name](seed)
+    return _BUILDERS[name][1](seed)
 
 
-def _build_fig1b() -> Fixture:
+def _build_fig1b() -> EngineConfig:
     space = ImageSpaceSpec(GRID_4, GRID_4, "full")
     model_a = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0]),))
     model_b = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[5, 10]),))
-    return Fixture(
-        name="fig1b",
-        description="rule vs rule over the full 4x4 space; expressible target",
-        space=space,
-        model_a=model_a,
-        model_b=model_b,
-        mode="diagnostic",
-        max_queries=64,
-    )
+    return EngineConfig(space, model_a, model_b, max_queries=64)
 
 
-def _build_fig1c() -> Fixture:
+def _build_fig1c() -> EngineConfig:
     space = ImageSpaceSpec(GRID_4, GRID_4, "full")
     model_a = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0, 1]),))
     weights = np.zeros(GRID_4 * GRID_4)
     weights[:2] = 1.0  # pixels 0 and 1: a linear OR
     model_b = LinearModel(GRID_4, GRID_4, weights, -0.5)
-    return Fixture(
-        name="fig1c",
-        description="rule vs linear OR over the full 4x4 space; inexpressible target",
-        space=space,
-        model_a=model_a,
-        model_b=model_b,
-        mode="diagnostic",
-        max_queries=64,
-    )
+    return EngineConfig(space, model_a, model_b, max_queries=64)
 
 
 def diagonal_images() -> tuple[str, str]:
@@ -130,19 +86,11 @@ def diagonal_images() -> tuple[str, str]:
     return "1000010000100001", "0001001001001000"
 
 
-def _build_fig2_diagonal() -> Fixture:
+def _build_fig2_diagonal() -> EngineConfig:
     space = ImageSpaceSpec(GRID_4, GRID_4, "envelope", diagonal_images(), flip_radius=1)
     model_a = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0]),))
     model_b = RuleModel(GRID_4, GRID_4, (RuleLevel.of(ones=[0, 5, 10, 15]),))
-    return Fixture(
-        name="fig2-diagonal",
-        description="diagonal classification over the 34-image flip envelope",
-        space=space,
-        model_a=model_a,
-        model_b=model_b,
-        mode="diagnostic",
-        max_queries=8,
-    )
+    return EngineConfig(space, model_a, model_b, max_queries=8)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +144,7 @@ def two_squares_class_pools(
     )
 
 
-def _build_eval_squares(seed: int) -> Fixture:
+def _build_eval_squares(seed: int) -> EngineConfig:
     bases, classes = two_squares_bases()
     space = ImageSpaceSpec(GRID_8, GRID_8, "envelope", rows_to_bitstrings(bases), flip_radius=1)
 
@@ -216,23 +164,28 @@ def _build_eval_squares(seed: int) -> Fixture:
         rng_seed=[seed, 1],
     )
     known = train_linear(*dataset, epochs=PERCEPTRON_EPOCHS, rng_seed=[seed, 2])
-    return Fixture(
-        name="eval-squares",
-        description="8x8 two-squares task: perceptron interprets a small net",
-        space=space,
-        model_a=known,
-        model_b=black_box,
-        mode="epsilon",
-        max_queries=10,
-        base_dataset=(rows, labels),
-        black_box_train_accuracy=training_accuracy(black_box, rows, labels),
+    return EngineConfig(
+        space, known, black_box, max_queries=10, mode="epsilon", base_dataset=(rows, labels)
     )
 
 
-# Each fixture's builder, by name, in listing order; only eval-squares is seeded.
+# Each fixture's description and builder, by name, in listing order; only
+# eval-squares is seeded.
 _BUILDERS = {
-    "fig1b": lambda seed: _build_fig1b(),
-    "fig1c": lambda seed: _build_fig1c(),
-    "fig2-diagonal": lambda seed: _build_fig2_diagonal(),
-    "eval-squares": _build_eval_squares,
+    "fig1b": (
+        "rule vs rule over the full 4x4 space; expressible target",
+        lambda seed: _build_fig1b(),
+    ),
+    "fig1c": (
+        "rule vs linear OR over the full 4x4 space; inexpressible target",
+        lambda seed: _build_fig1c(),
+    ),
+    "fig2-diagonal": (
+        "diagonal classification over the 34-image flip envelope",
+        lambda seed: _build_fig2_diagonal(),
+    ),
+    "eval-squares": (
+        "8x8 two-squares task: perceptron interprets a small net",
+        _build_eval_squares,
+    ),
 }

@@ -294,15 +294,24 @@ def rule_update(
     reference labels, all candidates at once as one (candidates, words)
     array, and the lowest score wins, ties going to the lowest pixel index.
     """
+    pixels = model.width * model.height
+    if columns.shape[0] != pixels + 1:
+        raise InvalidInputError(
+            f"columns have {columns.shape[0]} rows, a {pixels}-pixel model needs {pixels + 1}"
+        )
     if reference_bits.shape[0] != len(model.levels):
         raise InvalidInputError(
             f"reference labels have {reference_bits.shape[0]} levels, "
             f"model has {len(model.levels)}"
         )
+    if reference_bits.shape[1] != columns.shape[1]:
+        raise InvalidInputError(
+            f"reference labels have {reference_bits.shape[1]} words, "
+            f"columns have {columns.shape[1]}"
+        )
     word, shift = index >> 6, index & 63
     if index < 0 or word >= columns.shape[1] or not columns[-1, word] >> shift & 1:
         raise InvalidInputError(f"image {index} is not in the space")
-    pixels = model.width * model.height
     bits = columns[:-1, word] >> shift & 1
     target = reference_bits[:, word] >> shift & 1
     on = frozenset(np.flatnonzero(bits).tolist())

@@ -4,6 +4,7 @@ at the stated tolerance and runtime budget. Each test prints a PASS line
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from diaginterp.engine import run_complete_interpretation, run_interpretation
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import ImageSpaceSpec
 from diaginterp.metrics import binary_entropy, confidence_epsilon, disagreement_breakdown
-from diaginterp.models import RuleLevel, RuleModel, init_neural
+from diaginterp.models import RuleLevel, RuleModel, init_neural, training_accuracy
 from diaginterp.oracle import brute_force_breakdown, exhaustive_fixed_point
 from test_trainers import bce_loss, reference_bce_gradients
 
@@ -31,7 +32,7 @@ def test_criterion_1_diagonal_toy_reproduction():
     assert breakdown.sample_size == 34
     assert breakdown.total == pytest.approx(0.5226, abs=1e-3)
 
-    report = run_interpretation(fx.engine_config(rng_seed=7))
+    report = run_interpretation(replace(fx, rng_seed=7))
     assert report.final_interpretability == 1.0
     assert len(report.steps) <= 4
 
@@ -45,12 +46,12 @@ def test_criterion_2_complete_interpretation_over_full_4x4():
     start = time.perf_counter()
 
     fx_b = build_fixture("fig1b")
-    report_b = run_complete_interpretation(fx_b.engine_config(rng_seed=0))
+    report_b = run_complete_interpretation(replace(fx_b, rng_seed=0))
     assert report_b.steps[-1].entropy_after.total == 0.0
     assert report_b.final_interpretability == 1.0
 
     fx_c = build_fixture("fig1c")
-    report_c = run_complete_interpretation(fx_c.engine_config(rng_seed=0))
+    report_c = run_complete_interpretation(replace(fx_c, rng_seed=0))
     assert 0.0 < report_c.final_interpretability < 1.0
     _, fixed, initial = exhaustive_fixed_point(fx_c.model_a, fx_c.model_b, fx_c.space)
     h0 = initial.total_entropy
@@ -75,8 +76,8 @@ def test_criterion_4_desk_scale_neural_vs_linear():
     queries_used = []
     for seed in range(10):
         fx = build_fixture("eval-squares", seed)
-        assert fx.black_box_train_accuracy >= 0.99
-        report = run_interpretation(fx.engine_config(rng_seed=seed, max_queries=10))
+        assert training_accuracy(fx.model_b, *fx.base_dataset) >= 0.99
+        report = run_interpretation(replace(fx, rng_seed=seed, max_queries=10))
         if report.final_interpretability >= 0.99:
             reached += 1
             queries_used.append(len(report.steps))
@@ -133,14 +134,14 @@ def test_criterion_5_oracle_equivalence_sweep():
 def test_criterion_6_extremal_cases():
     # (a) zero entropy after querying forces I exactly 1
     fx = build_fixture("fig2-diagonal")
-    report_a = run_interpretation(fx.engine_config(rng_seed=7))
+    report_a = run_interpretation(replace(fx, rng_seed=7))
     assert report_a.termination == "entropy_zero"
     assert report_a.steps[-1].entropy_after.total == 0.0
     assert report_a.steps[-1].i_t == 1.0
 
     # (b) three consecutive flat steps stall the run
     fx_c = build_fixture("fig1c")
-    report_b = run_interpretation(fx_c.engine_config(rng_seed=2, max_queries=50))
+    report_b = run_interpretation(replace(fx_c, rng_seed=2, max_queries=50))
     assert report_b.termination == "stalled"
     assert [s.delta_i_t for s in report_b.steps[-3:]] == [0.0, 0.0, 0.0]
 

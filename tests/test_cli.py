@@ -25,7 +25,7 @@ def read_json(path):
 def linear_run_spec(rows=("0" * 16,), labels=(0,), **settings):
     """fig2-diagonal's run spec with a zero-weight linear known model, which
     is retrained on the base dataset of ``rows`` and ``labels``."""
-    config = build_fixture("fig2-diagonal").engine_config(rng_seed=0, **settings)
+    config = replace(build_fixture("fig2-diagonal"), rng_seed=0, **settings)
     base = np.array([[int(c) for c in text] for text in rows], dtype=np.uint8), np.array(labels)
     model_a = LinearModel(4, 4, np.zeros(16), 0.0)
     return config_to_json(replace(config, model_a=model_a, base_dataset=base))
@@ -49,7 +49,7 @@ class TestInterpret:
 
     def test_run_spec_file_with_explicit_models(self, tmp_path):
         fx = build_fixture("fig2-diagonal")
-        spec = config_to_json(fx.engine_config(rng_seed=3))
+        spec = config_to_json(replace(fx, rng_seed=3))
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(spec))
         code = main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)])
@@ -64,7 +64,7 @@ class TestInterpret:
 
     def test_missing_model_b_exits_2(self, tmp_path):
         fx = build_fixture("fig2-diagonal")
-        doc = config_to_json(fx.engine_config(rng_seed=0))
+        doc = config_to_json(replace(fx, rng_seed=0))
         del doc["model_b"]
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(doc))
@@ -93,7 +93,7 @@ class TestInterpret:
 
     def test_guard_error_exits_3(self, tmp_path):
         fx = build_fixture("fig2-diagonal")
-        doc = config_to_json(fx.engine_config(rng_seed=0))
+        doc = config_to_json(replace(fx, rng_seed=0))
         doc["space"] = spec_to_json(ImageSpaceSpec(5, 5, "full"))
         doc["model_a"]["width"] = doc["model_a"]["height"] = 5
         doc["model_b"]["width"] = doc["model_b"]["height"] = 5
@@ -114,7 +114,7 @@ class TestInterpret:
         if models == "fixture":
             doc = {"fixture": "fig1b"}
         else:
-            doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+            doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0))
         doc["max_queries"] = value
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(doc))
@@ -134,7 +134,7 @@ class TestInterpret:
         ("lambda", "0.5"), ("lambda", True), ("retrain_learning_rate", "2"),
     ])
     def test_non_number_real_setting_exits_2(self, tmp_path, capsys, key, value):
-        doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+        doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0))
         doc[key] = value
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(doc))
@@ -256,7 +256,7 @@ class TestInterpret:
 
     @pytest.mark.parametrize("updater", ["retrain_with_queries", "rule_edit", None])
     def test_updater_must_name_the_known_models_update(self, tmp_path, capsys, updater):
-        doc = config_to_json(build_fixture("fig2-diagonal").engine_config(rng_seed=0))
+        doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0))
         assert doc["updater"] == "rule_minimal_edit"
         if updater is None:
             del doc["updater"]
@@ -299,7 +299,7 @@ def test_too_deeply_nested_json_exits_2(tmp_path, capsys, broken):
     files = {
         "models": {"model_a": model_to_json(fx.model_a), "model_b": model_to_json(fx.model_b)},
         "space": spec_to_json(fx.space),
-        "spec": config_to_json(fx.engine_config(rng_seed=0)),
+        "spec": config_to_json(replace(fx, rng_seed=0)),
     }
     files[broken][{"models": "model_a", "space": "width", "spec": "lambda"}[broken]] = "@raw"
     for name, doc in files.items():
@@ -704,8 +704,10 @@ class TestDemo:
 
 
 # sha256 of each output file of a command, taken from the outputs of the
-# version before images left the package as objects. eval-squares is not
-# here: its net's float sums depend on the BLAS build.
+# version before images left the package as objects; fig1b's summary and the
+# fig2-diagonal demo from the version before a fixture became its
+# EngineConfig. eval-squares is not here: its net's float sums depend on the
+# BLAS build.
 GOLDEN_OUTPUTS = {
     ("interpret", "--fixture", "fig2-diagonal", "--seed", "7"): {
         "report.json": "21df926a635a415e3c23220b86a1d6d42123ab74d8593eed97f1c197edf2179d",
@@ -714,6 +716,12 @@ GOLDEN_OUTPUTS = {
     ("demo", "--fixture", "fig1b"): {
         "report.json": "48b6da4d3de667780454719545a3f99d8587c7c0e4416424a4fb8dd714e76331",
         "trajectory.csv": "117c59328a5bf29ce87566ad27a3c721f4ad73fb6a04d8dc40ff75d557e7dae8",
+        "summary.txt": "987e4477db8ea3334443414416fcf252b61500ae1dc716a7ba4ff215c2b1333d",
+    },
+    ("demo", "--fixture", "fig2-diagonal", "--seed", "7"): {
+        "report.json": "21df926a635a415e3c23220b86a1d6d42123ab74d8593eed97f1c197edf2179d",
+        "trajectory.csv": "41de1f94dd8a4facad3d0384acbfe097d2d7550d0794213e2ce0b9df94210522",
+        "summary.txt": "8bac84f19e6300cf082b50d46286a36f535e88397a411dc596e466f0a1eb3318",
     },
     ("demo", "--fixture", "fig1c"): {
         "report.json": "e138fa3fc5b85f399415caced08c2eec7f6fa9d20908545b7333fd1e2d9fc08c",

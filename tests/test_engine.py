@@ -70,7 +70,7 @@ class TestRunInterpretation:
 
     def test_diagonal_fixture_reaches_one_quickly(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=7))
+        report = run_interpretation(replace(fx, rng_seed=7))
         assert report.termination == "entropy_zero"
         assert report.final_interpretability == 1.0
         assert len(report.steps) <= 4
@@ -78,26 +78,26 @@ class TestRunInterpretation:
     def test_every_seed_converges_on_diagonal(self):
         fx = build_fixture("fig2-diagonal")
         for seed in range(20):
-            report = run_interpretation(fx.engine_config(rng_seed=seed))
+            report = run_interpretation(replace(fx, rng_seed=seed))
             assert report.final_interpretability == 1.0
             assert len(report.steps) <= 4
 
     def test_inexpressible_target_lands_strictly_between(self):
         fx = build_fixture("fig1c")
-        report = run_interpretation(fx.engine_config(rng_seed=1, max_queries=20))
+        report = run_interpretation(replace(fx, rng_seed=1, max_queries=20))
         assert 0.0 < report.final_interpretability < 1.0
         assert report.termination == "stalled"
 
     def test_determinism_field_for_field(self):
         fx = build_fixture("fig2-diagonal")
-        r1 = run_interpretation(fx.engine_config(rng_seed=11))
-        r2 = run_interpretation(fx.engine_config(rng_seed=11))
+        r1 = run_interpretation(replace(fx, rng_seed=11))
+        r2 = run_interpretation(replace(fx, rng_seed=11))
         assert r1.to_json() == r2.to_json()
         assert trajectory_rows(r1) == trajectory_rows(r2)
 
     def test_queried_image_agrees_after_rule_update(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=3))
+        report = run_interpretation(replace(fx, rng_seed=3))
         # after the final step the models agree on the final query at all levels
         assert report.final_model is not None
         last = [int(c) for c in report.steps[-1].query]
@@ -105,7 +105,7 @@ class TestRunInterpretation:
 
     def test_fixed_denominator_identity(self):
         fx = build_fixture("fig1c")
-        report = run_interpretation(fx.engine_config(rng_seed=5, max_queries=20))
+        report = run_interpretation(replace(fx, rng_seed=5, max_queries=20))
         h0 = report.initial_entropy.total
         for step in report.steps:
             expected = (h0 - step.entropy_after.total) / h0
@@ -113,7 +113,7 @@ class TestRunInterpretation:
 
     def test_delta_tracks_consecutive_differences(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=9))
+        report = run_interpretation(replace(fx, rng_seed=9))
         prev = 0.0
         for step in report.steps:
             assert step.delta_i_t == pytest.approx(step.i_t - prev, abs=1e-15)
@@ -121,20 +121,20 @@ class TestRunInterpretation:
 
     def test_stall_after_three_flat_steps(self):
         fx = build_fixture("fig1c")
-        report = run_interpretation(fx.engine_config(rng_seed=2, max_queries=50))
+        report = run_interpretation(replace(fx, rng_seed=2, max_queries=50))
         assert report.termination == "stalled"
         flat = [s.delta_i_t for s in report.steps[-3:]]
         assert flat == [0.0, 0.0, 0.0]
 
     def test_budget_exhaustion(self):
         fx = build_fixture("fig1c")
-        report = run_interpretation(fx.engine_config(rng_seed=2, max_queries=1))
+        report = run_interpretation(replace(fx, rng_seed=2, max_queries=1))
         assert report.termination == "budget_exhausted"
         assert len(report.steps) == 1
 
     def test_epsilon_mode_attaches_confidence(self):
         fx = build_fixture("fig2-diagonal")
-        config = fx.engine_config(rng_seed=0)
+        config = replace(fx, rng_seed=0)
         report = run_interpretation(replace(config, mode="epsilon"))
         assert report.epsilon is not None
         assert 2.0**report.epsilon.log2_epsilon == pytest.approx(34 / 65536)
@@ -182,7 +182,7 @@ class TestRunInterpretation:
 
     def test_objective_recomputable_from_trajectory(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=7, lam=0.1))
+        report = run_interpretation(replace(fx, rng_seed=7, lam=0.1))
         hand_sum = -sum(s.i_t for s in report.steps) + 0.1 * len(report.steps)
         assert report.objective_j == pytest.approx(hand_sum, abs=1e-12)
 
@@ -214,7 +214,7 @@ class TestRunInterpretation:
         (-1.0, "retrain_learning_rate"),
     ])
     def test_non_finite_parameters_rejected(self, field, value):
-        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        config = replace(build_fixture("fig2-diagonal"), rng_seed=0)
         with pytest.raises(InvalidConfigError):
             replace(config, **{field: value})
 
@@ -225,19 +225,19 @@ class TestRunInterpretation:
         (-1, "retrain_epochs"),
     ])
     def test_non_integer_counts_rejected(self, field, value):
-        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        config = replace(build_fixture("fig2-diagonal"), rng_seed=0)
         with pytest.raises(InvalidConfigError):
             replace(config, **{field: value})
 
     @pytest.mark.parametrize("rows, labels", [(np.zeros((2, 15)), [0, 1]), (np.zeros((2, 16)), [1])])
     def test_base_dataset_rows_must_fit_the_space(self, rows, labels):
-        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        config = replace(build_fixture("fig2-diagonal"), rng_seed=0)
         linear = LinearModel(4, 4, np.zeros(16), 0.0)
         with pytest.raises(InvalidConfigError, match="one space-sized row per label"):
             replace(config, model_a=linear, base_dataset=(rows, labels))
 
     def test_negative_seed_rejected(self):
-        config = build_fixture("fig2-diagonal").engine_config(rng_seed=0)
+        config = replace(build_fixture("fig2-diagonal"), rng_seed=0)
         with pytest.raises(InvalidConfigError, match="rng_seed cannot be negative, got -1"):
             replace(config, rng_seed=-1)
 
@@ -257,7 +257,7 @@ class TestRunInterpretation:
         from diaginterp.imagespace import space_matrix
 
         fx = build_fixture("eval-squares", seed=0)
-        report = run_interpretation(fx.engine_config(rng_seed=0))
+        report = run_interpretation(replace(fx, rng_seed=0))
         assert report.final_interpretability >= 0.99
         envelope_size = space_matrix(fx.space).shape[0]
         assert report.epsilon.log2_epsilon == pytest.approx(
@@ -266,8 +266,8 @@ class TestRunInterpretation:
 
     def test_retraining_loop_is_deterministic(self):
         fx = build_fixture("eval-squares", seed=4)
-        r1 = run_interpretation(fx.engine_config(rng_seed=4))
-        r2 = run_interpretation(fx.engine_config(rng_seed=4))
+        r1 = run_interpretation(replace(fx, rng_seed=4))
+        r2 = run_interpretation(replace(fx, rng_seed=4))
         assert r1.to_json() == r2.to_json()
 
     def test_lower_level_only_disagreement_cannot_be_queried(self):
@@ -312,14 +312,14 @@ class TestRunInterpretation:
 class TestRunCompleteInterpretation:
     def test_expressible_pair_reaches_one(self):
         fx = build_fixture("fig1b")
-        report = run_complete_interpretation(fx.engine_config(rng_seed=0))
+        report = run_complete_interpretation(replace(fx, rng_seed=0))
         assert report.termination == "entropy_zero"
         assert report.final_interpretability == 1.0
         assert report.steps[-1].entropy_after.total == 0.0
 
     def test_inexpressible_pair_matches_oracle_fixed_point(self, fig1c_fixed_point):
         fx, _, fixed, initial = fig1c_fixed_point
-        report = run_complete_interpretation(fx.engine_config(rng_seed=0))
+        report = run_complete_interpretation(replace(fx, rng_seed=0))
         h0 = initial.total_entropy
         expected = (h0 - fixed.total_entropy) / h0
         # its last pass also ends on the model the pass before ended on, so
@@ -375,20 +375,20 @@ class TestRunCompleteInterpretation:
     def test_disagreements_non_increasing_across_passes(self):
         for name in ("fig1b", "fig1c"):
             fx = build_fixture(name)
-            report = run_complete_interpretation(fx.engine_config(rng_seed=0))
+            report = run_complete_interpretation(replace(fx, rng_seed=0))
             counts = report.pass_disagreements
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_entropy_zero_means_exact_one(self):
         fx = build_fixture("fig1b")
-        report = run_complete_interpretation(fx.engine_config(rng_seed=0))
+        report = run_complete_interpretation(replace(fx, rng_seed=0))
         assert report.termination == "entropy_zero"
         assert report.final_interpretability == 1.0
 
     def test_requires_full_space(self):
         fx = build_fixture("fig2-diagonal")
         with pytest.raises(InvalidConfigError):
-            run_complete_interpretation(fx.engine_config(rng_seed=0))
+            run_complete_interpretation(replace(fx, rng_seed=0))
 
     @pytest.mark.parametrize("case", ["rule pair", "envelope", "linear known model",
                                       "level mismatch", "epsilon rule pair"])
@@ -438,7 +438,7 @@ class TestRunCompleteInterpretation:
 
     def test_final_model_agrees_everywhere_when_expressible(self):
         fx = build_fixture("fig1b")
-        report = run_complete_interpretation(fx.engine_config(rng_seed=0))
+        report = run_complete_interpretation(replace(fx, rng_seed=0))
         bd = disagreement_breakdown(report.final_model, fx.model_b, fx.space)
         assert bd.total == 0.0
 
@@ -590,7 +590,7 @@ class TestFullSpaceRun:
 class TestReportSerialization:
     def test_report_json_shape(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=7))
+        report = run_interpretation(replace(fx, rng_seed=7))
         doc = report.to_json()
         assert doc["termination"] == "entropy_zero"
         assert doc["final_interpretability"] == 1.0
@@ -600,7 +600,7 @@ class TestReportSerialization:
 
     def test_trajectory_rows_format(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=7))
+        report = run_interpretation(replace(fx, rng_seed=7))
         rows = trajectory_rows(report)
         assert rows[0] == "t,I_t,delta_I_t,H_total"
         assert len(rows) == len(report.steps) + 1
@@ -610,7 +610,7 @@ class TestReportSerialization:
 
     def test_config_round_trip(self):
         fx = build_fixture("fig2-diagonal")
-        config = fx.engine_config(rng_seed=7, lam=0.25)
+        config = replace(fx, rng_seed=7, lam=0.25)
         back = config_from_json(config_to_json(config))
         assert back.space == config.space
         assert back.model_a == config.model_a
@@ -621,5 +621,5 @@ class TestReportSerialization:
 
     def test_raw_unclamped_final_matches_final_when_no_clamping(self):
         fx = build_fixture("fig2-diagonal")
-        report = run_interpretation(fx.engine_config(rng_seed=7))
+        report = run_interpretation(replace(fx, rng_seed=7))
         assert report.raw_unclamped_final == report.final_interpretability

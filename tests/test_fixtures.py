@@ -14,7 +14,7 @@ from diaginterp.fixtures import (
 )
 from diaginterp.imagespace import bitstrings_to_rows, space_matrix
 from diaginterp.metrics import disagreement_breakdown
-from diaginterp.models import model_to_json, num_levels, predict
+from diaginterp.models import model_to_json, num_levels, predict, training_accuracy
 
 
 class TestCatalog:
@@ -23,10 +23,10 @@ class TestCatalog:
 
     def test_the_full_space_rule_pairs_admit_complete_runs(self):
         # demo runs complete interpretation on exactly these fixtures
-        fixtures = [build_fixture(name) for name in fixture_names()]
+        fixtures = {name: build_fixture(name) for name in fixture_names()}
         admitted = [
-            fx.name
-            for fx in fixtures
+            name
+            for name, fx in fixtures.items()
             if admits_complete_run(fx.model_a, fx.model_b, fx.space, fx.mode)
         ]
         assert admitted == ["fig1b", "fig1c"]
@@ -118,7 +118,7 @@ class TestEvalSquares:
         labels = labels.tolist()
         assert len(rows) == len(labels) == 200
         assert labels.count(0) == labels.count(1) == 100
-        assert fx.black_box_train_accuracy >= 0.99
+        assert training_accuracy(fx.model_b, *fx.base_dataset) >= 0.99
 
     def test_epsilon_denominator_is_full_8x8_space(self):
         fx = build_fixture("eval-squares", seed=0)

@@ -8,7 +8,7 @@ from diaginterp.errors import (
     InvalidInputError,
     InvalidSpecError,
 )
-from diaginterp.imagespace import ImageSpaceSpec, SpaceRows, space_matrix
+from diaginterp.imagespace import ImageSpaceSpec, SpaceRows, full_columns, space_matrix
 from diaginterp.models import (
     LinearModel,
     NeuralLayer,
@@ -242,6 +242,22 @@ class TestRuleUpdate:
         space = SpaceRows(spec)
         with pytest.raises(InvalidInputError, match=f"image {index} is not in the space"):
             rule_update(model, index, space.columns, level_label_matrix(model, space))
+
+    @pytest.mark.parametrize("width, height, columns, words, message", [
+        # a 2x2 space for a 2x3 model: a blocking edit indexed past the columns
+        (2, 3, full_columns(4), 1, "columns have 5 rows, a 6-pixel model needs 7"),
+        # a 2x3 space for a 2x2 model: the image would be read from the wrong grid
+        (2, 2, full_columns(6), 1, "columns have 7 rows, a 4-pixel model needs 5"),
+        # reference labels over another space's words: a broadcast failure
+        (2, 2, full_columns(4), 5, "reference labels have 5 words, columns have 1"),
+    ], ids=["columns_of_a_smaller_grid", "columns_of_a_larger_grid", "reference_of_more_words"])
+    def test_packed_inputs_of_the_wrong_shape_rejected(self, width, height, columns, words, message):
+        # image 8 has pixel 0 set, so the model labels it 1 and the all-zeros
+        # reference makes the level block it
+        model = RuleModel(width, height, (RuleLevel.of(ones=[0]),))
+        reference = np.zeros((1, words), dtype=np.uint64)
+        with pytest.raises(InvalidInputError, match=message):
+            rule_update(model, 8, columns, reference)
 
     def test_four_updates_reach_full_envelope_agreement(self):
         current = self.model_a

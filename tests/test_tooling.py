@@ -1,13 +1,14 @@
 """The traced benchmark (perfbench/traced_op.py) wraps package functions by
 name and reads their positional arguments; every name it wraps must still
 exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
-without any test noticing. Four source checks ride along, since the project has
+without any test noticing. Five source checks ride along, since the project has
 no linter: what the oracle borrows from the fast paths, that no module keeps a
-stale import, that code outside the tests reads every public name, and which
-classes may be dataclasses."""
+stale import, that code outside the tests reads every public name, which
+classes may be dataclasses, and that no two classes declare the same record."""
 
 import ast
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -218,7 +219,27 @@ def test_only_checked_classes_are_dataclasses():
     assert unchecked == []
     assert plain == []
     assert records == [
-        "engine.py: StepRecord", "engine.py: Report", "fixtures.py: Fixture",
+        "engine.py: StepRecord", "engine.py: Report",
         "metrics.py: EntropyBreakdown", "metrics.py: Confidence", "models.py: NeuralLayer",
         "oracle.py: OracleResult",
     ]
+
+
+def test_no_two_classes_share_three_fields():
+    # A class that declares three of another's field names is a second copy
+    # of that record, and every use of it copies fields from one to the other
+    # (a shared grid, width and height, or a count pair, is not).
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                fields[f"{path.name}: {node.name}"] = {
+                    n.target.id for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                }
+    shared = [
+        (first, second, sorted(fields[first] & fields[second]))
+        for first, second in itertools.combinations(fields, 2)
+        if len(fields[first] & fields[second]) >= 3
+    ]
+    assert shared == []
