@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``interpret`` -- run the query loop from a JSON run spec or a named
-  fixture; writes report.json and trajectory.csv.
+* ``interpret`` -- run the query loop from a named fixture or an explicit
+  JSON run spec, such as the ``config`` every report.json echoes (which
+  reruns that report's run); writes report.json and trajectory.csv.
 * ``oracle``    -- brute-force disagreement counts for a model pair over a
   space (plus the exhaustive fixed point when the pair qualifies); writes
   oracle.json.
@@ -33,11 +34,9 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .engine import (
-    SETTING_KEYS,
     EngineConfig,
     Report,
     admits_complete_run,
-    check_integer,
     config_from_json,
     run_complete_interpretation,
     run_interpretation,
@@ -96,21 +95,15 @@ def _overrides(args) -> dict:
 
 
 def _config_from_args(args) -> EngineConfig:
+    """An explicit run spec, as every report's ``config`` echoes one, or a
+    named fixture built at ``--seed``; the command-line settings override either."""
     if bool(args.spec) == bool(args.fixture):
         raise DiagInterpError("provide exactly one of --spec PATH or --fixture NAME")
-    doc = _load_json(args.spec) if args.spec else {"fixture": args.fixture}
-    if ("fixture" in doc) == ("model_a" in doc):
-        raise DiagInterpError(
-            "run spec must contain exactly one of a fixture name or explicit models"
-        )
-    if "model_a" in doc:
-        return replace(config_from_json(doc), **_overrides(args))
-    keys = [key for key in ("max_queries", "lambda", "rng_seed") if key in doc]
-    settings = {SETTING_KEYS[key]: doc[key] for key in keys} | _overrides(args)
-    # the seed reaches the fixture's generators before EngineConfig checks it
-    seed = settings.get("rng_seed", EngineConfig.rng_seed)
-    check_integer("rng_seed", seed)
-    return replace(build_fixture(doc["fixture"], seed), **settings)
+    if args.spec:
+        config = config_from_json(_load_json(args.spec))
+    else:
+        config = build_fixture(args.fixture, args.seed or 0)
+    return replace(config, **_overrides(args))
 
 
 def _cmd_interpret(args) -> int:

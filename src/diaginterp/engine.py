@@ -97,7 +97,7 @@ TERM_CYCLE = "cycle"
 TERM_BUDGET = "budget_exhausted"
 
 
-def check_integer(name: str, value) -> None:
+def _check_integer(name: str, value) -> None:
     """Reject a run setting that is not an int (a bool is not one)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
@@ -133,7 +133,7 @@ class EngineConfig:
         if self.mode not in ("diagnostic", "epsilon"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         for name in ("max_queries", "rng_seed", "stall_patience", "retrain_epochs"):
-            check_integer(name, getattr(self, name))
+            _check_integer(name, getattr(self, name))
         for name, key in (("lam", "lambda"), ("retrain_learning_rate", "retrain_learning_rate")):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -396,7 +396,7 @@ def run_complete_interpretation(config: EngineConfig) -> Report:
 
 
 # The run-spec key of each EngineConfig setting, in echo order.
-SETTING_KEYS = {
+_SETTING_KEYS = {
     "max_queries": "max_queries",
     "lambda": "lam",
     "rng_seed": "rng_seed",
@@ -414,7 +414,7 @@ def config_to_json(config: EngineConfig) -> dict:
         "model_b": model_to_json(config.model_b),
         "updater": config.updater,
     }
-    doc.update({key: getattr(config, name) for key, name in SETTING_KEYS.items()})
+    doc.update({key: getattr(config, name) for key, name in _SETTING_KEYS.items()})
     doc["base_dataset"] = None
     if config.base_dataset is not None:
         rows, labels = config.base_dataset
@@ -443,7 +443,7 @@ def config_from_json(doc: dict) -> EngineConfig:
     model_a = model_from_json(json_field(doc, "model_a", "run spec"))
     model_b = model_from_json(json_field(doc, "model_b", "run spec"))
     updater = json_field(doc, "updater", "run spec")
-    settings = {name: doc[key] for key, name in SETTING_KEYS.items() if key in doc}
+    settings = {name: doc[key] for key, name in _SETTING_KEYS.items() if key in doc}
     if doc.get("base_dataset") is not None:
         settings["base_dataset"] = _dataset_from_json(doc["base_dataset"], space.num_pixels)
     config = EngineConfig(space=space, model_a=model_a, model_b=model_b, **settings)

@@ -235,24 +235,56 @@ def rule_bits(levels: Sequence[RuleLevel], columns: np.ndarray) -> np.ndarray:
 _LABEL_BLOCK = 1024
 
 
+def _rounding_bound(model: LinearModel) -> float:
+    """How far two summation orders of one score may differ: 2 (pixels + 1)
+    2^-52 (sum |w| + |b|), twice the sum of both orders' error bounds. It is
+    0 when every order is exact: integer weights and bias, such as a
+    perceptron's, whose every partial sum is an integer below 2^53."""
+    weights, bias = model.weights, model.bias
+    scale = float(np.abs(weights).sum()) + abs(bias)
+    if scale < 2.0**53 and bias.is_integer() and bool(np.all(np.floor(weights) == weights)):
+        return 0.0
+    return 2 * (weights.size + 1) * 2.0**-52 * scale
+
+
+def _linear_labels(model: LinearModel, rows: np.ndarray, bound: float) -> np.ndarray:
+    """A block of float rows' linear labels: the sign of the set pixels' weights
+    summed in pixel order, plus the bias. ``rows @ w + b`` sums in BLAS order,
+    so the rows whose score is within ``bound`` (_rounding_bound) of 0, the
+    only ones whose sign the order can change, are summed again in pixel
+    order. Its scores are freed on return, before the next block is cast:
+    held across that cast, they doubled the time to label a 12,480-row 8x8
+    envelope, 0.36 to 0.74 ms on a 2-vCPU VM."""
+    scores = rows @ model.weights + model.bias
+    if bound:
+        near = np.abs(scores) <= bound
+        # cumsum adds left to right; w * 0 is a signed zero, which adds nothing
+        scores[near] = np.cumsum(rows[near] * model.weights, axis=1)[:, -1] + model.bias
+    return scores > 0.0
+
+
 def level_label_matrix(model: Model, matrix) -> np.ndarray:
     """Per-level labels for a whole enumerated space as packed bits (pack_bits),
     one row of words per level. ``matrix`` is the space's rows: a SpaceRows,
     or a bare 0/1 matrix such as a training set. A rule model is rule_bits
     over a SpaceRows' ``columns``, or over a bare matrix's pack_columns. A
     linear or neural model scores one block of _LABEL_BLOCK float64 rows at a
-    time, so its working memory does not grow with the space, and packs once."""
+    time, so its working memory does not grow with the space, and packs once.
+    A linear label is the sign of the pixel-order sum plus the bias, as in the
+    oracle (_linear_labels)."""
     if isinstance(model, RuleModel):
         columns = matrix.columns if isinstance(matrix, SpaceRows) else pack_columns(matrix)
         return rule_bits(model.levels, columns)
     if not isinstance(model, (LinearModel, NeuralModel)):
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
+    linear = isinstance(model, LinearModel)
+    bound = _rounding_bound(model) if linear else 0.0
     out = np.empty((1, matrix.shape[0]), dtype=np.uint8)
     for start in range(0, matrix.shape[0], _LABEL_BLOCK):
         block = slice(start, start + _LABEL_BLOCK)
         rows = matrix[block].astype(np.float64)
-        if isinstance(model, LinearModel):
-            out[0, block] = rows @ model.weights + model.bias > 0.0
+        if linear:
+            out[0, block] = _linear_labels(model, rows, bound)
         else:
             out[0, block] = neural_forward(model, rows) > 0.5
     return pack_bits(out)

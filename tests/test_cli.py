@@ -56,11 +56,25 @@ class TestInterpret:
         assert code == 0
         assert read_json(tmp_path / "report.json")["seed"] == 3
 
-    def test_run_spec_with_fixture_shortcut(self, tmp_path):
+    @pytest.mark.parametrize("fixture, seed", [("fig2-diagonal", "7"), ("eval-squares", "3")])
+    def test_report_config_reruns_its_run(self, tmp_path, fixture, seed):
+        # a report's config is an explicit run spec of the run that wrote it
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["interpret", "--fixture", fixture, "--seed", seed, "--out", str(first)]) == 0
         spec_path = tmp_path / "run.json"
-        spec_path.write_text(json.dumps({"fixture": "fig2-diagonal", "rng_seed": 7}))
-        code = main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)])
-        assert code == 0
+        spec_path.write_text(json.dumps(read_json(first / "report.json")["config"]))
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(again)]) == 0
+        for name in ("report.json", "trajectory.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_spec_holding_only_a_fixture_exits_2(self, tmp_path, capsys):
+        # a fixture is named with --fixture; a run spec is explicit
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({"fixture": "fig2-diagonal"}))
+        out = tmp_path / "out"
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: run spec missing key 'space'"]
+        assert not out.exists()
 
     def test_missing_model_b_exits_2(self, tmp_path):
         fx = build_fixture("fig2-diagonal")
@@ -107,14 +121,9 @@ class TestInterpret:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("models, value", [
-        ("explicit", 2.7), ("fixture", 2.7), ("fixture", "3"),
-    ])
-    def test_non_integer_max_queries_exits_2(self, tmp_path, capsys, models, value):
-        if models == "fixture":
-            doc = {"fixture": "fig1b"}
-        else:
-            doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0))
+    @pytest.mark.parametrize("value", [2.7, "3"], ids=["explicit-2.7", "explicit-3"])
+    def test_non_integer_max_queries_exits_2(self, tmp_path, capsys, value):
+        doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0))
         doc["max_queries"] = value
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps(doc))
@@ -122,13 +131,13 @@ class TestInterpret:
         assert "max_queries must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("fixture, value", [("eval-squares", 2.5), ("fig1b", "7")])
+    @pytest.mark.parametrize("fixture, value", [("eval-squares", "2.5"), ("fig1b", "7.0")])
     def test_non_integer_fixture_seed_exits_2(self, tmp_path, capsys, fixture, value):
-        spec_path = tmp_path / "run.json"
-        spec_path.write_text(json.dumps({"fixture": fixture, "rng_seed": value}))
-        assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
-        assert "rng_seed must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        # argparse refuses it before any fixture is built
+        out = tmp_path / "out"
+        assert main(["interpret", "--fixture", fixture, "--seed", value, "--out", str(out)]) == 2
+        assert f"argument --seed: invalid int value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("lambda", "0.5"), ("lambda", True), ("retrain_learning_rate", "2"),
@@ -187,8 +196,10 @@ class TestInterpret:
         assert not out.exists()
 
     def test_integer_lambda_echoes_as_float(self, tmp_path):
+        doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=0)) | {"lambda": 1}
         spec_path = tmp_path / "run.json"
-        spec_path.write_text(json.dumps({"fixture": "fig2-diagonal", "lambda": 1}))
+        spec_path.write_text(json.dumps(doc))
+        assert '"lambda": 1,' in spec_path.read_text()
         assert main(["interpret", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "report.json").read_text().count('"lambda": 1.0,') == 1
 

@@ -83,20 +83,18 @@ class TestBruteForceBreakdown:
         assert truth.sample_size == 16
         assert truth.disagreement_counts == disagreement_breakdown(model_a, model_b, spec).disagreement_counts
 
-    @pytest.mark.xfail(
-        strict=True, reason="fast linear labels sum in BLAS order, the oracle pixel by pixel"
-    )
     def test_linear_scores_within_rounding_of_zero_label_alike(self):
         # With one-decimal weights many scores are 0 in exact arithmetic, and
-        # each summation order rounds them to its own sign: the fast labels
-        # count (33501,), the oracle (33410,).
+        # each summation order rounds them to its own sign. Summed in BLAS
+        # order alone, the fast labels counted (33501,), the oracle (33410,).
         weights = [-0.1, -0.2, 0.7, -0.6, 0.1, 0.2, 0.7, -0.6,
                    0.2, 0.3, 0.7, -0.1, 0.3, 0.7, 0.3, -0.1]
         model_a = RuleModel(4, 4, (RuleLevel.of(ones=[0]),))
         model_b = LinearModel(4, 4, weights, -0.1)
         spec = ImageSpaceSpec(4, 4, "full")
         fast = disagreement_breakdown(model_a, model_b, spec)
-        assert fast.disagreement_counts == brute_force_breakdown(model_a, model_b, spec).disagreement_counts
+        oracle = brute_force_breakdown(model_a, model_b, spec)
+        assert fast.disagreement_counts == oracle.disagreement_counts == (33410,)
 
     def test_disagreement_images_listed_in_order(self):
         fx = build_fixture("fig2-diagonal")

@@ -2,10 +2,10 @@
 
 Each property draws an integer seed and builds its models and spaces from
 ``np.random.default_rng(seed)``: rule models with 1-3 levels, linear models
-and small ReLU nets, on grids of 3x3 or smaller; the space and row
-properties also reach 64-72-pixel rows. The settings are
-derandomized and keep no example database, so every run checks the same
-examples.
+and small ReLU nets, on grids of 3x3 or smaller (one-decimal linear models
+up to 4x4); the space and row properties also reach 64-72-pixel rows. The
+settings are derandomized and keep no example database, so every run checks
+the same examples.
 """
 
 import json
@@ -75,6 +75,14 @@ def random_rule(rng, width, height, levels):
 
 def random_linear(rng, width, height):
     return LinearModel(width, height, rng.normal(size=width * height), float(rng.normal()))
+
+
+def one_decimal_linear(rng, width, height):
+    """A linear model whose weights and bias are tenths in [-1, 1]: many of
+    its scores are 0 in exact arithmetic, so their rounding decides their
+    labels. Normal weights, as random_linear draws, almost never do."""
+    weights = rng.integers(-10, 11, width * height) / 10
+    return LinearModel(width, height, weights, int(rng.integers(-10, 11)) / 10)
 
 
 def random_net(rng, width, height):
@@ -154,6 +162,28 @@ def test_breakdown_counts_match_brute_force(seed):
     oracle = brute_force_breakdown(model_a, model_b, space, keep_images=0)
     assert fast.disagreement_counts == oracle.disagreement_counts
     assert fast.sample_size == oracle.sample_size
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_one_decimal_linear_counts_match_brute_force(seed):
+    # a one-decimal linear model against a rule model or another one, over a
+    # full space or a radius-2 envelope of a grid up to 4x4
+    rng = np.random.default_rng(seed)
+    width, height = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    model_a = one_decimal_linear(rng, width, height)
+    if rng.integers(0, 2):
+        model_b = random_rule(rng, width, height, 1)
+    else:
+        model_b = one_decimal_linear(rng, width, height)
+    if rng.integers(0, 2):
+        space = ImageSpaceSpec(width, height, "full")
+    else:
+        bases = tuple(random_image(rng, width, height) for _ in range(int(rng.integers(1, 4))))
+        space = ImageSpaceSpec(width, height, "envelope", bases, 2)
+    fast = disagreement_breakdown(model_a, model_b, space)
+    oracle = brute_force_breakdown(model_a, model_b, space, keep_images=0)
+    assert fast.disagreement_counts == oracle.disagreement_counts
 
 
 @PROPERTY_SETTINGS

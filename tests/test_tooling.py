@@ -4,17 +4,21 @@ exist, and a traced run must still succeed, or ``run.py --trace 1`` breaks
 without any test noticing. Five source checks ride along, since the project has
 no linter: what the oracle borrows from the fast paths, that no module keeps a
 stale import, that code outside the tests reads every public name, which
-classes may be dataclasses, and that no two classes declare the same record."""
+classes may be dataclasses, and that no two classes declare the same record.
+So does one documentation check: every command README shows parses."""
 
 import ast
 import importlib
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from diaginterp import cli
 from diaginterp.fixtures import build_fixture
 from diaginterp.imagespace import space_matrix
 from test_cli import RETRAIN_ROWS, linear_run_spec
@@ -243,3 +247,18 @@ def test_no_two_classes_share_three_fields():
         if len(fields[first] & fields[second]) >= 3
     ]
     assert shared == []
+
+
+def test_every_readme_command_parses():
+    # parsed, never run: a renamed or dropped flag breaks the documented command
+    blocks = re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("diaginterp ")
+    ]
+    assert len(commands) >= 6
+    parser = cli._build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func), argv
