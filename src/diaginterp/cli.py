@@ -44,7 +44,7 @@ from .engine import (
 )
 from .errors import DiagInterpError, InvalidConfigError, SpaceTooLargeError
 from .fixtures import build_fixture, fixture_description
-from .imagespace import json_field, spec_from_json
+from .imagespace import json_field, json_keys, spec_from_json
 from .metrics import raw_interpretability
 from .models import model_from_json, training_accuracy
 from .oracle import brute_force_breakdown, exhaustive_fixed_point
@@ -118,13 +118,14 @@ def _cmd_interpret(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.fixture:
+    if args.fixture and not (args.models or args.space):
         fixture = build_fixture(args.fixture, args.seed)
         model_a, model_b, space = fixture.model_a, fixture.model_b, fixture.space
-    elif args.models and args.space:
+    elif args.models and args.space and not args.fixture:
         models_doc = _load_json(args.models)
         model_a = model_from_json(json_field(models_doc, "model_a", "models file"))
         model_b = model_from_json(json_field(models_doc, "model_b", "models file"))
+        json_keys(models_doc, "models file", ("model_a", "model_b"))
         space = spec_from_json(_load_json(args.space))
     else:
         raise DiagInterpError("provide --fixture NAME or both --models PATH and --space PATH")

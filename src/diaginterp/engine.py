@@ -23,9 +23,10 @@ update edits the diagnosis level only.
 The initial disagreement entropy stays fixed as the denominator of every
 per-step interpretability value. Runs terminate when the entropy hits zero,
 the trajectory stalls or cycles, or the query budget runs out;
-``no_disagreement`` means the models agree on every image. Reports capture
-the whole trajectory and are deterministic functions of the configuration,
-seed included.
+``no_disagreement`` means the models agree on every image. Every stop
+decision reads the measured entropy; I_t and delta_I_t, clamped at 0, are
+report output only. Reports capture the whole trajectory and are
+deterministic functions of the configuration, seed included.
 
 Two entry points share that setup, the step and the report. Every step is
 ``_Run.update``: rule_update on the space's columns for a rule known model, or a
@@ -35,7 +36,9 @@ termination rules:
 
 * run_interpretation -- the budgeted, seeded loop: a uniform draw from the
   query region (diagnostic or single-level epsilon mode, rule-edit or
-  retraining updater);
+  retraining updater), stopping at zero entropy, when ``stall_patience``
+  steps in a row each leave the entropy unchanged, or when the budget is
+  spent;
 * run_complete_interpretation -- exhaustive, unbudgeted querying of a full
   space in enumeration order with the rule updater, stopping at zero entropy,
   at a fixed point where a whole pass leaves the entropy unchanged, or at a
@@ -60,6 +63,7 @@ from .imagespace import (
     bitstrings_to_rows,
     is_bitstring,
     json_field,
+    json_keys,
     rows_to_bitstrings,
     spec_from_json,
     spec_to_json,
@@ -324,19 +328,23 @@ def run_interpretation(config: EngineConfig) -> Report:
     """Budgeted random-query interpretation (the seeded loop).
 
     Each query is a uniform draw from the query region, which is never empty
-    while the entropy is positive.
+    while the entropy is positive. It stops at a step that measures zero
+    entropy (``entropy_zero``), after ``stall_patience`` steps in a row that
+    each leave the total entropy where it was, H0 before the first step
+    (``stalled``), or after ``max_queries`` steps (``budget_exhausted``).
     """
     run = _Run(config)
     if run.initial.total == 0.0:
         return run.report(run.zero_entropy_termination())
 
-    zero_delta_run = 0
+    flat_steps = 0
     for _ in range(config.max_queries):
+        entropy_before = run.breakdown.total
         step = run.update(_nth_bit(run.region, int(run.rng.integers(0, run.region_size))))
         if step.entropy_after.total == 0.0:
             return run.report(TERM_ENTROPY_ZERO)
-        zero_delta_run = zero_delta_run + 1 if step.delta_i_t == 0.0 else 0
-        if zero_delta_run >= config.stall_patience:
+        flat_steps = flat_steps + 1 if step.entropy_after.total == entropy_before else 0
+        if flat_steps >= config.stall_patience:
             return run.report(TERM_STALLED)
     return run.report(TERM_BUDGET)
 
@@ -438,11 +446,14 @@ def _dataset_from_json(entries, pixels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def config_from_json(doc: dict) -> EngineConfig:
     """Parse a run spec. Settings it leaves out take EngineConfig's defaults;
-    its required ``updater`` must name the known model's update."""
+    its required ``updater`` must name the known model's update, and it holds
+    no key that config_to_json does not write."""
     space = spec_from_json(json_field(doc, "space", "run spec"))
     model_a = model_from_json(json_field(doc, "model_a", "run spec"))
     model_b = model_from_json(json_field(doc, "model_b", "run spec"))
     updater = json_field(doc, "updater", "run spec")
+    keys = ("space", "model_a", "model_b", "updater", *_SETTING_KEYS, "base_dataset")
+    json_keys(doc, "run spec", keys)
     settings = {name: doc[key] for key, name in _SETTING_KEYS.items() if key in doc}
     if doc.get("base_dataset") is not None:
         settings["base_dataset"] = _dataset_from_json(doc["base_dataset"], space.num_pixels)

@@ -328,9 +328,19 @@ def json_field(doc: dict, key: str, what: str, kind: type = object, default=None
     return value
 
 
+def json_keys(doc: dict, what: str, allowed) -> None:
+    """Refuse a JSON object ``doc``, named ``what`` as in json_field, holding a
+    key that is not in ``allowed``, the keys its writer writes. A reader calls
+    it once it has read ``doc``'s fields, so a missing key is reported first."""
+    for key in doc:
+        if key not in allowed:
+            raise InvalidSpecError(f"{what} has unknown key {key!r}")
+
+
 def spec_from_json(doc: dict) -> ImageSpaceSpec:
     width, height = (json_field(doc, key, "space", int) for key in ("width", "height"))
     mode = json_field(doc, "mode", "space")
     bases = json_field(doc, "base_images", "space", list, [])
     radius = json_field(doc, "flip_radius", "space", int, 0)
+    json_keys(doc, "space", ("width", "height", "mode", "base_images", "flip_radius"))
     return ImageSpaceSpec(width, height, mode, bases, radius)

@@ -31,7 +31,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, InvalidSpecError
-from .imagespace import MATERIALIZE_BYTE_LIMIT, SpaceRows, json_field, pack_bits, pack_columns
+from .imagespace import (
+    MATERIALIZE_BYTE_LIMIT,
+    SpaceRows,
+    json_field,
+    json_keys,
+    pack_bits,
+    pack_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -614,26 +621,35 @@ def _numbers(doc: dict, key: str, what: str, kind: type = object):
     return value
 
 
+# The keys model_to_json writes beside kind, width and height, by kind.
+_MODEL_KEYS = {"rule": ("levels",), "linear": ("weights", "bias"), "neural": ("layers",)}
+
+
+def _rule_level(lv: dict) -> RuleLevel:
+    ones, zeros = (_pixel_set(lv, key) for key in ("ones_required", "zeros_required"))
+    json_keys(lv, "rule level", ("ones_required", "zeros_required"))
+    return RuleLevel(ones, zeros)
+
+
+def _neural_layer(lv: dict) -> NeuralLayer:
+    weights = _numbers(lv, "weights", "neural layer", list)
+    bias = _numbers(lv, "bias", "neural layer")
+    activation = json_field(lv, "activation", "neural layer")
+    json_keys(lv, "neural layer", ("weights", "bias", "activation"))
+    return NeuralLayer(weights, bias, activation)
+
+
 def model_from_json(doc: dict) -> Model:
     width, height = (json_field(doc, key, "model", int) for key in ("width", "height"))
     kind = doc.get("kind")
+    if kind not in tuple(_MODEL_KEYS):  # compared, not hashed: kind may be a list
+        raise InvalidSpecError(f"unknown model kind {kind!r}")
+    json_keys(doc, "model", ("kind", "width", "height", *_MODEL_KEYS[kind]))
     if kind == "rule":
-        levels = tuple(
-            RuleLevel(_pixel_set(lv, "ones_required"), _pixel_set(lv, "zeros_required"))
-            for lv in json_field(doc, "levels", "model", list)
-        )
-        return RuleModel(width, height, levels)
+        levels = json_field(doc, "levels", "model", list)
+        return RuleModel(width, height, tuple(map(_rule_level, levels)))
     if kind == "linear":
         weights, bias = (_numbers(doc, key, "model") for key in ("weights", "bias"))
         return LinearModel(width, height, weights, bias)
-    if kind == "neural":
-        layers = tuple(
-            NeuralLayer(
-                _numbers(lv, "weights", "neural layer", list),
-                _numbers(lv, "bias", "neural layer"),
-                json_field(lv, "activation", "neural layer"),
-            )
-            for lv in json_field(doc, "layers", "model", list)
-        )
-        return NeuralModel(width, height, layers)
-    raise InvalidSpecError(f"unknown model kind {kind!r}")
+    layers = json_field(doc, "layers", "model", list)
+    return NeuralModel(width, height, tuple(map(_neural_layer, layers)))

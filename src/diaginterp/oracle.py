@@ -42,11 +42,18 @@ DEFAULT_IMAGE_KEEP = 4096
 
 
 class OracleResult(NamedTuple):
+    """A pair's disagreement breakdown. The fixed-point search's final result
+    also says how the search stopped: its termination, in the engine's terms,
+    its update count and the images mislabelled at each pass start."""
+
     disagreement_counts: tuple[int, ...]
     sample_size: int
     per_level_entropy: tuple[float, ...]
     total_entropy: float
     disagreement_images: tuple[str, ...] | None = None
+    termination: str | None = None
+    updates: int | None = None
+    pass_misses: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -241,11 +248,15 @@ def brute_force_breakdown(
 def exhaustive_fixed_point(
     model_a: RuleModel, model_b: Model, spec: ImageSpaceSpec
 ) -> tuple[RuleModel, OracleResult, OracleResult]:
-    """Drive the minimal-edit updater over enumeration-ordered disagreements
-    until a full pass leaves the total entropy unchanged or ends on a model
-    that started or ended an earlier pass (a cycle).
+    """Drive the minimal-edit updater over enumeration-ordered disagreements,
+    pass after pass, until a pass leaves no image mislabelled
+    (``entropy_zero``), leaves the total entropy unchanged (``stalled``), or
+    ends on a model that started or ended an earlier pass (``cycle``). A
+    starting pair at zero entropy is its own fixed point: ``entropy_zero``,
+    or ``no_disagreement`` when no image is mislabelled.
 
-    Returns the resulting model, its breakdown (no images kept) and the
+    Returns the resulting model, its breakdown (no images kept, and the
+    termination, update count and pass-start misses filled in) and the
     starting pair's breakdown, which is brute_force_breakdown(model_a,
     model_b, spec) with its default images kept. The space is enumerated and
     the black box labelled once, for a search that ORACLE_SCAN_LIMIT bounds.
@@ -269,19 +280,21 @@ def exhaustive_fixed_point(
         [pack_bits(np.frombuffer(bytes(labels), np.uint8)[None]) for labels in labels_b]
     )
     current = model_a
-    initial = _breakdown(
-        spec, codes, _scalar_levels(current, spec, codes), labels_b, DEFAULT_IMAGE_KEEP
-    )
+    labels_a = _scalar_levels(current, spec, codes)
+    initial = _breakdown(spec, codes, labels_a, labels_b, DEFAULT_IMAGE_KEEP)
+    misses = sum(_misses(labels_a, labels_b))
     if initial.total_entropy == 0.0:
         # nothing left to interpret: the start is the fixed point
-        return current, initial, initial
+        end = "entropy_zero" if misses else "no_disagreement"
+        return current, initial._replace(termination=end, updates=0, pass_misses=()), initial
     result = initial
     budget = ORACLE_SCAN_LIMIT // len(codes)
     updates = 0
+    pass_misses = []
     # The model at the start and at the end of each pass so far.
     seen = {current}
     while True:
-        pass_start = updates
+        pass_misses.append(misses)
         miss = -1
         while True:
             # The next image, in enumeration order, that the current model
@@ -300,11 +313,18 @@ def exhaustive_fixed_point(
                 )
             current = rule_update(current, miss, columns, reference)
             updates += 1
-        if updates == pass_start:
-            # a pass with no update ends on the model the last one ended on
-            return current, result, initial
         entropy_before = result.total_entropy
-        result = _breakdown(spec, codes, _scalar_levels(current, spec, codes), labels_b, 0)
-        if result.total_entropy == entropy_before or current in seen:
-            return current, result, initial
-        seen.add(current)
+        labels_a = _scalar_levels(current, spec, codes)
+        result = _breakdown(spec, codes, labels_a, labels_b, 0)
+        misses = sum(_misses(labels_a, labels_b))
+        if not misses:
+            end = "entropy_zero"
+        elif result.total_entropy == entropy_before:
+            end = "stalled"
+        elif current in seen:
+            end = "cycle"
+        else:
+            seen.add(current)
+            continue
+        stop = {"termination": end, "updates": updates, "pass_misses": tuple(pass_misses)}
+        return current, result._replace(**stop), initial

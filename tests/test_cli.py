@@ -76,6 +76,19 @@ class TestInterpret:
         assert capsys.readouterr().err.splitlines() == ["error: run spec missing key 'space'"]
         assert not out.exists()
 
+    def test_misspelt_setting_exits_2_naming_it(self, tmp_path, capsys):
+        # a key config_to_json does not write is refused, not run on its default
+        doc = config_to_json(replace(build_fixture("fig2-diagonal"), rng_seed=7))
+        doc["max_querys"] = 1
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["interpret", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run spec has unknown key 'max_querys'"
+        ]
+        assert not out.exists()
+
     def test_missing_model_b_exits_2(self, tmp_path):
         fx = build_fixture("fig2-diagonal")
         doc = config_to_json(replace(fx, rng_seed=0))
@@ -416,6 +429,43 @@ class TestOracle:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["oracle", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("files", [["--models"], ["--space"], ["--models", "--space"]])
+    def test_fixture_with_input_files_exits_2(self, tmp_path, capsys, files):
+        # a fixture names the whole pair and space, so a file beside it is refused
+        argv = ["oracle", "--fixture", "fig1b", "--out", str(tmp_path / "out")]
+        for flag in files:
+            argv += [flag, str(tmp_path / f"{flag[2:]}.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: provide --fixture NAME or both --models PATH and --space PATH"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, key, message", [
+        (["models"], "model_c", "models file has unknown key 'model_c'"),
+        (["space"], "flip_radus", "space has unknown key 'flip_radus'"),
+        (["models", "model_a"], "weights", "model has unknown key 'weights'"),
+        (["models", "model_b", "levels", 0], "zeros_requried",
+         "rule level has unknown key 'zeros_requried'"),
+        (["models", "model_b", "layers", 1], "activaton",
+         "neural layer has unknown key 'activaton'"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, path, key, message):
+        # every document holds only the keys its writer writes
+        fx = build_fixture("fig2-diagonal")
+        model_b = init_neural([16, 3, 1], 4, 4, rng_seed=0) if "layers" in path else fx.model_b
+        files = {
+            "models": {"model_a": model_to_json(fx.model_a), "model_b": model_to_json(model_b)},
+            "space": spec_to_json(fx.space),
+        }
+        doc = files
+        for step in path:
+            doc = doc[step]
+        doc[key] = [3]
+        assert self.run_oracle_files(tmp_path, files["models"], files["space"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "oracle.json").exists()
 
     @pytest.mark.parametrize("broken, message", [
         ("model_a", "models file missing key 'model_a'"),

@@ -6,7 +6,8 @@ models file and a space file for ``oracle --models --space``. It applies one
 mutation and calls cli.main in-process on temporary files. A mutation
 deletes one key, puts one of MUTANTS in place of one value, or sets the
 width or the height to one of them in the space and in both models at once,
-so that a grid check cannot hide how a size is handled.
+so that a grid check cannot hide how a size is handled. A separate property
+adds a misspelt copy of one key, which must be refused by name.
 
 The CLI must exit 0, 2 or 3. A non-zero exit prints one ``error: ...`` line
 and writes no output directory; exit 0 writes strict JSON. A huge query,
@@ -131,3 +132,25 @@ def test_one_mutation_exits_0_2_or_3(seed, command, kind, value, pick):
             assert not out.exists()
         else:
             strict_json((out / f"{'oracle' if command == 'oracle' else 'report'}.json").read_text())
+
+
+@settings(FUZZ_SETTINGS, max_examples=100)
+@given(SEEDS, st.sampled_from(["interpret", "oracle"]), st.integers(min_value=0, max_value=2**16))
+def test_a_misspelt_key_exits_2_naming_it(seed, command, pick):
+    # a copy of one object key, misspelt, beside the valid original: only
+    # the unknown key is wrong, so the run must refuse it by name
+    files = valid_files(seed, command)
+    keys = [path for path in paths(files) if len(path) > 1 and isinstance(path[-1], str)]
+    *parents, key = keys[pick % len(keys)]
+    holder = files
+    for step in parents:
+        holder = holder[step]
+    misspelt = key[:-1] if key[:-1] not in holder else key + "s"
+    holder[misspelt] = holder[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = run_cli(command, files, Path(tmp))
+        assert code == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert lines[0].endswith(f" has unknown key {misspelt!r}"), err
+        assert not out.exists()

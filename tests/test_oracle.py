@@ -109,17 +109,23 @@ class TestExhaustiveFixedPoint:
         fx = build_fixture("fig1b")
         model, result, _ = exhaustive_fixed_point(fx.model_a, fx.model_b, fx.space)
         assert result.total_entropy == 0.0
+        assert result.termination == "entropy_zero"
         assert brute_force_breakdown(model, fx.model_b, fx.space).disagreement_counts == (0,)
 
     def test_inexpressible_target_settles_between(self, fig1c_fixed_point):
         _, _, result, initial = fig1c_fixed_point
         assert 0.0 < result.total_entropy < initial.total_entropy
+        # the second pass leaves the entropy where the first left it
+        assert (result.termination, result.updates, result.pass_misses) == (
+            "stalled", 4, (32768, 16384)
+        )
 
     def test_identical_start_returns_unchanged_model(self):
         model = RuleModel(3, 3, (RuleLevel.of(ones=[0]),))
         fixed, result, _ = exhaustive_fixed_point(model, model, ImageSpaceSpec(3, 3, "full"))
         assert fixed == model
         assert result.total_entropy == 0.0
+        assert (result.termination, result.updates, result.pass_misses) == ("no_disagreement", 0, ())
 
     def test_zero_initial_entropy_returns_start(self):
         # the two images of a 1x1 space both disagree: H0 = 0, nothing to edit
@@ -128,6 +134,7 @@ class TestExhaustiveFixedPoint:
         fixed, result, _ = exhaustive_fixed_point(model_a, model_b, ImageSpaceSpec(1, 1, "full"))
         assert fixed == model_a
         assert result.disagreement_counts == (2,)
+        assert (result.termination, result.updates, result.pass_misses) == ("entropy_zero", 0, ())
 
     def test_idempotent(self, fig1c_fixed_point):
         fx, fixed, first, _ = fig1c_fixed_point

@@ -237,6 +237,24 @@ def test_every_step_counts_match_brute_force(seed):
 
 
 @PROPERTY_SETTINGS
+@given(SEEDS, st.sampled_from(["diagnostic", "epsilon"]))
+def test_budgeted_run_stalls_on_its_first_flat_window(seed, mode):
+    # A step is flat when it leaves the measured entropy where the step
+    # before left it (H0 before the first). A run stalls exactly when its
+    # last stall_patience steps are flat, and no earlier such window was;
+    # I_t, clamped at 0, plays no part, whichever way the entropy moves.
+    rng = np.random.default_rng(seed)
+    patience = int(rng.integers(1, 5))
+    config = replace(random_config(rng, mode), max_queries=20, stall_patience=patience)
+    report = run_interpretation(config)
+    entropies = [report.initial_entropy.total, *(s.entropy_after.total for s in report.steps)]
+    flat = [after == before for before, after in zip(entropies, entropies[1:])]
+    windows = [all(flat[i : i + patience]) for i in range(len(flat) - patience + 1)]
+    assert not any(windows[:-1])
+    assert (report.termination == "stalled") == (windows[-1:] == [True])
+
+
+@PROPERTY_SETTINGS
 @given(SEEDS)
 def test_epsilon_runs_on_mixed_levels_keep_lower_levels(seed):
     rng = np.random.default_rng(seed)
@@ -269,6 +287,11 @@ def test_complete_run_matches_exhaustive_fixed_point(seed):
     final = report.steps[-1].entropy_after if report.steps else report.initial_entropy
     assert report.final_model == fixed
     assert final.disagreement_counts == result.disagreement_counts
+    # the oracle's own loop stops the same way, after as many updates, and
+    # counts the same misses at each pass start
+    assert result.termination == report.termination
+    assert result.updates == len(report.steps)
+    assert result.pass_misses == report.pass_disagreements
 
 
 def json_trip(doc):
